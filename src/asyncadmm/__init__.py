@@ -8,83 +8,20 @@ iteration holding a value within a prescribed tolerance of the network
 average.
 """
 
-from .admm import RunRecord, SolverConfig, run, rate_diagnostics
-from .consensus import (
-    ConsensusResult,
-    ProtocolError,
-    RatioState,
-    TerminationState,
-    minmax_step,
-    ratio_step,
-    run_minmax_consensus,
-    run_ratio_consensus,
-    run_terminating_consensus,
-)
-from .digraph import (
-    Digraph,
-    WeightMatrix,
-    build_weights,
-    diameter,
-    is_strongly_connected,
-    load_edge_list,
-    random_strongly_connected,
-    save_edge_list,
-)
-from .netsim import DelayModel, EventQueue, Message, MessageKind, broadcast
-from .oracle import (
-    GroundTruth,
-    centralized_solution,
-    exact_average,
-    synchronous_ratio_oracle,
-    synchronous_ratio_trajectory,
-)
-from .problems import (
-    CostFunction,
-    LeastSquaresCost,
-    LeastSquaresInstance,
-    generate_ls,
-    load_instance,
-    ls_prox,
-    save_instance,
-)
+from .admm import SolverConfig, run
+from .consensus import run_terminating_consensus
+from .digraph import build_weights, random_strongly_connected
+from .netsim import DelayModel
+from .oracle import centralized_solution
+from .problems import generate_ls
 
 __all__ = [
-    "ConsensusResult",
-    "CostFunction",
     "DelayModel",
-    "Digraph",
-    "EventQueue",
-    "GroundTruth",
-    "LeastSquaresCost",
-    "LeastSquaresInstance",
-    "Message",
-    "MessageKind",
-    "ProtocolError",
-    "RatioState",
-    "RunRecord",
     "SolverConfig",
-    "TerminationState",
-    "WeightMatrix",
-    "broadcast",
     "build_weights",
     "centralized_solution",
-    "diameter",
-    "exact_average",
     "generate_ls",
-    "is_strongly_connected",
-    "load_edge_list",
-    "load_instance",
-    "ls_prox",
-    "minmax_step",
     "random_strongly_connected",
-    "ratio_step",
     "run",
-    "run_minmax_consensus",
-    "run_ratio_consensus",
     "run_terminating_consensus",
-    "save_edge_list",
-    "save_instance",
-    "synchronous_ratio_oracle",
-    "synchronous_ratio_trajectory",
-    "rate_diagnostics",
 ]

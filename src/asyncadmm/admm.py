@@ -60,7 +60,6 @@ class SolverConfig:
     eps_rel: float = 1e-2
     step_cap: int = 1000
     seed: int = 0
-    delay_kind: str = "uniform"
     stop_on_residuals: bool = True
 
     def __post_init__(self) -> None:
@@ -80,7 +79,7 @@ class SolverConfig:
     def delay_model(self) -> DelayModel:
         if self.tau_bar == 0:
             return DelayModel.zero()
-        return DelayModel(self.tau_bar, kind=self.delay_kind, seed=(self.seed, _DELAY_STREAM))
+        return DelayModel.uniform(self.tau_bar, seed=(self.seed, _DELAY_STREAM))
 
 
 @dataclass
@@ -228,12 +227,13 @@ def run(
     if problem.n != g.n:
         raise ValueError(f"problem has {problem.n} nodes but digraph has {g.n}")
     n, p = g.n, problem.p
-    weights = build_weights(g)
-    d = diameter(g)
+    if not exact_averaging:
+        weights = build_weights(g)
+        d = diameter(g)
+        dm = cfg.delay_model()
     if truth is None:
         truth = oracle_mod.centralized_solution(problem)
     costs = [problem.cost(i) for i in range(n)]
-    dm = cfg.delay_model()
 
     rng = np.random.default_rng((cfg.seed, _INIT_STREAM))
     x = rng.standard_normal((n, p))

@@ -5,11 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import admm, oracle
+from . import admm, consensus, oracle
 from .digraph import Digraph, load_edge_list, random_strongly_connected, save_edge_list
 from .problems import generate_ls
 
@@ -187,7 +186,8 @@ def _sweep_cell(cfg: ExperimentConfig, eps: float, tau: float):
     cell = replace(cfg, epsilon=eps, tau_bar=int(tau))
     try:
         record, truth, _, _ = _execute(cell)
-    except Exception as exc:  # per-cell failure must not kill the sweep
+    except (ValueError, oracle.SingularProblemError, consensus.ProtocolError) as exc:
+        # an invalid cell or a failed protocol run must not kill the sweep
         return ("error: " + str(exc).replace(",", ";"), "", "", "")
     rel_err = abs(record.final_objective - truth.f_star) / abs(truth.f_star)
     mean_steps = sum(record.consensus_steps) / record.iterations
@@ -200,12 +200,11 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
         raise ValueError("sweep needs nonempty epsilon and tau_bar lists")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = [(eps, tau) for eps in eps_list for tau in tau_list]
-    with ThreadPoolExecutor(max_workers=min(8, len(cells))) as pool:
-        results = list(pool.map(lambda c: _sweep_cell(cfg, *c), cells))
     lines = [",".join(SWEEP_COLUMNS)]
-    for (eps, tau), (status, rel, mean_steps, capped) in zip(cells, results):
-        lines.append(f"{eps!r},{int(tau)},{status},{rel},{mean_steps},{capped}")
+    for eps in eps_list:
+        for tau in tau_list:
+            status, rel, mean_steps, capped = _sweep_cell(cfg, eps, tau)
+            lines.append(f"{eps!r},{int(tau)},{status},{rel},{mean_steps},{capped}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     cfg.to_file(out / "config.txt")
     print(REFERENCE_TREND)

@@ -32,56 +32,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import Digraph, WeightMatrix, diameter
-from .netsim import DelayModel, EventQueue, MessageKind, broadcast
+from .netsim import DelayModel
 
 __all__ = [
     "ProtocolError",
-    "RatioState",
-    "TerminationState",
     "ConsensusResult",
-    "ratio_step",
-    "minmax_step",
+    "ConsensusEngine",
     "run_ratio_consensus",
     "ratio_trajectory",
     "run_minmax_consensus",
     "run_terminating_consensus",
 ]
 
+RATIO, MIN_MAX = 0, 1  # message kinds; ratio sorts before min/max
+KIND_NAMES = ("RATIO_PAIR", "MIN_MAX_PAIR")
+
 
 class ProtocolError(RuntimeError):
     """The consensus state stopped being well-formed (lost mass, split extrema)."""
-
-
-@dataclass(slots=True)
-class RatioState:
-    """One node's ratio-consensus state: numerator ``y``, mass ``w``, estimate ``z``.
-
-    ``w`` starts at one and stays positive: the weights are positive, so
-    positivity can only break if mass is lost or corrupted.
-    """
-
-    y: np.ndarray
-    w: float
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.y / self.w
-
-
-@dataclass
-class TerminationState:
-    """Running extrema of the whole network, one row of ``hi`` / ``lo`` per node.
-
-    ``hi`` starts at ``+inf`` and ``lo`` at ``-inf``; every re-seed snaps both
-    to the current ratio estimates, so ``lo <= z <= hi`` rowwise right after.
-    ``flag`` flips false -> true at most once per consensus instance;
-    ``round_len`` is the check period ``(1 + tau_bar) * D``.
-    """
-
-    hi: np.ndarray
-    lo: np.ndarray
-    flag: bool = False
-    round_len: int = 0
 
 
 @dataclass
@@ -94,131 +62,188 @@ class ConsensusResult:
     check_steps: list[int] = field(default_factory=list)
 
 
-def _fold_ratio(payloads) -> tuple[np.ndarray, float]:
-    if not payloads:
-        raise ProtocolError("ratio update with no deliveries: the self term is missing")
-    y = np.zeros_like(payloads[0][0])
-    w = 0.0
-    for vec, mass in payloads:
-        y += vec
-        w += mass
-    if w <= 0.0:
-        raise ProtocolError(f"nonpositive mass {w} after update")
-    return y, w
+def _rows(a, n: int, name: str) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.shape[0] != n:
+        raise ValueError(f"{name} has {a.shape[0]} rows for a {n}-node digraph")
+    return a.copy()
 
 
-def ratio_step(payloads) -> RatioState:
-    """Fold pre-scaled ``(y, w)`` deliveries into a fresh node state.
+class ConsensusEngine:
+    """One network of ratio and/or extrema states, stepped in lockstep over arrays.
 
-    ``payloads`` must be ordered by sender id and must include the node's own
-    zero-delay term (the sender scales everything it ships, itself included,
-    by ``1 / (1 + out_degree)``).  The fold is strictly sequential so results
-    are reproducible bit for bit.
+    Each tick every node ships its ratio pair ``(y, w)``, scaled by its
+    broadcast weight, and its extrema pair ``(hi, lo)`` to each out-neighbor
+    with an independent delay in ``[0, tau_bar]``, and to itself undelayed.
+    Each receiver then folds whatever is due.  The ratio kind is present when
+    ``y0`` is given, the min/max kind when ``extrema`` is.
 
-    Raises :class:`ProtocolError` if the accumulated mass is not positive,
-    which signals invalid weights or a lost message.
+    The edges are numbered in draw order: sender-major, then kind (ratio
+    before min/max), then receivers ascending, so one batched delay draw per
+    tick consumes the delay stream exactly as per-sender draws would.  A ring
+    of depth ``tau_bar + 1`` keeps, per send tick, those delays
+    (``delays``) and one payload row per sender.  The send made ``lag``
+    ticks ago on an edge is consumed now iff its delay equals ``lag``.
+    Ratio sums fold sequentially in receiver, sender, send-time order, so
+    results are reproducible bit for bit.  Min/max folds are order-free; they
+    drop extrema sent before ``epoch_start``, the latest re-seed.
     """
-    y, w = _fold_ratio(payloads)
-    return RatioState(y=y, w=w)
-
-
-def minmax_step(hi: np.ndarray, lo: np.ndarray, payloads) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise max/min fold of delivered extrema into the node's own pair."""
-    hi_new = hi.copy()
-    lo_new = lo.copy()
-    for hi_in, lo_in in payloads:
-        np.maximum(hi_new, hi_in, out=hi_new)
-        np.minimum(lo_new, lo_in, out=lo_new)
-    return hi_new, lo_new
-
-
-class _Engine:
-    """Drives one network of ratio (and optionally extrema) states in lockstep."""
 
     def __init__(
         self,
         g: Digraph,
-        weights: WeightMatrix,
         dm: DelayModel,
-        y0: np.ndarray,
-        with_minmax: bool,
+        y0: np.ndarray | None = None,
+        weights: WeightMatrix | None = None,
+        extrema: tuple[np.ndarray, np.ndarray] | None = None,
         trace: list[str] | None = None,
     ):
-        y0 = np.asarray(y0, dtype=float)
-        if y0.ndim == 1:
-            y0 = y0[:, None]
-        if y0.shape[0] != g.n:
-            raise ValueError(f"y0 has {y0.shape[0]} rows for a {g.n}-node digraph")
-        self.g = g
+        n = g.n
+        self.n = n
         self.dm = dm
-        self.n, self.p = y0.shape
-        self.y = y0.copy()
-        self.w = np.ones(self.n)
-        self.z = self.y / self.w[:, None]
-        self.with_minmax = with_minmax
-        if with_minmax:
-            self.term = TerminationState(
-                hi=np.full((self.n, self.p), np.inf),
-                lo=np.full((self.n, self.p), -np.inf),
-            )
-        self.queue = EventQueue(trace=trace)
+        self.trace = trace
+        self.time = 0
         self.epoch_start = 0
-        self._bw = np.array([weights.broadcast_weight(j) for j in range(g.n)])
+        self.kinds = []
+        depth = dm.tau_bar + 1
+        if y0 is not None:
+            self.y = _rows(y0, n, "y0")
+            self.w = np.ones(n)
+            self.z = self.y / self.w[:, None]
+            self._bw = np.asarray(weights.sender_weight, dtype=float)
+            self._y_ring = np.zeros((depth, *self.y.shape))
+            self._w_ring = np.zeros((depth, n))
+            self.kinds.append(RATIO)
+        if extrema is not None:
+            self.hi, self.lo = (_rows(a, n, "extrema") for a in extrema)
+            self._hi_ring = np.zeros((depth, *self.hi.shape))
+            self._lo_ring = np.zeros((depth, *self.lo.shape))
+            self.kinds.append(MIN_MAX)
 
-    @property
-    def time(self) -> int:
-        return self.queue.time
+        # Index arrays are int32 to halve their footprint at the paper's scale.
+        degree = np.array([len(out) for out in g.out_neighbors], dtype=np.int32)
+        nodes = np.arange(n, dtype=np.int32)
+        self.edge_sender = np.repeat(nodes, degree)
+        self.edge_receiver = np.array([r for out in g.out_neighbors for r in out], dtype=np.int32)
+        edges = len(self.edge_sender)
+        first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[self.edge_sender]
+        kind_count = len(self.kinds)
+        # position of each edge's delay, per kind, in one tick's batch
+        self.draw_pos = [
+            np.arange(edges, dtype=np.int32)
+            + (kind_count - 1) * first_edge
+            + q * degree[self.edge_sender]
+            for q in range(kind_count)
+        ]
+        self._draws = kind_count * edges
+        self._lags = np.arange(depth, dtype=np.int32)
+        # -1 marks ring slots not yet written; the extra last column is the
+        # self term's delay, which is always zero
+        self.delays = np.full((depth, self._draws + 1), -1, dtype=np.int32)
+        self.delays[:, -1] = 0
+
+        # Candidates: the send made ``lag`` ticks ago on each edge, plus every
+        # node's self term at lag 0, sorted by receiver, sender, send time.
+        # The order is the same for every kind; only draw positions differ.
+        lag = np.concatenate([np.repeat(self._lags, edges), np.zeros(n, dtype=np.int32)])
+        sender = np.concatenate([np.tile(self.edge_sender, depth), nodes])
+        receiver = np.concatenate([np.tile(self.edge_receiver, depth), nodes])
+        order = np.lexsort((-lag, sender, receiver))
+        self._receiver = receiver[order]
+        self._lag = lag[order]
+        # flat index into the tick's (lag, sender) payload rows
+        self._payload_at = self._lag * n + sender[order]
+        # flat index into the tick's (lag, draw position) arrival matrix
+        self._seen_at = [
+            self._lag * (self._draws + 1)
+            + np.concatenate([np.tile(pos, depth), np.full(n, self._draws, dtype=np.int32)])[order]
+            for pos in self.draw_pos
+        ]
 
     def reseed_extrema(self) -> None:
-        self.term.hi = self.z.copy()
-        self.term.lo = self.z.copy()
-        self.epoch_start = self.queue.time
-
-    def extrema_identical(self) -> bool:
-        term = self.term
-        return bool(np.all(term.hi == term.hi[0]) and np.all(term.lo == term.lo[0]))
-
-    def spread(self) -> float:
-        """2-norm of ``M - m`` at node 0 (identical at every check boundary)."""
-        diff = self.term.hi[0] - self.term.lo[0]
-        return float(np.linalg.norm(diff))
+        self.hi = self.z.copy()
+        self.lo = self.z.copy()
+        self.epoch_start = self.time
 
     def step(self) -> None:
-        g, q = self.g, self.queue
-        # Sender-side scaling, one vectorized pass; elementwise rounding is
-        # identical to scaling row by row.  The rows are shipped as views of
-        # fresh buffers that are never mutated afterwards.
-        scaled_y = self._bw[:, None] * self.y
-        scaled_w = self._bw * self.w
-        for j in range(self.n):
-            broadcast(j, g, MessageKind.RATIO_PAIR, (scaled_y[j], scaled_w[j]), self.dm, q)
-            if self.with_minmax:
-                broadcast(
-                    j, g, MessageKind.MIN_MAX_PAIR, (self.term.hi[j], self.term.lo[j]), self.dm, q
-                )
-        _, delivered = q.advance()
-        ratio_in: list[list[tuple]] = [[] for _ in range(self.n)]
-        mm_in: list[list[tuple]] = [[] for _ in range(self.n)]
-        for msg in delivered:
-            if msg.kind is MessageKind.RATIO_PAIR:
-                ratio_in[msg.receiver].append(msg.payload)
-            elif msg.kind is MessageKind.MIN_MAX_PAIR and msg.sent_at >= self.epoch_start:
-                mm_in[msg.receiver].append(msg.payload)
-        y_new = np.empty_like(self.y)
-        w_new = np.empty(self.n)
-        for j in range(self.n):
-            yj, wj = _fold_ratio(ratio_in[j])
-            y_new[j] = yj
-            w_new[j] = wj
-        if self.with_minmax:
-            term = self.term
-            hi_new = np.empty_like(term.hi)
-            lo_new = np.empty_like(term.lo)
-            for j in range(self.n):
-                hi_new[j], lo_new[j] = minmax_step(term.hi[j], term.lo[j], mm_in[j])
-            term.hi, term.lo = hi_new, lo_new
-        self.y, self.w = y_new, w_new
-        self.z = self.y / self.w[:, None]
+        k = self.time
+        depth = len(self._lags)
+        slot = k % depth
+        by_lag = (k - self._lags) % depth  # ring slot of the sends made ``lag`` ticks ago
+        self.delays[slot, :-1] = self.dm.sample_many(self._draws)
+        seen = (self.delays[by_lag] == self._lags[:, None]).ravel()
+        arrived = [seen[at] for at in self._seen_at]
+        if self.trace is not None:
+            self._trace_tick(k, arrived)
+        if RATIO in self.kinds:
+            self._y_ring[slot] = self._bw[:, None] * self.y
+            self._w_ring[slot] = self._bw * self.w
+            got = arrived[0]
+            receiver, source = self._receiver[got], self._payload_at[got]
+            w = np.bincount(receiver, weights=self._w_ring[by_lag].ravel()[source], minlength=self.n)
+            if np.any(w <= 0.0):
+                raise ProtocolError(f"nonpositive mass {w.min()} after update")
+            y_in = self._y_ring[by_lag].reshape(-1, self.y.shape[1])[source]
+            self.y = np.column_stack(
+                [np.bincount(receiver, weights=col, minlength=self.n) for col in y_in.T]
+            )
+            self.w = w
+            self.z = self.y / self.w[:, None]
+        if MIN_MAX in self.kinds:
+            self._hi_ring[slot] = self.hi
+            self._lo_ring[slot] = self.lo
+            got = arrived[-1] & (self._lag <= k - self.epoch_start)
+            receiver, source = self._receiver[got], self._payload_at[got]
+            hi, lo = self.hi.copy(), self.lo.copy()
+            np.maximum.at(hi, receiver, self._hi_ring[by_lag].reshape(-1, hi.shape[1])[source])
+            np.minimum.at(lo, receiver, self._lo_ring[by_lag].reshape(-1, lo.shape[1])[source])
+            self.hi, self.lo = hi, lo
+        self.time = k + 1
+
+    def _trace_tick(self, k: int, arrived: list[np.ndarray]) -> None:
+        """One ``k,sender,receiver,KIND`` line per delivery, by receiver, sender, kind."""
+        receiver = np.concatenate([self._receiver[got] for got in arrived])
+        sender = np.concatenate([self._payload_at[got] % self.n for got in arrived])
+        kind = np.concatenate([np.full(np.count_nonzero(got), q) for q, got in zip(self.kinds, arrived)])
+        order = np.lexsort((kind, sender, receiver))
+        self.trace.extend(
+            f"{k},{s},{r},{KIND_NAMES[q]}"
+            for s, r, q in zip(sender[order].tolist(), receiver[order].tolist(), kind[order].tolist())
+        )
+
+    def advance(self, steps: int) -> None:
+        for _ in range(steps):
+            self.step()
+
+    def trajectory(self, steps: int) -> list[np.ndarray]:
+        """Ratio estimates ``[z^now, ..., z^(now + steps)]``."""
+        traj = [self.z]
+        for _ in range(steps):
+            self.step()
+            traj.append(self.z)
+        return traj
+
+    def terminate(self, eps: float, step_cap: int, round_len: int) -> ConsensusResult:
+        """Step until the extrema spread drops below ``eps`` at a check boundary.
+
+        Checks happen every ``round_len`` ticks, when every node must hold the
+        same extrema; a failed check re-seeds them from the current ratios.
+        """
+        check_steps: list[int] = []
+        while True:
+            k = self.time
+            if k != 0 and k % round_len == 0:
+                if not (np.all(self.hi == self.hi[0]) and np.all(self.lo == self.lo[0])):
+                    raise ProtocolError(f"extrema disagree across nodes at check boundary {k}")
+                check_steps.append(k)
+                if float(np.linalg.norm(self.hi[0] - self.lo[0])) < eps:
+                    return ConsensusResult(z=self.z, steps=k, converged=True, check_steps=check_steps)
+                self.reseed_extrema()
+            if k >= step_cap:
+                return ConsensusResult(z=self.z, steps=k, converged=False, check_steps=check_steps)
+            self.step()
 
 
 def run_ratio_consensus(
@@ -234,10 +259,9 @@ def run_ratio_consensus(
     Returns the ``(n, p)`` array of per-node ratio estimates after ``steps``
     updates.  No termination logic is involved.
     """
-    engine = _Engine(g, weights, dm, y0, with_minmax=False, trace=trace)
-    for _ in range(steps):
-        engine.step()
-    return engine.z.copy()
+    engine = ConsensusEngine(g, dm, y0=y0, weights=weights, trace=trace)
+    engine.advance(steps)
+    return engine.z
 
 
 def ratio_trajectory(
@@ -248,12 +272,7 @@ def ratio_trajectory(
     steps: int,
 ) -> list[np.ndarray]:
     """Per-step ratio estimates ``[z^0, z^1, ..., z^steps]``."""
-    engine = _Engine(g, weights, dm, y0, with_minmax=False)
-    traj = [engine.z.copy()]
-    for _ in range(steps):
-        engine.step()
-        traj.append(engine.z.copy())
-    return traj
+    return ConsensusEngine(g, dm, y0=y0, weights=weights).trajectory(steps)
 
 
 def run_minmax_consensus(
@@ -270,28 +289,9 @@ def run_minmax_consensus(
     delays bounded by ``tau_bar``, every node holds the global extrema after
     at most ``(1 + tau_bar) * D`` updates.
     """
-    hi = np.asarray(hi0, dtype=float)
-    lo = np.asarray(lo0, dtype=float)
-    if hi.ndim == 1:
-        hi = hi[:, None]
-    if lo.ndim == 1:
-        lo = lo[:, None]
-    hi, lo = hi.copy(), lo.copy()
-    n = g.n
-    q = EventQueue()
-    for _ in range(steps):
-        for j in range(n):
-            broadcast(j, g, MessageKind.MIN_MAX_PAIR, (hi[j].copy(), lo[j].copy()), dm, q)
-        _, delivered = q.advance()
-        payloads: list[list[tuple]] = [[] for _ in range(n)]
-        for msg in delivered:
-            payloads[msg.receiver].append(msg.payload)
-        hi_new = np.empty_like(hi)
-        lo_new = np.empty_like(lo)
-        for j in range(n):
-            hi_new[j], lo_new[j] = minmax_step(hi[j], lo[j], payloads[j])
-        hi, lo = hi_new, lo_new
-    return hi, lo
+    engine = ConsensusEngine(g, dm, extrema=(hi0, lo0))
+    engine.advance(steps)
+    return engine.hi, engine.lo
 
 
 def run_terminating_consensus(
@@ -309,10 +309,10 @@ def run_terminating_consensus(
     Every ``(1 + tau_bar) * D`` steps each node compares its extrema pair; the
     first check necessarily fails (the pair starts at ``+inf / -inf``) and
     re-seeds the extrema from the current ratios, so the earliest possible
-    exit is the second boundary.  On success every node flips its flag at the
-    same boundary and the final estimates have pairwise spread at most
-    ``eps``.  If ``step_cap`` updates elapse first, the current estimates are
-    returned with ``converged=False``.
+    exit is the second boundary.  On success every node stops at the same
+    boundary and the final estimates have pairwise spread at most ``eps``.
+    If ``step_cap`` updates elapse first, the current estimates are returned
+    with ``converged=False``.
 
     Parameters
     ----------
@@ -331,23 +331,7 @@ def run_terminating_consensus(
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     d = diameter(g) if graph_diameter is None else graph_diameter
     round_len = (1 + dm.tau_bar) * max(d, 1)
-    engine = _Engine(g, weights, dm, y0, with_minmax=True, trace=trace)
-    engine.term.round_len = round_len
-    check_steps: list[int] = []
-    while True:
-        k = engine.time
-        if k != 0 and k % round_len == 0:
-            if not engine.extrema_identical():
-                raise ProtocolError(f"extrema disagree across nodes at check boundary {k}")
-            check_steps.append(k)
-            if engine.spread() < eps:
-                engine.term.flag = True
-                return ConsensusResult(
-                    z=engine.z.copy(), steps=k, converged=True, check_steps=check_steps
-                )
-            engine.reseed_extrema()
-        if k >= step_cap:
-            return ConsensusResult(
-                z=engine.z.copy(), steps=k, converged=False, check_steps=check_steps
-            )
-        engine.step()
+    y0 = _rows(y0, g.n, "y0")
+    extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+    engine = ConsensusEngine(g, dm, y0=y0, weights=weights, extrema=extrema, trace=trace)
+    return engine.terminate(eps, step_cap, round_len)

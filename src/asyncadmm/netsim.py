@@ -1,52 +1,30 @@
-"""Deterministic discrete-event delivery of messages with bounded integer delay.
+"""Seeded integer message delays in ``[0, tau_bar]``.
 
-One logical clock drives the whole network.  A message enqueued at time ``k``
-with sampled delay ``tau`` is handed to its receiver during the clock advance
-that starts at time ``k + tau``, i.e. it feeds the state computed for time
-``k + tau + 1``.  Delay zero is therefore the ordinary synchronous exchange,
-and a node's own value (always sent with delay zero) is never stale.
+One logical clock drives the whole network.  A message sent at time ``k``
+with sampled delay ``tau`` is consumed by the update that starts at time
+``k + tau``, i.e. it feeds the state computed for time ``k + tau + 1``.
+Delay zero is therefore the ordinary synchronous exchange, and a node's own
+value (always sent with delay zero) is never stale.  Delivery itself is done
+by :class:`asyncadmm.consensus.ConsensusEngine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
-
 import numpy as np
 
-from .digraph import Digraph
-
-__all__ = ["MessageKind", "Message", "DelayModel", "EventQueue", "broadcast"]
-
-
-class MessageKind(IntEnum):
-    RATIO_PAIR = 0
-    MIN_MAX_PAIR = 1
-    CONTROL = 2
-
-
-@dataclass(slots=True)
-class Message:
-    sender: int
-    receiver: int
-    kind: MessageKind
-    payload: tuple
-    sent_at: int
-    deliver_at: int
+__all__ = ["DelayModel"]
 
 
 class DelayModel:
     """Per-message integer delays in ``[0, tau_bar]``.
 
-    Three samplers are available: ``zero`` (every delay is 0, reproducing the
-    synchronous case exactly and consuming no randomness), ``uniform`` (i.i.d.
-    uniform over ``{0, ..., tau_bar}`` per message) and ``per_link`` (each
-    directed link gets a fixed bound drawn once from ``{0, ..., tau_bar}``,
-    then uniform sampling below it).  All sampling is reproducible for a
-    fixed seed.
+    Two samplers are available: ``zero`` (every delay is 0, reproducing the
+    synchronous case exactly and consuming no randomness) and ``uniform``
+    (i.i.d. uniform over ``{0, ..., tau_bar}`` per message).  Sampling is
+    reproducible for a fixed seed.
     """
 
-    KINDS = ("zero", "uniform", "per_link")
+    KINDS = ("zero", "uniform")
 
     def __init__(self, tau_bar: int, kind: str = "uniform", seed=0):
         if tau_bar < 0:
@@ -57,9 +35,7 @@ class DelayModel:
             raise ValueError("zero delay model requires tau_bar == 0")
         self.tau_bar = int(tau_bar)
         self.kind = kind
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._link_bounds: dict[tuple[int, int], int] = {}
 
     @classmethod
     def zero(cls) -> "DelayModel":
@@ -69,96 +45,12 @@ class DelayModel:
     def uniform(cls, tau_bar: int, seed=0) -> "DelayModel":
         return cls(tau_bar, kind="uniform", seed=seed)
 
-    @classmethod
-    def per_link(cls, tau_bar: int, seed=0) -> "DelayModel":
-        return cls(tau_bar, kind="per_link", seed=seed)
+    def sample_many(self, count: int) -> np.ndarray:
+        """``count`` delays drawn in one batch from the model's stream.
 
-    _LINK_SALT = 0x51AB
-
-    def _bound(self, sender: int, receiver: int) -> int:
-        key = (sender, receiver)
-        bound = self._link_bounds.get(key)
-        if bound is None:
-            # fixed per-link cap, derived independently of the sampling stream
-            seed_part = self.seed if isinstance(self.seed, (tuple, list)) else (self.seed,)
-            link_rng = np.random.default_rng((self._LINK_SALT, *seed_part, sender, receiver))
-            bound = int(link_rng.integers(0, self.tau_bar + 1))
-            self._link_bounds[key] = bound
-        return bound
-
-    def sample(self, sender: int, receiver: int) -> int:
-        if self.kind == "zero":
-            return 0
-        if self.kind == "uniform":
-            return int(self._rng.integers(0, self.tau_bar + 1))
-        return int(self._rng.integers(0, self._bound(sender, receiver) + 1))
-
-    def sample_many(self, sender: int, receivers) -> list[int]:
-        """One delay per receiver, drawn in a single batch from the same stream."""
-        if not receivers:
-            return []
-        if self.kind == "zero":
-            return [0] * len(receivers)
-        if self.kind == "uniform":
-            return self._rng.integers(0, self.tau_bar + 1, size=len(receivers)).tolist()
-        highs = np.array([self._bound(sender, r) + 1 for r in receivers])
-        return self._rng.integers(0, highs).tolist()
-
-
-class EventQueue:
-    """Pending messages keyed by delivery time, drained one clock tick at a time."""
-
-    def __init__(self, trace: list[str] | None = None):
-        self.time = 0
-        self._pending: dict[int, list[Message]] = {}
-        self.trace = trace
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._pending.values())
-
-    def push(self, msg: Message) -> None:
-        if msg.deliver_at < self.time:
-            raise ValueError(
-                f"cannot deliver at {msg.deliver_at}: clock is already at {self.time}"
-            )
-        self._pending.setdefault(msg.deliver_at, []).append(msg)
-
-    def pending_messages(self):
-        for bucket in self._pending.values():
-            yield from bucket
-
-    def advance(self) -> tuple[int, list[Message]]:
-        """Move the clock one tick; return the messages consumed by that tick.
-
-        The returned messages are exactly those stamped ``deliver_at == k``
-        where ``k`` is the clock reading before the call; they are the inputs
-        to the state computed for time ``k + 1``.  Order is deterministic:
-        sorted by ``(receiver, sender, kind)``.
+        A batch yields the same values as the same number of draws split
+        over several calls.
         """
-        due = self._pending.pop(self.time, [])
-        due.sort(key=lambda msg: (msg.receiver, msg.sender, msg.kind))
-        if self.trace is not None:
-            for msg in due:
-                self.trace.append(f"{self.time},{msg.sender},{msg.receiver},{msg.kind.name}")
-        self.time += 1
-        return self.time, due
-
-
-def broadcast(
-    sender: int,
-    g: Digraph,
-    kind: MessageKind,
-    payload: tuple,
-    dm: DelayModel,
-    q: EventQueue,
-) -> None:
-    """Enqueue ``payload`` to every out-neighbor of ``sender`` plus itself.
-
-    Each out-going copy gets an independently sampled delay; the self-addressed
-    copy is always delivered without delay.
-    """
-    k = q.time
-    receivers = g.out_neighbors[sender]
-    for receiver, tau in zip(receivers, dm.sample_many(sender, receivers)):
-        q.push(Message(sender, receiver, kind, payload, k, k + tau))
-    q.push(Message(sender, sender, kind, payload, k, k))
+        if self.kind == "zero":
+            return np.zeros(count, dtype=np.int64)
+        return self._rng.integers(0, self.tau_bar + 1, size=count)

@@ -13,7 +13,6 @@ __all__ = [
     "LeastSquaresCost",
     "LeastSquaresInstance",
     "generate_ls",
-    "ls_prox",
     "save_instance",
     "load_instance",
 ]
@@ -120,17 +119,6 @@ def generate_ls(n: int, p: int, q: int, seed) -> LeastSquaresInstance:
     a = rng.standard_normal((n, q, p))
     b = rng.standard_normal((n, q))
     return LeastSquaresInstance(a=a, b=b, seed=seed)
-
-
-def ls_prox(a: np.ndarray, b: np.ndarray, lam: np.ndarray, z: np.ndarray, rho: float) -> np.ndarray:
-    """Unique solution of ``(A^T A + rho I) x = A^T b - lam + rho z``."""
-    if rho <= 0.0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    a = np.asarray(a, dtype=float)
-    p = a.shape[1]
-    lhs = a.T @ a + rho * np.eye(p)
-    rhs = a.T @ np.asarray(b, dtype=float) - np.asarray(lam, dtype=float) + rho * np.asarray(z, dtype=float)
-    return np.linalg.solve(lhs, rhs)
 
 
 def save_instance(instance: LeastSquaresInstance, path) -> None:

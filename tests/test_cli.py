@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from asyncadmm import admm
 from asyncadmm.cli import ExperimentConfig, main
 from asyncadmm.digraph import random_strongly_connected, save_edge_list
 
@@ -15,8 +18,22 @@ FAST = [
 ]
 
 
+# SHA-256 of outputs frozen from the message-object simulator that preceded
+# the array engine; FAST with --trace, FAST in sync_baseline mode, and a sweep
+GOLDEN_SHA256 = {
+    "run.csv": "65c47a4173349416909d4e2ae6c4d7c8c6c116c7539e8775467ed8071fd8498d",
+    "trace.txt": "2107b0bf118f1ee77d0491c5968f937e0d011f981ec1c3cb64177627ce42acb0",
+    "sync_baseline run.csv": "65e2a027bfce2d4aa9847f6a80dfb1b43911449d94b8dc6c86319c8f560bf65c",
+    "sweep.csv": "700e3269d8b7ef2607987460877d230ac99de41caa4deeb5db628b2f4688d73f",
+}
+
+
 def run_cli(*args):
     return main(list(args))
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestConfigFile:
@@ -101,6 +118,15 @@ class TestRunOnce:
         assert kind in ("RATIO_PAIR", "MIN_MAX_PAIR")
         int(k), int(sender), int(receiver)
 
+    def test_outputs_match_golden_digests(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", *FAST, "--trace", "--out", str(out)) == 0
+        assert sha256(out / "run.csv") == GOLDEN_SHA256["run.csv"]
+        assert sha256(out / "trace.txt") == GOLDEN_SHA256["trace.txt"]
+        sync = tmp_path / "sync"
+        assert run_cli("run", *FAST, "--mode", "sync_baseline", "--out", str(sync)) == 0
+        assert sha256(sync / "run.csv") == GOLDEN_SHA256["sync_baseline run.csv"]
+
     def test_sync_baseline_matches_vanishing_eps_gap_column(self, tmp_path):
         shared = [
             "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "25",
@@ -165,6 +191,15 @@ class TestSweep:
         assert run_cli(*args, "--out", str(out_b)) == 0
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
+    def test_sweep_matches_golden_digest(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--epsilon", "0.1",
+            "--tau-bar", "2", "--kmax", "8", "--seed", "3", "--epsilons", "0.1,0.05",
+            "--tau-bars", "1,2", "--out", str(out),
+        ) == 0
+        assert sha256(out / "sweep.csv") == GOLDEN_SHA256["sweep.csv"]
+
     def test_cell_failure_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "sweep"
         code = run_cli(
@@ -175,3 +210,14 @@ class TestSweep:
         rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert rows[0][2].startswith("error")
         assert rows[1][2] == "ok"
+
+    def test_programming_error_in_a_cell_propagates(self, tmp_path, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise TypeError("broken solver")
+
+        monkeypatch.setattr(admm, "run", broken_run)
+        with pytest.raises(TypeError, match="broken solver"):
+            run_cli(
+                "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+                "--seed", "2", "--epsilons", "0.1", "--tau-bars", "1", "--out", str(tmp_path / "s"),
+            )

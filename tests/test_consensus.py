@@ -1,22 +1,78 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from asyncadmm.consensus import (
     ProtocolError,
-    _Engine,
-    minmax_step,
-    ratio_step,
+    ConsensusEngine,
     ratio_trajectory,
     run_minmax_consensus,
     run_ratio_consensus,
     run_terminating_consensus,
 )
-from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
-from asyncadmm.netsim import DelayModel, MessageKind
+from asyncadmm.digraph import Digraph, WeightMatrix, build_weights, diameter, random_strongly_connected
+from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import exact_average, synchronous_ratio_oracle
 
 # frozen once from the seeded run below; re-runs must reproduce it exactly
 GOLDEN_N20_TAU3_EPS01_STEPS = 32
+
+# Frozen from the message-object simulator that preceded the array engine.
+# (n, tau_bar) -> (steps, number of checks, first check, sha256 prefix of z)
+GOLDEN_TERMINATING = {
+    (1, 0): (2, 2, 1, "e078a71334524f3e"),
+    (1, 1): (4, 2, 2, "e078a71334524f3e"),
+    (1, 3): (8, 2, 4, "e078a71334524f3e"),
+    (1, 10): (22, 2, 11, "e078a71334524f3e"),
+    (8, 0): (12, 4, 3, "a7863d06c6db888f"),
+    (8, 1): (24, 4, 6, "4d65f7b71266b3dc"),
+    (8, 3): (48, 4, 12, "cf7aef018f8ac9b7"),
+    (8, 10): (99, 3, 33, "991ddfe0e5219929"),
+    (20, 0): (16, 4, 4, "f067f60790b7e8a5"),
+    (20, 1): (24, 3, 8, "b194a1bac81b9e44"),
+    (20, 3): (48, 3, 16, "8d4bc70c99396323"),
+    (20, 10): (132, 3, 44, "641db1c697e48e24"),
+}
+# (n, tau_bar, steps) -> sha256 prefix of the (hi, lo) bytes
+GOLDEN_MINMAX = {
+    (8, 1, 2): "0e479b9d4b5662bb",
+    (8, 1, 4): "595f52352734eec9",
+    (8, 3, 2): "737f73b01568a7dd",
+    (8, 3, 4): "2b29dc5c3a26b279",
+    (8, 10, 2): "06347f3a7d9fde27",
+    (8, 10, 4): "48eb876508c73143",
+    (20, 1, 2): "157cab21bf6fe5c2",
+    (20, 1, 4): "22a776aeb4978553",
+    (20, 3, 2): "41b620902e5bb837",
+    (20, 3, 4): "79a3cbf18627e81f",
+    (20, 10, 2): "e6c3b2e83d51ee7d",
+    (20, 10, 4): "b64d80a9413fd967",
+}
+# (n, tau_bar) -> sha256 prefixes of z after 30 ratio steps and of z^0 .. z^30
+GOLDEN_RATIO = {
+    (8, 0): ("f3744fa3c394b6a8", "2997b8c9a95d06c1"),
+    (8, 2): ("a4a6772018b2f9c0", "2893f25fc9471463"),
+    (8, 5): ("e7d685d3329eb3a5", "dff2b4e1bdcc0efa"),
+    (20, 0): ("d263033f61ab63dd", "77e27607a681f9c1"),
+    (20, 2): ("ed58218c4f7f99f8", "b06d1691cfb5574b"),
+    (20, 5): ("a70223cdf37c7c58", "fd74a4fc3a030cd9"),
+}
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def pinned_graph(n):
+    return Digraph(1, frozenset()) if n == 1 else random_strongly_connected(n, 0.25, seed=n)
+
+
+def pinned_delays(tau_bar):
+    return DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=100 + tau_bar)
 
 
 def two_cycle():
@@ -44,11 +100,31 @@ class TestRatioStep:
         assert z[0, 0] == 2.0 and z[1, 0] == 2.0
 
     def test_fold_matches_manual_sum(self):
-        payloads = [(np.array([1.0, 2.0]), 0.5), (np.array([3.0, -1.0]), 0.25)]
-        state = ratio_step(payloads)
-        assert np.array_equal(state.y, np.array([4.0, 1.0]))
-        assert state.w == 0.75
-        assert np.allclose(state.z, state.y / 0.75)
+        # reference: a per-message loop that folds each receiver's deliveries
+        # sequentially, by sender and then by send time
+        g, w, y0 = seeded_setup(n=8, seed=3)
+        dm = DelayModel.uniform(3, seed=4)
+        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        bw = w.sender_weight
+        depth = dm.tau_bar + 1
+        sent = []
+        for k in range(30):
+            sent.append((bw[:, None] * engine.y, bw * engine.w))
+            engine.step()
+            inbox = [[(j, k)] for j in range(g.n)]
+            for lag in range(min(depth, k + 1)):
+                due = engine.delays[(k - lag) % depth, engine.draw_pos[0]] == lag
+                for s, r in zip(engine.edge_sender[due], engine.edge_receiver[due]):
+                    inbox[r].append((s, k - lag))
+            for r in range(g.n):
+                y_ref = np.zeros(y0.shape[1])
+                w_ref = 0.0
+                for s, t in sorted(inbox[r]):
+                    y_ref += sent[t][0][s]
+                    w_ref += sent[t][1][s]
+                assert np.array_equal(engine.y[r], y_ref)
+                assert engine.w[r] == w_ref
+            assert np.allclose(engine.z, engine.y / engine.w[:, None])
 
     def test_consensus_fixed_point(self):
         g, w, _ = seeded_setup()
@@ -58,12 +134,9 @@ class TestRatioStep:
             assert np.allclose(z, y0, rtol=1e-12, atol=1e-12)
 
     def test_nonpositive_mass_raises(self):
+        bad = WeightMatrix(matrix=np.zeros((2, 2)), sender_weight=np.array([-0.5, -0.5]))
         with pytest.raises(ProtocolError):
-            ratio_step([(np.array([1.0]), -0.5)])
-
-    def test_missing_self_term_raises(self):
-        with pytest.raises(ProtocolError):
-            ratio_step([])
+            run_ratio_consensus(two_cycle(), bad, DelayModel.zero(), np.array([[1.0], [2.0]]), 1)
 
 
 class TestMassConservation:
@@ -71,16 +144,22 @@ class TestMassConservation:
     def test_state_plus_in_flight_is_constant(self, tau_bar):
         g, w, y0 = seeded_setup(n=8, seed=5)
         dm = DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=6)
-        engine = _Engine(g, w, dm, y0, with_minmax=False)
+        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        bw = w.sender_weight
+        depth = tau_bar + 1
+        sent = []
         y_mass0 = y0.sum(axis=0)
-        for _ in range(120):
+        for k in range(120):
+            sent.append((bw[:, None] * engine.y, bw * engine.w))
             engine.step()
             y_mass = engine.y.sum(axis=0).copy()
             w_mass = float(engine.w.sum())
-            for msg in engine.queue.pending_messages():
-                if msg.kind is MessageKind.RATIO_PAIR:
-                    y_mass += msg.payload[0]
-                    w_mass += msg.payload[1]
+            # in flight: sends still in the ring whose delay exceeds their age
+            for lag in range(min(depth, k + 1)):
+                late = engine.delays[(k - lag) % depth, engine.draw_pos[0]] > lag
+                senders = engine.edge_sender[late]
+                y_mass += sent[k - lag][0][senders].sum(axis=0)
+                w_mass += float(sent[k - lag][1][senders].sum())
             assert np.allclose(y_mass, y_mass0, rtol=1e-10, atol=1e-12)
             assert abs(w_mass - g.n) < 1e-10
 
@@ -104,13 +183,12 @@ class TestSynchronousEquivalence:
 
 class TestMinMax:
     def test_fold(self):
-        hi, lo = minmax_step(
-            np.array([1.0, 5.0]),
-            np.array([1.0, 5.0]),
-            [(np.array([3.0, 2.0]), np.array([0.0, 4.0]))],
-        )
-        assert np.array_equal(hi, [3.0, 5.0])
-        assert np.array_equal(lo, [0.0, 4.0])
+        # one undelayed exchange folds each neighbor's pair into the node's own
+        hi0 = np.array([[1.0, 5.0], [3.0, 2.0]])
+        lo0 = np.array([[1.0, 5.0], [0.0, 4.0]])
+        hi, lo = run_minmax_consensus(two_cycle(), DelayModel.zero(), hi0, lo0, steps=1)
+        assert np.array_equal(hi, [[3.0, 5.0], [3.0, 5.0]])
+        assert np.array_equal(lo, [[0.0, 4.0], [0.0, 4.0]])
 
     def test_max_consensus_on_three_cycle(self):
         g = three_cycle()
@@ -225,12 +303,12 @@ class TestTerminatingConsensus:
         g, w, y0 = seeded_setup(n=8, seed=24)
         dm = DelayModel.uniform(2, seed=25)
         round_len = (1 + 2) * diameter(g)
-        engine = _Engine(g, w, dm, y0, with_minmax=True)
-        for _ in range(round_len):
-            engine.step()
+        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+        engine = ConsensusEngine(g, dm, y0=y0, weights=w, extrema=extrema)
+        engine.advance(round_len)
         engine.reseed_extrema()
-        assert np.array_equal(engine.term.hi, engine.z)
-        assert np.array_equal(engine.term.lo, engine.z)
+        assert np.array_equal(engine.hi, engine.z)
+        assert np.array_equal(engine.lo, engine.z)
 
     def test_rejects_bad_args(self):
         g, w, y0 = seeded_setup(n=4, seed=26)
@@ -247,3 +325,34 @@ class TestTerminatingConsensus:
         res = run_terminating_consensus(g, w, DelayModel.zero(), y0, eps=0.1, step_cap=100)
         assert res.converged
         assert np.allclose(res.z, y0)
+
+
+class TestGoldenPins:
+    """Bit-level outputs of every consensus entry point, delays included."""
+
+    @pytest.mark.parametrize("n,tau_bar", sorted(GOLDEN_TERMINATING))
+    def test_terminating(self, n, tau_bar):
+        g = pinned_graph(n)
+        y0 = np.random.default_rng(n).standard_normal((n, 3))
+        res = run_terminating_consensus(g, build_weights(g), pinned_delays(tau_bar), y0, 0.01, 100_000)
+        steps, checks, first, z_digest = GOLDEN_TERMINATING[n, tau_bar]
+        assert res.converged
+        assert res.steps == steps
+        assert res.check_steps == list(range(first, steps + 1, first)) and len(res.check_steps) == checks
+        assert digest(res.z) == z_digest
+
+    @pytest.mark.parametrize("n,tau_bar,steps", sorted(GOLDEN_MINMAX))
+    def test_minmax(self, n, tau_bar, steps):
+        g = pinned_graph(n)
+        vals = np.random.default_rng(n + 1).standard_normal((n, 2))
+        hi, lo = run_minmax_consensus(g, pinned_delays(tau_bar), vals, vals + 0.5, steps)
+        assert digest(hi, lo) == GOLDEN_MINMAX[n, tau_bar, steps]
+
+    @pytest.mark.parametrize("n,tau_bar", sorted(GOLDEN_RATIO))
+    def test_ratio(self, n, tau_bar):
+        g = pinned_graph(n)
+        w = build_weights(g)
+        y0 = np.random.default_rng(n + 2).standard_normal((n, 2))
+        z = run_ratio_consensus(g, w, pinned_delays(tau_bar), y0, 30)
+        traj = ratio_trajectory(g, w, pinned_delays(tau_bar), y0, 30)
+        assert (digest(z), digest(*traj)) == GOLDEN_RATIO[n, tau_bar]

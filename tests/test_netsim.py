@@ -1,24 +1,65 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from asyncadmm.digraph import random_strongly_connected
-from asyncadmm.netsim import DelayModel, EventQueue, Message, MessageKind, broadcast
+from asyncadmm.consensus import KIND_NAMES, ConsensusEngine
+from asyncadmm.digraph import build_weights, random_strongly_connected
+from asyncadmm.netsim import DelayModel
 
 
-def drain(q):
-    """Advance until empty, returning [(consumed_at, msg), ...]."""
-    out = []
-    while len(q):
-        before = q.time
-        _, delivered = q.advance()
-        out.extend((before, m) for m in delivered)
-    return out
+class FixedDelays(DelayModel):
+    """Every message delayed by exactly ``tau_bar``."""
+
+    def sample_many(self, count):
+        return np.full(count, self.tau_bar, dtype=np.int64)
+
+
+def engine_for(g, dm, trace=None):
+    """A terminating-consensus engine: ratio and min/max kinds both present."""
+    y0 = np.random.default_rng(0).standard_normal((g.n, 2))
+    return ConsensusEngine(g, dm, y0=y0, weights=build_weights(g), extrema=(y0, y0), trace=trace)
+
+
+def run_logged(g, dm, steps):
+    """Step an engine; return its trace lines and every non-self send.
+
+    Sends are ``(sent_at, sender, receiver, kind, delay)``, read from the
+    engine's delay ring right after the tick that drew them.
+    """
+    trace = []
+    engine = engine_for(g, dm, trace)
+    depth = dm.tau_bar + 1
+    sends = []
+    for k in range(steps):
+        engine.step()
+        row = engine.delays[k % depth]
+        for q, kind in enumerate(engine.kinds):
+            for s, r, d in zip(engine.edge_sender, engine.edge_receiver, row[engine.draw_pos[q]]):
+                sends.append((k, int(s), int(r), KIND_NAMES[kind], int(d)))
+    return engine, trace, sends
+
+
+def expected_lines(g, sends, steps):
+    """Trace lines of every send due before ``steps``, self terms included."""
+    lines = [f"{k + d},{s},{r},{kind}" for k, s, r, kind, d in sends if k + d < steps]
+    lines += [f"{k},{j},{j},{kind}" for k in range(steps) for j in range(g.n) for kind in KIND_NAMES]
+    return Counter(lines)
+
+
+def lines_at(trace, k):
+    return [line for line in trace if line.split(",")[0] == str(k)]
+
+
+def is_self(line):
+    _, sender, receiver, _ = line.split(",")
+    return sender == receiver
 
 
 class TestDelayModel:
     def test_zero_model(self):
         dm = DelayModel.zero()
-        assert all(dm.sample(0, 1) == 0 for _ in range(20))
+        assert np.all(dm.sample_many(20) == 0)
 
     def test_zero_model_rejects_positive_bound(self):
         with pytest.raises(ValueError):
@@ -34,140 +75,128 @@ class TestDelayModel:
 
     def test_uniform_within_bound(self):
         dm = DelayModel.uniform(4, seed=0)
-        draws = [dm.sample(0, 1) for _ in range(500)]
-        assert min(draws) >= 0 and max(draws) <= 4
+        draws = dm.sample_many(500)
+        assert draws.min() >= 0 and draws.max() <= 4
 
     def test_uniform_reproducible(self):
         a = DelayModel.uniform(3, seed=5)
         b = DelayModel.uniform(3, seed=5)
-        assert [a.sample(0, 1) for _ in range(100)] == [b.sample(0, 1) for _ in range(100)]
+        assert np.array_equal(a.sample_many(100), b.sample_many(100))
 
     def test_uniform_frequencies(self):
         # 1e4 draws at tau_bar=3: each value lands near 1/4
         dm = DelayModel.uniform(3, seed=123)
-        draws = dm.sample_many(0, list(range(10_000)))
+        draws = dm.sample_many(10_000)
         freqs = np.bincount(draws, minlength=4) / 10_000
         assert np.all(np.abs(freqs - 0.25) <= 0.02)
 
-    def test_per_link_within_bound_and_fixed_caps(self):
-        dm = DelayModel.per_link(5, seed=9)
-        for receiver in range(6):
-            cap = dm._bound(0, receiver)
-            assert 0 <= cap <= 5
-            draws = [dm.sample(0, receiver) for _ in range(200)]
-            assert max(draws) <= cap
-
     def test_batch_matches_stream_determinism(self):
+        # one batch equals the same draws split over several calls
         a = DelayModel.uniform(2, seed=7)
         b = DelayModel.uniform(2, seed=7)
-        assert a.sample_many(0, [1, 2, 3]) == b.sample_many(0, [1, 2, 3])
+        split = np.concatenate([b.sample_many(c) for c in (3, 0, 5, 1)])
+        assert np.array_equal(a.sample_many(9), split)
 
 
 class TestEventQueue:
+    """The engine's delay ring as an event queue: when each send is consumed."""
+
+    def setup_method(self):
+        self.g = random_strongly_connected(6, 0.3, seed=4)
+
     def test_delay_two_delivered_at_two_not_before(self):
-        q = EventQueue()
-        q.push(Message(0, 1, MessageKind.CONTROL, (), sent_at=0, deliver_at=2))
-        assert q.advance() == (1, [])
-        assert q.advance() == (2, [])
-        t, delivered = q.advance()
-        assert t == 3 and len(delivered) == 1 and delivered[0].deliver_at == 2
+        trace = []
+        engine = engine_for(self.g, FixedDelays(2), trace)
+        engine.advance(3)
+        for k in (0, 1):
+            assert all(is_self(line) for line in lines_at(trace, k))
+        sent_on_edges = {line.rsplit(",", 1)[0] for line in lines_at(trace, 2) if not is_self(line)}
+        assert sent_on_edges == {f"2,{i},{j}" for j, i in self.g.edges}
 
     def test_zero_delay_is_synchronous(self):
-        q = EventQueue()
-        q.push(Message(0, 1, MessageKind.CONTROL, (), sent_at=0, deliver_at=0))
-        _, delivered = q.advance()
-        assert len(delivered) == 1
-
-    def test_rejects_past_delivery(self):
-        q = EventQueue()
-        q.advance()
-        with pytest.raises(ValueError):
-            q.push(Message(0, 1, MessageKind.CONTROL, (), sent_at=0, deliver_at=0))
-
-    def test_same_tick_sorted_by_receiver_sender_kind(self):
-        q = EventQueue()
-        q.push(Message(2, 1, MessageKind.MIN_MAX_PAIR, (), 0, 0))
-        q.push(Message(1, 1, MessageKind.RATIO_PAIR, (), 0, 0))
-        q.push(Message(2, 1, MessageKind.RATIO_PAIR, (), 0, 0))
-        q.push(Message(2, 0, MessageKind.RATIO_PAIR, (), 0, 0))
-        _, delivered = q.advance()
-        keys = [(m.receiver, m.sender, m.kind) for m in delivered]
-        assert keys == sorted(keys)
+        trace = []
+        engine_for(self.g, DelayModel.zero(), trace).advance(1)
+        assert len(trace) == 2 * (len(self.g.edges) + self.g.n)
 
     def test_empty_advance_returns_empty(self):
-        q = EventQueue()
-        for expected in (1, 2, 3):
-            t, delivered = q.advance()
-            assert t == expected and delivered == []
+        # nothing was sent before time 0: while every delay is tau_bar, the
+        # first tau_bar ticks deliver only the undelayed self terms
+        trace = []
+        engine_for(self.g, FixedDelays(3), trace).advance(3)
+        assert len(trace) == 3 * 2 * self.g.n
+        assert all(is_self(line) for line in trace)
+
+    def test_same_tick_sorted_by_receiver_sender_kind(self):
+        _, trace, _ = run_logged(self.g, DelayModel.uniform(2, seed=1), 12)
+        for k in range(12):
+            keys = [
+                (int(r), int(s), KIND_NAMES.index(kind))
+                for _, s, r, kind in (line.split(",") for line in lines_at(trace, k))
+            ]
+            assert keys == sorted(keys)
 
 
 class TestBroadcast:
+    """Each node's per-tick broadcast, as the engine's arrays and trace record it."""
+
     def setup_method(self):
         self.g = random_strongly_connected(8, 0.3, seed=2)
 
     def test_enqueues_out_neighbors_plus_self(self):
-        q = EventQueue()
-        broadcast(3, self.g, MessageKind.RATIO_PAIR, ("x",), DelayModel.zero(), q)
-        assert len(q) == self.g.out_degree(3) + 1
-        receivers = sorted(m.receiver for m in q.pending_messages())
-        assert receivers == sorted(list(self.g.out_neighbors[3]) + [3])
+        engine = engine_for(self.g, DelayModel.zero())
+        for j in range(self.g.n):
+            receivers = engine.edge_receiver[engine.edge_sender == j]
+            assert tuple(receivers) == self.g.out_neighbors[j]
+        trace = []
+        engine_for(self.g, DelayModel.zero(), trace).advance(1)
+        for kind in KIND_NAMES:
+            from_3 = [line.split(",") for line in trace if line.startswith("0,3,")]
+            got = sorted(int(r) for _, _, r, k in from_3 if k == kind)
+            assert got == sorted(list(self.g.out_neighbors[3]) + [3])
 
     def test_self_message_never_delayed(self):
-        dm = DelayModel.uniform(6, seed=0)
-        q = EventQueue()
-        for _ in range(30):
-            broadcast(3, self.g, MessageKind.RATIO_PAIR, (), dm, q)
-            selfs = [m for m in q.pending_messages() if m.receiver == 3 and m.sender == 3]
-            assert all(m.deliver_at == m.sent_at for m in selfs)
-            q.advance()
+        _, trace, _ = run_logged(self.g, DelayModel.uniform(6, seed=0), 30)
+        for k in range(30):
+            selfs = [line for line in lines_at(trace, k) if is_self(line)]
+            expected = [f"{k},{j},{j},{kind}" for j in range(self.g.n) for kind in KIND_NAMES]
+            assert Counter(selfs) == Counter(expected)
 
     def test_synchronous_when_tau_zero(self):
-        q = EventQueue()
-        broadcast(0, self.g, MessageKind.RATIO_PAIR, (), DelayModel.zero(), q)
-        assert all(m.deliver_at == m.sent_at for m in q.pending_messages())
+        _, trace, sends = run_logged(self.g, DelayModel.zero(), 5)
+        assert all(d == 0 for *_, d in sends)
+        assert Counter(trace) == expected_lines(self.g, sends, 5)
 
     def test_reproducible_delays(self):
-        stamps = []
-        for _ in range(2):
-            q = EventQueue()
-            dm = DelayModel.uniform(3, seed=17)
-            for k in range(5):
-                for node in range(self.g.n):
-                    broadcast(node, self.g, MessageKind.RATIO_PAIR, (), dm, q)
-                q.advance()
-            stamps.append(sorted((m.sender, m.receiver, m.sent_at, m.deliver_at) for m in q.pending_messages()))
-        assert stamps[0] == stamps[1]
+        # one batch per tick, laid out sender-major, then kind (ratio before
+        # min/max), then receivers ascending: the draws of per-sender calls
+        runs = [run_logged(self.g, DelayModel.uniform(3, seed=17), 5) for _ in range(2)]
+        assert runs[0][1] == runs[1][1] and runs[0][2] == runs[1][2]
+        reference = DelayModel.uniform(3, seed=17)
+        expected = []
+        for k in range(5):
+            for j in range(self.g.n):
+                for kind in KIND_NAMES:
+                    draws = reference.sample_many(self.g.out_degree(j))
+                    expected += [(k, j, r, kind, int(d)) for r, d in zip(self.g.out_neighbors[j], draws)]
+        assert sorted(runs[0][2]) == sorted(expected)
 
     def test_conservation_every_message_delivered_once(self):
-        dm = DelayModel.uniform(4, seed=3)
-        q = EventQueue()
-        sent = 0
-        for node in range(self.g.n):
-            broadcast(node, self.g, MessageKind.RATIO_PAIR, (), dm, q)
-            sent += self.g.out_degree(node) + 1
-        total = 0
-        for _ in range(dm.tau_bar + 1):
-            _, delivered = q.advance()
-            total += len(delivered)
-        assert total == sent and len(q) == 0
+        for seed in range(4):
+            g = random_strongly_connected(6 + seed, 0.3, seed=seed)
+            for tau_bar in (0, 1, 4):
+                dm = DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=3 + seed)
+                _, trace, sends = run_logged(g, dm, 20)
+                assert Counter(trace) == expected_lines(g, sends, 20)
 
     def test_bounded_staleness(self):
-        dm = DelayModel.uniform(3, seed=8)
-        q = EventQueue()
-        for k in range(40):
-            for node in range(self.g.n):
-                broadcast(node, self.g, MessageKind.RATIO_PAIR, (), dm, q)
-            consumed_at = q.time
-            _, delivered = q.advance()
-            for m in delivered:
-                # value consumed while forming state k+1 was produced in [k - tau_bar, k]
-                assert consumed_at - dm.tau_bar <= m.sent_at <= consumed_at
+        # a value consumed while forming state k+1 was produced in [k - tau_bar, k]
+        _, trace, sends = run_logged(self.g, DelayModel.uniform(3, seed=8), 40)
+        assert all(0 <= d <= 3 for *_, d in sends)
+        assert Counter(trace) == expected_lines(self.g, sends, 40)
 
     def test_trace_lines(self):
         trace = []
-        q = EventQueue(trace=trace)
-        broadcast(0, self.g, MessageKind.RATIO_PAIR, (), DelayModel.zero(), q)
-        q.advance()
+        engine_for(self.g, DelayModel.zero(), trace).advance(1)
         assert trace and all(line.startswith("0,") for line in trace)
         fields = trace[0].split(",")
         assert len(fields) == 4 and fields[3] == "RATIO_PAIR"

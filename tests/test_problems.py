@@ -7,20 +7,21 @@ from asyncadmm.problems import (
     LeastSquaresInstance,
     generate_ls,
     load_instance,
-    ls_prox,
     save_instance,
 )
 
 
 class TestLsProx:
+    """Hand cases of the ADMM x-update ``(A^T A + rho I) x = A^T b - lam + rho z``."""
+
     def test_identity_system(self):
-        x = ls_prox(np.eye(2), np.array([2.0, 2.0]), np.zeros(2), np.zeros(2), rho=1.0)
+        x = LeastSquaresCost(np.eye(2), np.array([2.0, 2.0])).prox(np.zeros(2), rho=1.0)
         assert np.allclose(x, [1.0, 1.0])
 
     def test_zero_matrix_reduces_to_shifted_target(self):
         lam = np.array([0.5, -1.0])
         z = np.array([2.0, 3.0])
-        x = ls_prox(np.zeros((2, 2)), np.zeros(2), lam, z, rho=2.0)
+        x = LeastSquaresCost(np.zeros((2, 2)), np.zeros(2)).prox(z - lam / 2.0, rho=2.0)
         assert np.allclose(x, z - lam / 2.0)
 
     def test_normal_equation_residual(self):
@@ -29,14 +30,14 @@ class TestLsProx:
         b = rng.standard_normal(4)
         lam = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        x = ls_prox(a, b, lam, z, rho=0.7)
+        x = LeastSquaresCost(a, b).prox(z - lam / 0.7, rho=0.7)
         lhs = (a.T @ a + 0.7 * np.eye(3)) @ x
         rhs = a.T @ b - lam + 0.7 * z
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
-            ls_prox(np.eye(2), np.zeros(2), np.zeros(2), np.zeros(2), rho=0.0)
+            LeastSquaresCost(np.eye(2), np.zeros(2)).prox(np.zeros(2), rho=0.0)
 
 
 class TestLeastSquaresCost:
@@ -47,15 +48,6 @@ class TestLeastSquaresCost:
     def test_eval_includes_half_factor(self):
         cost = LeastSquaresCost(np.eye(2), np.array([2.0, 0.0]))
         assert cost.eval(np.zeros(2)) == 2.0
-
-    def test_prox_matches_ls_prox_with_completed_square(self):
-        rng = np.random.default_rng(4)
-        lam = rng.standard_normal(3)
-        z = rng.standard_normal(3)
-        rho = 1.3
-        via_prox = self.cost.prox(z - lam / rho, rho)
-        direct = ls_prox(self.cost.a, self.cost.b, lam, z, rho)
-        assert np.allclose(via_prox, direct, atol=1e-12)
 
     def test_prox_first_order_optimality(self):
         # directional finite differences of f(x) + rho/2 ||x - t||^2 at the
