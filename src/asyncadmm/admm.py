@@ -1,14 +1,14 @@
 """Outer optimization loop: local prox steps, consensus averaging, dual ascent.
 
-Each iteration performs, per node, the local prox update of the decision
-variable, then replaces the coupling variable by an approximate projection
-onto the consensus set: a terminating ratio-consensus instance seeded with
-``x + lam / rho`` whose result every node holds to within the tolerance
-``eps`` of the exact network average.  The dual variable then takes the usual
-ascent step.  Iteration boundaries are barriers: iteration ``k + 1`` starts
-only after the consensus instance of iteration ``k`` has terminated at every
-node, which is exactly what the coarse per-round synchronization of the
-underlying protocol guarantees.
+Each iteration performs the local prox update of every node's decision
+variable in one stacked solve, then replaces the coupling variable by an
+approximate projection onto the consensus set: a terminating ratio-consensus
+instance seeded with ``x + lam / rho`` whose result every node holds to
+within the tolerance ``eps`` of the exact network average.  The dual
+variable then takes the usual ascent step.  Iteration boundaries are
+barriers: iteration ``k + 1`` starts only after the consensus instance of
+iteration ``k`` has terminated at every node, which is exactly what the
+coarse per-round synchronization of the underlying protocol guarantees.
 """
 
 from __future__ import annotations
@@ -20,21 +20,11 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .consensus import run_terminating_consensus
-from .digraph import Digraph, WeightMatrix, build_weights, diameter
+from .digraph import Digraph, build_weights, diameter
 from .netsim import DelayModel
 from .problems import LeastSquaresInstance
 
-__all__ = [
-    "SolverConfig",
-    "RunRecord",
-    "GapDiagnostics",
-    "x_update",
-    "z_update",
-    "lambda_update",
-    "stopping_criterion",
-    "run",
-    "rate_diagnostics",
-]
+__all__ = ["SolverConfig", "RunRecord", "x_update", "stopping_criterion", "run"]
 
 CSV_COLUMNS = ("k", "objective", "primal_res", "dual_res", "consensus_steps", "gap", "max_node_err")
 
@@ -47,9 +37,9 @@ class SolverConfig:
     """Knobs of one solver run.
 
     ``eps`` is the consensus tolerance of the approximate projection, not the
-    optimization accuracy.  ``stop_on_residuals`` disables the primal/dual
-    residual exit when False, so the loop always runs ``k_max`` iterations
-    (useful for rate studies).
+    optimization accuracy.  With ``eps_abs = eps_rel = 0`` the residual exit
+    needs both residuals to be exactly zero, i.e. an exact fixed point, so
+    the loop otherwise runs ``k_max`` iterations (useful for rate studies).
     """
 
     rho: float = 1.0
@@ -60,7 +50,6 @@ class SolverConfig:
     eps_rel: float = 1e-2
     step_cap: int = 1000
     seed: int = 0
-    stop_on_residuals: bool = True
 
     def __post_init__(self) -> None:
         if self.rho <= 0.0:
@@ -77,14 +66,16 @@ class SolverConfig:
             raise ValueError("stopping tolerances must be >= 0")
 
     def delay_model(self) -> DelayModel:
-        if self.tau_bar == 0:
-            return DelayModel.zero()
-        return DelayModel.uniform(self.tau_bar, seed=(self.seed, _DELAY_STREAM))
+        return DelayModel(self.tau_bar, seed=(self.seed, _DELAY_STREAM))
 
 
 @dataclass
 class RunRecord:
-    """Everything one run produced: per-iteration metrics plus trajectories."""
+    """Everything one run produced: per-iteration metrics plus trajectories.
+
+    ``gap[k-1]`` is the saddle-point gap at the ergodic averages of the first
+    ``k`` iterates; :attr:`theta` is the constant of its O(1/k) bound.
+    """
 
     config: SolverConfig
     truth: oracle_mod.GroundTruth
@@ -116,6 +107,17 @@ class RunRecord:
     def capped_iterations(self) -> int:
         return sum(self.capped)
 
+    @property
+    def theta(self) -> float:
+        """Constant of the O(1/k) bound on ``gap``.
+
+        ``||lam* - lam0||^2 / (2 rho) + (rho/2) * ||x* - z0||^2``, with ``x*``
+        repeated on every node's row.
+        """
+        rho = self.config.rho
+        theta = float(np.linalg.norm(self.truth.lam_star - self.lam0)) ** 2 / (2.0 * rho)
+        return theta + 0.5 * rho * float(np.linalg.norm(self.truth.x_star - self.z0)) ** 2
+
     def rows(self):
         for i in range(self.iterations):
             yield (
@@ -137,53 +139,20 @@ class RunRecord:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class GapDiagnostics:
-    """Ergodic-average optimality gaps and the matching analytic bound curve."""
-
-    gaps: np.ndarray
-    bound: np.ndarray
-    theta: float
-    c_fit: float
-
-
 def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def x_update(cost, lam_i: np.ndarray, z_i: np.ndarray, rho: float) -> np.ndarray:
-    """Local prox step: ``argmin_x f(x) + lam_i^T x + (rho/2) ||x - z_i||^2``.
+def x_update(
+    problem: LeastSquaresInstance, lam: np.ndarray, z: np.ndarray, rho: float
+) -> np.ndarray:
+    """Every node's prox step at once.
 
-    Completing the square turns this into the cost's prox at target
+    Row ``i`` minimizes ``f_i(x) + lam_i^T x + (rho/2) ||x - z_i||^2``;
+    completing the square turns this into the prox at target
     ``z_i - lam_i / rho``.
     """
-    return cost.prox(z_i - lam_i / rho, rho)
-
-
-def z_update(
-    g: Digraph,
-    weights: WeightMatrix,
-    dm: DelayModel,
-    y0: np.ndarray,
-    eps: float,
-    step_cap: int,
-    graph_diameter: int | None = None,
-    trace: list[str] | None = None,
-) -> tuple[np.ndarray, int, bool]:
-    """Approximate projection onto the consensus set by terminating consensus.
-
-    Returns ``(z_rows, steps, converged)``.  On a cap hit the capped estimates
-    are returned as-is; the caller decides what to do with the event.
-    """
-    result = run_terminating_consensus(
-        g, weights, dm, y0, eps, step_cap, graph_diameter=graph_diameter, trace=trace
-    )
-    return result.z, result.steps, result.converged
-
-
-def lambda_update(lam_i: np.ndarray, x_i: np.ndarray, z_i: np.ndarray, rho: float) -> np.ndarray:
-    """Dual ascent step ``lam + rho * (x - z)``."""
-    return lam_i + rho * (x_i - z_i)
+    return problem.prox(z - lam / rho, rho)
 
 
 def stopping_criterion(
@@ -233,7 +202,6 @@ def run(
         dm = cfg.delay_model()
     if truth is None:
         truth = oracle_mod.centralized_solution(problem)
-    costs = [problem.cost(i) for i in range(n)]
 
     rng = np.random.default_rng((cfg.seed, _INIT_STREAM))
     x = rng.standard_normal((n, p))
@@ -250,15 +218,17 @@ def run(
     sum_z = np.zeros((n, p))
 
     for k in range(1, cfg.k_max + 1):
-        x = np.stack([x_update(costs[i], lam[i], z[i], cfg.rho) for i in range(n)])
+        x = x_update(problem, lam, z, cfg.rho)
         y0 = x + lam / cfg.rho
         if exact_averaging:
             z_new = np.tile(oracle_mod.exact_average(y0), (n, 1))
             steps, converged = 0, True
         else:
-            z_new, steps, converged = z_update(
+            # on a cap hit the capped estimates are kept and the event recorded
+            res = run_terminating_consensus(
                 g, weights, dm, y0, cfg.eps, cfg.step_cap, graph_diameter=d, trace=trace
             )
+            z_new, steps, converged = res.z, res.steps, res.converged
         z_prev = z
         z = z_new
         lam = lam + cfg.rho * (x - z)
@@ -285,55 +255,9 @@ def run(
         record.z_hist.append(z.copy())
         record.lam_hist.append(lam.copy())
 
-        if cfg.stop_on_residuals and stopping_criterion(
-            x, z, z_prev, lam, cfg.eps_abs, cfg.eps_rel, cfg.rho
-        ):
+        if stopping_criterion(x, z, z_prev, lam, cfg.eps_abs, cfg.eps_rel, cfg.rho):
             record.stopped_early = True
             break
 
     return record
 
-
-def rate_diagnostics(
-    problem: LeastSquaresInstance,
-    x_hist: list[np.ndarray],
-    z_hist: list[np.ndarray],
-    truth: oracle_mod.GroundTruth,
-    rho: float,
-    eps: float,
-    lam0: np.ndarray,
-    z0: np.ndarray,
-) -> GapDiagnostics:
-    """Per-iteration ergodic optimality gaps and the O(1/k) reference curve.
-
-    ``gaps[k-1]`` is the saddle-point gap evaluated at the ergodic averages of
-    the first ``k`` iterates.  The reference curve is ``theta / k`` plus a
-    consensus-error allowance ``c * sqrt(n) * eps`` where ``c`` is the
-    smallest nonnegative constant making the curve dominate the measured
-    gaps; ``c`` is reported, never asserted.
-    """
-    n = z0.shape[0]
-    iters = len(x_hist) - 1
-    x_star_rows = np.tile(truth.x_star, (n, 1))
-    theta = float(np.linalg.norm(truth.lam_star - lam0)) ** 2 / (2.0 * rho)
-    theta += 0.5 * rho * float(np.linalg.norm(x_star_rows - z0)) ** 2
-
-    gaps = np.empty(iters)
-    sum_x = np.zeros_like(x_hist[0])
-    sum_z = np.zeros_like(z_hist[0])
-    for k in range(1, iters + 1):
-        sum_x += x_hist[k]
-        sum_z += z_hist[k]
-        x_bar = sum_x / k
-        z_bar = sum_z / k
-        gaps[k - 1] = (
-            problem.objective(x_bar)
-            + float(np.sum(truth.lam_star * (x_bar - z_bar)))
-            - truth.f_star
-        )
-
-    ks = np.arange(1, iters + 1, dtype=float)
-    slack = np.sqrt(n) * eps
-    c_fit = max(0.0, float(np.max((gaps - theta / ks) / slack))) if slack > 0 else 0.0
-    bound = theta / ks + c_fit * slack
-    return GapDiagnostics(gaps=gaps, bound=bound, theta=theta, c_fit=c_fit)

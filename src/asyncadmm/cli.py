@@ -36,8 +36,9 @@ SWEEP_COLUMNS = (
 )
 
 REFERENCE_TREND = (
-    "# reference trend (600-node digraph): eps=0.1 -> mean steps 9/13/23 "
-    "for tau_bar=3/5/10; eps=0.01 -> capped at 1000"
+    "# paper's reference (600-node digraph): eps=0.1 -> mean steps 9/13/23 for "
+    "tau_bar=3/5/10, i.e. (1+tau_bar)*D+1 at D=2; eps=0.01 -> capped at 1000\n"
+    "# this implementation exits no earlier than 2*(1+tau_bar)*D steps: 16/24/44 at D=2"
 )
 
 

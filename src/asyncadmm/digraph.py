@@ -64,9 +64,6 @@ class Digraph:
     def out_degree(self, i: int) -> int:
         return len(self.out_neighbors[i])
 
-    def in_degree(self, j: int) -> int:
-        return len(self.in_neighbors[j])
-
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
@@ -75,17 +72,14 @@ class WeightMatrix:
     ``matrix[l, j]`` is the weight a message from sender ``j`` carries at
     receiver ``l``; it is ``1 / (1 + out_degree(j))`` for every receiver in
     the sender's out-neighborhood and for the sender itself, zero elsewhere.
-    Every column therefore sums to one.  The per-sender scalar is exposed
+    Every column therefore sums to one.  ``sender_weight[j]``, the scaling
+    sender ``j`` applies to everything it ships (and keeps), is exposed
     separately because senders scale their own broadcasts: no node ever
     needs the full matrix.
     """
 
     matrix: np.ndarray
     sender_weight: np.ndarray
-
-    def broadcast_weight(self, j: int) -> float:
-        """Scaling applied by sender ``j`` to everything it ships (and keeps)."""
-        return float(self.sender_weight[j])
 
 
 def random_strongly_connected(n: int, extra_edge_prob: float, seed) -> Digraph:

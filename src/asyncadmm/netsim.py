@@ -16,34 +16,26 @@ __all__ = ["DelayModel"]
 
 
 class DelayModel:
-    """Per-message integer delays in ``[0, tau_bar]``.
+    """Per-message integer delays, i.i.d. uniform over ``{0, ..., tau_bar}``.
 
-    Two samplers are available: ``zero`` (every delay is 0, reproducing the
-    synchronous case exactly and consuming no randomness) and ``uniform``
-    (i.i.d. uniform over ``{0, ..., tau_bar}`` per message).  Sampling is
-    reproducible for a fixed seed.
+    ``tau_bar == 0`` is the synchronous case: every delay is 0 and no
+    randomness is consumed.  Sampling is reproducible for a fixed seed.
+    ``zero()`` and ``uniform(tau_bar, seed)`` are the two usual spellings.
     """
 
-    KINDS = ("zero", "uniform")
-
-    def __init__(self, tau_bar: int, kind: str = "uniform", seed=0):
+    def __init__(self, tau_bar: int, seed=0):
         if tau_bar < 0:
             raise ValueError(f"tau_bar must be >= 0, got {tau_bar}")
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown delay kind {kind!r}; expected one of {self.KINDS}")
-        if kind == "zero" and tau_bar != 0:
-            raise ValueError("zero delay model requires tau_bar == 0")
         self.tau_bar = int(tau_bar)
-        self.kind = kind
         self._rng = np.random.default_rng(seed)
 
     @classmethod
     def zero(cls) -> "DelayModel":
-        return cls(0, kind="zero")
+        return cls(0)
 
     @classmethod
     def uniform(cls, tau_bar: int, seed=0) -> "DelayModel":
-        return cls(tau_bar, kind="uniform", seed=seed)
+        return cls(tau_bar, seed=seed)
 
     def sample_many(self, count: int) -> np.ndarray:
         """``count`` delays drawn in one batch from the model's stream.
@@ -51,6 +43,6 @@ class DelayModel:
         A batch yields the same values as the same number of draws split
         over several calls.
         """
-        if self.kind == "zero":
+        if self.tau_bar == 0:
             return np.zeros(count, dtype=np.int64)
         return self._rng.integers(0, self.tau_bar + 1, size=count)

@@ -1,79 +1,21 @@
-"""Local convex costs: the prox interface and the random least-squares family."""
+"""The random least-squares family: stacked per-node data, prox and objective."""
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "CostFunction",
-    "LeastSquaresCost",
-    "LeastSquaresInstance",
-    "generate_ls",
-    "save_instance",
-    "load_instance",
-]
-
-
-class CostFunction(abc.ABC):
-    """A closed, proper, convex local cost with a proximal map.
-
-    ``prox(target, rho)`` must return ``argmin_x  f(x) + (rho/2) * ||x - target||^2``.
-    ``gradient`` is optional; it is only needed to derive dual ground truth.
-    """
-
-    @abc.abstractmethod
-    def eval(self, x: np.ndarray) -> float: ...
-
-    @abc.abstractmethod
-    def prox(self, target: np.ndarray, rho: float) -> np.ndarray: ...
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{type(self).__name__} has no gradient oracle")
-
-
-class LeastSquaresCost(CostFunction):
-    """``f(x) = 0.5 * ||A x - b||^2`` with a closed-form prox.
-
-    The prox solves the p-by-p normal system ``(A^T A + rho I) x = A^T b + rho*target``
-    by direct factorization; the system is positive definite for any rho > 0.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a = np.asarray(a, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if self.a.ndim != 2 or self.b.ndim != 1 or self.a.shape[0] != self.b.shape[0]:
-            raise ValueError(f"incompatible shapes A={self.a.shape}, b={self.b.shape}")
-        self._gram = self.a.T @ self.a
-        self._atb = self.a.T @ self.b
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[1]
-
-    def eval(self, x: np.ndarray) -> float:
-        r = self.a @ x - self.b
-        return 0.5 * float(r @ r)
-
-    def prox(self, target: np.ndarray, rho: float) -> np.ndarray:
-        if rho <= 0.0:
-            raise ValueError(f"rho must be > 0, got {rho}")
-        lhs = self._gram + rho * np.eye(self.dim)
-        return np.linalg.solve(lhs, self._atb + rho * np.asarray(target, dtype=float))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.a.T @ (self.a @ x - self.b)
+__all__ = ["LeastSquaresInstance", "generate_ls"]
 
 
 @dataclass(frozen=True)
 class LeastSquaresInstance:
-    """Per-node data ``(A_i, b_i)`` for the distributed least-squares problem.
+    """Per-node data ``(A_i, b_i)`` with local costs ``f_i(x) = 0.5 * ||A_i x - b_i||^2``.
 
     ``a`` has shape ``(n, q, p)`` and ``b`` shape ``(n, q)``.  The generation
-    seed is carried along for reproducibility.
+    seed is carried along for reproducibility.  Every method works on all
+    nodes at once and gives the same bits as the per-node computation.
     """
 
     a: np.ndarray
@@ -98,17 +40,30 @@ class LeastSquaresInstance:
     def p(self) -> int:
         return self.a.shape[2]
 
-    def cost(self, i: int) -> LeastSquaresCost:
-        return LeastSquaresCost(self.a[i], self.b[i])
+    def prox(self, targets: np.ndarray, rho: float) -> np.ndarray:
+        """Row ``i`` is ``argmin_x f_i(x) + (rho/2) * ||x - targets[i]||^2``.
+
+        One stacked solve of the p-by-p normal systems
+        ``(A_i^T A_i + rho I) x_i = A_i^T b_i + rho * targets[i]``, each
+        positive definite for any rho > 0.
+        """
+        if rho <= 0.0:
+            raise ValueError(f"rho must be > 0, got {rho}")
+        a_t = self.a.transpose(0, 2, 1)
+        lhs = a_t @ self.a + rho * np.eye(self.p)
+        rhs = (a_t @ self.b[..., None])[..., 0] + rho * np.asarray(targets, dtype=float)
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
 
     def objective(self, x_rows: np.ndarray) -> float:
-        """``F(X) = 0.5 * sum_i ||A_i x_i - b_i||^2`` for stacked rows ``x_rows``."""
-        x_rows = np.asarray(x_rows, dtype=float)
-        total = 0.0
-        for i in range(self.n):
-            r = self.a[i] @ x_rows[i] - self.b[i]
-            total += 0.5 * float(r @ r)
-        return total
+        """``F(X) = 0.5 * sum_i ||A_i x_i - b_i||^2`` for stacked rows ``x_rows``.
+
+        The node terms are added one after another in node order; ``np.sum``
+        (pairwise) and Python's ``sum`` (compensated since 3.12) would round
+        differently.
+        """
+        r = (self.a @ np.asarray(x_rows, dtype=float)[..., None])[..., 0] - self.b
+        terms = 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+        return float(np.cumsum(terms)[-1])
 
 
 def generate_ls(n: int, p: int, q: int, seed) -> LeastSquaresInstance:
@@ -119,34 +74,3 @@ def generate_ls(n: int, p: int, q: int, seed) -> LeastSquaresInstance:
     a = rng.standard_normal((n, q, p))
     b = rng.standard_normal((n, q))
     return LeastSquaresInstance(a=a, b=b, seed=seed)
-
-
-def save_instance(instance: LeastSquaresInstance, path) -> None:
-    """Text export, one block per node: header ``i q p``, q rows of A_i, then b_i."""
-    lines = []
-    for i in range(instance.n):
-        lines.append(f"{i} {instance.q} {instance.p}")
-        for row in instance.a[i]:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append(" ".join(repr(float(v)) for v in instance.b[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_instance(path) -> LeastSquaresInstance:
-    """Read the block format written by :func:`save_instance`."""
-    raw = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    blocks_a, blocks_b = [], []
-    pos = 0
-    while pos < len(raw):
-        header = raw[pos].split()
-        if len(header) != 3:
-            raise ValueError(f"malformed block header at line {pos + 1}: {raw[pos]!r}")
-        _, q, p = (int(v) for v in header)
-        rows = [[float(v) for v in raw[pos + 1 + r].split()] for r in range(q)]
-        b_row = [float(v) for v in raw[pos + 1 + q].split()]
-        if any(len(r) != p for r in rows) or len(b_row) != q:
-            raise ValueError(f"inconsistent block starting at line {pos + 1}")
-        blocks_a.append(rows)
-        blocks_b.append(b_row)
-        pos += q + 2
-    return LeastSquaresInstance(a=np.array(blocks_a, dtype=float), b=np.array(blocks_b, dtype=float))

@@ -10,7 +10,7 @@ import functools
 import numpy as np
 import pytest
 
-from asyncadmm.admm import SolverConfig, run, rate_diagnostics
+from asyncadmm.admm import SolverConfig, run
 from asyncadmm.cli import main as cli_main
 from asyncadmm.consensus import (
     ratio_trajectory,
@@ -81,7 +81,7 @@ def solver_runs():
     inst6 = generate_ls(10, 3, 3, seed=(21, 3))
     truth6 = centralized_solution(inst6)
     cfg6 = SolverConfig(
-        rho=1.0, eps=1e-6, tau_bar=0, k_max=200, seed=21, stop_on_residuals=False
+        rho=1.0, eps=1e-6, tau_bar=0, k_max=200, seed=21, eps_abs=0, eps_rel=0
     )
     runs["crit6"] = (run(inst6, g6, cfg6, truth=truth6), cfg6, truth6, inst6)
 
@@ -90,13 +90,13 @@ def solver_runs():
     truth7 = centralized_solution(inst7)
     for eps in (0.1, 0.01):
         cfg = SolverConfig(
-            rho=1.0, eps=eps, tau_bar=3, k_max=200, seed=11, stop_on_residuals=False
+            rho=1.0, eps=eps, tau_bar=3, k_max=200, seed=11, eps_abs=0, eps_rel=0
         )
         runs[f"crit7_eps{eps}"] = (run(inst7, g7, cfg, truth=truth7), cfg, truth7, inst7)
 
     for tau in (3, 5, 10):
         cfg = SolverConfig(
-            rho=1.0, eps=0.1, tau_bar=tau, k_max=40, seed=11, stop_on_residuals=False
+            rho=1.0, eps=0.1, tau_bar=tau, k_max=40, seed=11, eps_abs=0, eps_rel=0
         )
         runs[f"crit8_tau{tau}"] = (run(inst7, g7, cfg, truth=truth7), cfg, truth7, inst7)
 
@@ -167,16 +167,14 @@ def test_criterion_5_admm_optimality(solver_runs):
 
 @criterion(6, "O(1/k) rate: k*gap <= 1.05*theta on k in [10,200], gap >= -1e-8")
 def test_criterion_6_rate_bound(solver_runs):
-    record, cfg, truth, inst = solver_runs["crit6"]
-    diag = rate_diagnostics(
-        inst, record.x_hist, record.z_hist, truth, cfg.rho, cfg.eps, record.lam0, record.z0
-    )
-    assert len(diag.gaps) == 200
-    assert diag.gaps.min() >= -1e-8, f"gap dipped to {diag.gaps.min()}"
+    record = solver_runs["crit6"][0]
+    gaps = np.array(record.gap)
+    assert len(gaps) == 200
+    assert gaps.min() >= -1e-8, f"gap dipped to {gaps.min()}"
     ks = np.arange(1, 201)
-    windowed = (ks * diag.gaps)[9:]
-    assert windowed.max() <= 1.05 * diag.theta, (
-        f"k*gap peaked at {windowed.max()} vs 1.05*theta={1.05 * diag.theta}"
+    windowed = (ks * gaps)[9:]
+    assert windowed.max() <= 1.05 * record.theta, (
+        f"k*gap peaked at {windowed.max()} vs 1.05*theta={1.05 * record.theta}"
     )
 
 
@@ -198,7 +196,8 @@ def test_criterion_8_tau_sensitivity(solver_runs):
     assert means == sorted(means), f"means: {means}"
     print(
         f"  measured mean steps (n=20): {[round(m, 1) for m in means]}; "
-        "600-node reference: 9/13/23 at eps=0.1, cap 1000 at eps=0.01"
+        "paper's 600-node reference: 9/13/23 at eps=0.1 ((1+tau)*D+1 at D=2), cap 1000 at "
+        "eps=0.01; this implementation's floor 2*(1+tau)*D is 16/24/44 at D=2"
     )
 
 

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from asyncadmm.admm import (
-    SolverConfig,
-    lambda_update,
-    run,
-    stopping_criterion,
-    rate_diagnostics,
-    x_update,
-    z_update,
-)
+from asyncadmm.admm import SolverConfig, run, stopping_criterion, x_update
+from asyncadmm.consensus import run_terminating_consensus
 from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import centralized_solution, exact_average
-from asyncadmm.problems import LeastSquaresCost, generate_ls
+from asyncadmm.problems import LeastSquaresInstance, generate_ls
 
 
 def seeded_problem(n=10, p=3, graph_seed=1, inst_seed=2, edge_prob=0.3):
@@ -34,59 +27,48 @@ class TestConfig:
             SolverConfig(tau_bar=-1)
 
     def test_delay_model_is_zero_for_tau_zero(self):
-        assert SolverConfig(tau_bar=0).delay_model().kind == "zero"
-        assert SolverConfig(tau_bar=4).delay_model().kind == "uniform"
+        assert np.all(SolverConfig(tau_bar=0).delay_model().sample_many(1000) == 0)
+        draws = SolverConfig(tau_bar=4).delay_model().sample_many(1000)
+        assert draws.min() == 0 and draws.max() == 4
+
+
+def replicated(a, b, n=2) -> LeastSquaresInstance:
+    """``n`` nodes that all hold ``f(x) = 0.5 * ||A x - b||^2``."""
+    return LeastSquaresInstance(a=np.tile(a, (n, 1, 1)), b=np.tile(b, (n, 1)))
 
 
 class TestXUpdate:
     def test_identity_zero_data(self):
-        cost = LeastSquaresCost(np.eye(3), np.zeros(3))
-        x = x_update(cost, np.zeros(3), np.zeros(3), rho=1.0)
+        problem = replicated(np.eye(3), np.zeros(3))
+        x = x_update(problem, np.zeros((2, 3)), np.zeros((2, 3)), rho=1.0)
         assert np.allclose(x, 0.0)
 
     def test_identity_solves_two_x_equals_b(self):
-        cost = LeastSquaresCost(np.eye(3), np.array([2.0, 2.0, 2.0]))
-        x = x_update(cost, np.zeros(3), np.zeros(3), rho=1.0)
+        problem = replicated(np.eye(3), np.array([2.0, 2.0, 2.0]))
+        x = x_update(problem, np.zeros((2, 3)), np.zeros((2, 3)), rho=1.0)
         assert np.allclose(x, 1.0)
 
     def test_pure_penalty_completing_the_square(self):
         # zero quadratic: minimizer of lam^T x + rho/2 ||x - z||^2 is z - lam/rho
-        cost = LeastSquaresCost(np.zeros((3, 3)), np.zeros(3))
-        z = np.array([1.0, -2.0, 0.5])
+        problem = replicated(np.zeros((3, 3)), np.zeros(3))
+        z = np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]])
         rho = 2.0
         lam = rho * z
-        x = x_update(cost, lam, z, rho)
+        x = x_update(problem, lam, z, rho)
         assert np.allclose(x, 0.0, atol=1e-14)
 
 
-class TestLambdaUpdate:
-    def test_fixed_point_when_feasible(self):
-        lam = np.array([1.0, -1.0])
-        x = np.array([2.0, 3.0])
-        assert np.array_equal(lambda_update(lam, x, x, rho=5.0), lam)
-
-    def test_direct_formula(self):
-        new = lambda_update(np.zeros(3), np.array([1.0, 0.0, -1.0]), np.zeros(3), rho=2.0)
-        assert np.array_equal(new, [2.0, 0.0, -2.0])
-
-    def test_linearity_over_nodes(self):
-        rng = np.random.default_rng(0)
-        lam = rng.standard_normal((5, 2))
-        x = rng.standard_normal((5, 2))
-        z = rng.standard_normal((5, 2))
-        updated = lambda_update(lam, x, z, rho=1.5)
-        assert np.allclose(updated.sum(axis=0), lam.sum(axis=0) + 1.5 * (x.sum(axis=0) - z.sum(axis=0)))
-
-
 class TestZUpdate:
+    """The z-update: one terminating-consensus instance seeded with ``x + lam / rho``."""
+
     def test_identical_inputs_terminate_at_second_boundary(self):
         g, _ = seeded_problem(n=6)
         w = build_weights(g)
         dm = DelayModel.uniform(2, seed=3)
         y0 = np.tile([1.0, 2.0, 3.0], (6, 1))
-        z, steps, ok = z_update(g, w, dm, y0, eps=1e-9, step_cap=100_000)
-        assert ok and steps == 2 * (1 + 2) * diameter(g)
-        assert np.allclose(z, y0, rtol=1e-12)
+        res = run_terminating_consensus(g, w, dm, y0, eps=1e-9, step_cap=100_000)
+        assert res.converged and res.steps == 2 * (1 + 2) * diameter(g)
+        assert np.allclose(res.z, y0, rtol=1e-12)
 
     def test_estimates_within_eps_of_exact_average(self):
         g, _ = seeded_problem(n=12)
@@ -94,17 +76,17 @@ class TestZUpdate:
         dm = DelayModel.uniform(3, seed=4)
         y0 = np.random.default_rng(5).standard_normal((12, 3))
         eps = 0.05
-        z, _, ok = z_update(g, w, dm, y0, eps=eps, step_cap=100_000)
-        assert ok
-        assert np.max(np.linalg.norm(z - exact_average(y0), axis=1)) <= eps
+        res = run_terminating_consensus(g, w, dm, y0, eps=eps, step_cap=100_000)
+        assert res.converged
+        assert np.max(np.linalg.norm(res.z - exact_average(y0), axis=1)) <= eps
 
     def test_cap_exhaustion_reports_false(self):
         g, _ = seeded_problem(n=10)
         w = build_weights(g)
         dm = DelayModel.uniform(3, seed=6)
         y0 = np.random.default_rng(7).standard_normal((10, 3))
-        _, steps, ok = z_update(g, w, dm, y0, eps=1e-13, step_cap=30)
-        assert not ok and steps == 30
+        res = run_terminating_consensus(g, w, dm, y0, eps=1e-13, step_cap=30)
+        assert not res.converged and res.steps == 30
 
 
 class TestStoppingCriterion:
@@ -133,7 +115,7 @@ class TestRun:
         g = Digraph(1, frozenset())
         inst = generate_ls(1, 2, 4, seed=8)
         truth = centralized_solution(inst)
-        cfg = SolverConfig(rho=1.0, eps=1e-8, tau_bar=0, k_max=300, seed=9, stop_on_residuals=False)
+        cfg = SolverConfig(rho=1.0, eps=1e-8, tau_bar=0, k_max=300, seed=9, eps_abs=0, eps_rel=0)
         rec = run(inst, g, cfg)
         assert np.linalg.norm(rec.x_hist[-1][0] - truth.x_star) <= 1e-6
 
@@ -141,7 +123,7 @@ class TestRun:
         g, inst = seeded_problem(n=10, graph_seed=10, inst_seed=11)
         truth = centralized_solution(inst)
         cfg = SolverConfig(
-            rho=1.0, eps=1e-10, tau_bar=0, k_max=250, seed=12, stop_on_residuals=False
+            rho=1.0, eps=1e-10, tau_bar=0, k_max=250, seed=12, eps_abs=0, eps_rel=0
         )
         rec = run(inst, g, cfg, truth=truth)
         assert abs(rec.final_objective - truth.f_star) <= 1e-6
@@ -197,7 +179,7 @@ class TestRun:
     def test_exact_averaging_matches_tiny_eps_synchronous(self):
         g, inst = seeded_problem(n=8, graph_seed=28, inst_seed=29)
         truth = centralized_solution(inst)
-        base = SolverConfig(rho=1.0, eps=1e-12, tau_bar=0, k_max=40, seed=30, stop_on_residuals=False)
+        base = SolverConfig(rho=1.0, eps=1e-12, tau_bar=0, k_max=40, seed=30, eps_abs=0, eps_rel=0)
         approx = run(inst, g, base, truth=truth)
         ideal = run(inst, g, base, exact_averaging=True, truth=truth)
         assert ideal.consensus_steps == [0] * ideal.iterations
@@ -229,44 +211,43 @@ class TestRateDiagnostics:
         self.g, self.inst = seeded_problem(n=10, graph_seed=35, inst_seed=36)
         self.truth = centralized_solution(self.inst)
         self.cfg = SolverConfig(
-            rho=1.0, eps=1e-6, tau_bar=0, k_max=120, seed=37, stop_on_residuals=False
+            rho=1.0, eps=1e-6, tau_bar=0, k_max=120, seed=37, eps_abs=0, eps_rel=0
         )
         self.rec = run(self.inst, self.g, self.cfg, truth=self.truth)
 
-    def diagnostics(self):
-        return rate_diagnostics(
-            self.inst,
-            self.rec.x_hist,
-            self.rec.z_hist,
-            self.truth,
-            self.cfg.rho,
-            self.cfg.eps,
-            self.rec.lam0,
-            self.rec.z0,
-        )
-
     def test_first_gap_uses_first_iterate(self):
-        diag = self.diagnostics()
         x1, z1 = self.rec.x_hist[1], self.rec.z_hist[1]
         manual = (
             self.inst.objective(x1)
             + float(np.sum(self.truth.lam_star * (x1 - z1)))
             - self.truth.f_star
         )
-        assert np.isclose(diag.gaps[0], manual, rtol=1e-12)
+        assert np.isclose(self.rec.gap[0], manual, rtol=1e-12)
 
     def test_gap_matches_online_record(self):
-        diag = self.diagnostics()
-        assert np.allclose(diag.gaps, np.array(self.rec.gap), rtol=1e-10)
+        # the ergodic averages rebuilt from the stored iterates
+        ks = np.arange(1, self.rec.iterations + 1)[:, None, None]
+        x_bar = np.cumsum(self.rec.x_hist[1:], axis=0) / ks
+        z_bar = np.cumsum(self.rec.z_hist[1:], axis=0) / ks
+        rebuilt = [
+            self.inst.objective(xb) + float(np.sum(self.truth.lam_star * (xb - zb))) - self.truth.f_star
+            for xb, zb in zip(x_bar, z_bar)
+        ]
+        assert np.allclose(rebuilt, np.array(self.rec.gap), rtol=1e-10)
 
     def test_gap_nonnegative(self):
-        assert self.diagnostics().gaps.min() >= -1e-8
+        assert min(self.rec.gap) >= -1e-8
 
     def test_k_times_gap_bounded_by_theta(self):
-        diag = self.diagnostics()
-        ks = np.arange(1, len(diag.gaps) + 1)
-        assert np.all((ks * diag.gaps)[9:] <= 1.05 * diag.theta)
+        gaps = np.array(self.rec.gap)
+        ks = np.arange(1, len(gaps) + 1)
+        assert np.all((ks * gaps)[9:] <= 1.05 * self.rec.theta)
 
-    def test_bound_curve_dominates_gaps(self):
-        diag = self.diagnostics()
-        assert np.all(diag.gaps <= diag.bound + 1e-12)
+    def test_theta_formula(self):
+        rec, truth, rho = self.rec, self.truth, self.cfg.rho
+        x_star_rows = np.tile(truth.x_star, (self.g.n, 1))
+        expected = (
+            float(np.linalg.norm(truth.lam_star - rec.lam0)) ** 2 / (2.0 * rho)
+            + 0.5 * rho * float(np.linalg.norm(x_star_rows - rec.z0)) ** 2
+        )
+        assert rec.theta == expected

@@ -179,9 +179,11 @@ class TestSweep:
             "sweep", "--nodes", "6", "--edge-prob", "0.4", "--dim", "2", "--kmax", "5",
             "--seed", "1", "--epsilons", "0.1", "--tau-bars", "1", "--out", str(tmp_path / "s"),
         )
-        assert "9/13/23" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "9/13/23" in out
+        assert "2*(1+tau_bar)*D steps: 16/24/44" in out
 
-    def test_sweep_output_deterministic_despite_threads(self, tmp_path):
+    def test_sweep_output_deterministic(self, tmp_path):
         args = [
             "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "8",
             "--seed", "3", "--epsilons", "0.1,0.05", "--tau-bars", "1,2",

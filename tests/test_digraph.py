@@ -136,7 +136,7 @@ class TestWeights:
         # node 0 sends to 1, 2, 3 in a complete 4-node digraph
         w = build_weights(complete(4))
         assert np.allclose(w.matrix[:, 0], 0.25)
-        assert w.broadcast_weight(0) == 0.25
+        assert w.sender_weight[0] == 0.25
 
     @pytest.mark.parametrize("seed", range(6))
     def test_columns_sum_to_one(self, seed):

@@ -61,17 +61,9 @@ class TestDelayModel:
         dm = DelayModel.zero()
         assert np.all(dm.sample_many(20) == 0)
 
-    def test_zero_model_rejects_positive_bound(self):
-        with pytest.raises(ValueError):
-            DelayModel(3, kind="zero")
-
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             DelayModel(-1)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            DelayModel(2, kind="gaussian")
 
     def test_uniform_within_bound(self):
         dm = DelayModel.uniform(4, seed=0)

@@ -1,28 +1,26 @@
 import numpy as np
 import pytest
 
-from asyncadmm.problems import (
-    CostFunction,
-    LeastSquaresCost,
-    LeastSquaresInstance,
-    generate_ls,
-    load_instance,
-    save_instance,
-)
+from asyncadmm.problems import LeastSquaresInstance, generate_ls
+
+
+def single_node(a, b) -> LeastSquaresInstance:
+    """The one-node instance holding ``f(x) = 0.5 * ||A x - b||^2``."""
+    return LeastSquaresInstance(a=np.asarray(a, dtype=float)[None], b=np.asarray(b, dtype=float)[None])
 
 
 class TestLsProx:
     """Hand cases of the ADMM x-update ``(A^T A + rho I) x = A^T b - lam + rho z``."""
 
     def test_identity_system(self):
-        x = LeastSquaresCost(np.eye(2), np.array([2.0, 2.0])).prox(np.zeros(2), rho=1.0)
-        assert np.allclose(x, [1.0, 1.0])
+        x = single_node(np.eye(2), [2.0, 2.0]).prox(np.zeros((1, 2)), rho=1.0)
+        assert np.allclose(x, [[1.0, 1.0]])
 
     def test_zero_matrix_reduces_to_shifted_target(self):
         lam = np.array([0.5, -1.0])
         z = np.array([2.0, 3.0])
-        x = LeastSquaresCost(np.zeros((2, 2)), np.zeros(2)).prox(z - lam / 2.0, rho=2.0)
-        assert np.allclose(x, z - lam / 2.0)
+        x = single_node(np.zeros((2, 2)), np.zeros(2)).prox((z - lam / 2.0)[None], rho=2.0)
+        assert np.allclose(x[0], z - lam / 2.0)
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(0)
@@ -30,24 +28,33 @@ class TestLsProx:
         b = rng.standard_normal(4)
         lam = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        x = LeastSquaresCost(a, b).prox(z - lam / 0.7, rho=0.7)
+        x = single_node(a, b).prox((z - lam / 0.7)[None], rho=0.7)[0]
         lhs = (a.T @ a + 0.7 * np.eye(3)) @ x
         rhs = a.T @ b - lam + 0.7 * z
         assert np.linalg.norm(lhs - rhs) <= 1e-10
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
-            LeastSquaresCost(np.eye(2), np.zeros(2)).prox(np.zeros(2), rho=0.0)
+            single_node(np.eye(2), np.zeros(2)).prox(np.zeros((1, 2)), rho=0.0)
 
 
 class TestLeastSquaresCost:
+    """One node's cost ``f(x) = 0.5 * ||A x - b||^2`` and its prox, via a one-node instance."""
+
     def setup_method(self):
         rng = np.random.default_rng(3)
-        self.cost = LeastSquaresCost(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        self.a = rng.standard_normal((5, 3))
+        self.b = rng.standard_normal(5)
+        self.inst = single_node(self.a, self.b)
+
+    def f(self, x):
+        return self.inst.objective(x[None])
+
+    def gradient(self, x):
+        return self.a.T @ (self.a @ x - self.b)
 
     def test_eval_includes_half_factor(self):
-        cost = LeastSquaresCost(np.eye(2), np.array([2.0, 0.0]))
-        assert cost.eval(np.zeros(2)) == 2.0
+        assert single_node(np.eye(2), [2.0, 0.0]).objective(np.zeros((1, 2))) == 2.0
 
     def test_prox_first_order_optimality(self):
         # directional finite differences of f(x) + rho/2 ||x - t||^2 at the
@@ -56,10 +63,10 @@ class TestLeastSquaresCost:
         for _ in range(10):
             target = rng.standard_normal(3)
             rho = float(rng.uniform(0.2, 3.0))
-            x = self.cost.prox(target, rho)
+            x = self.inst.prox(target[None], rho)[0]
 
             def penalized(v):
-                return self.cost.eval(v) + 0.5 * rho * float((v - target) @ (v - target))
+                return self.f(v) + 0.5 * rho * float((v - target) @ (v - target))
 
             base = penalized(x)
             h = 1e-6
@@ -71,36 +78,56 @@ class TestLeastSquaresCost:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(3)
-        grad = self.cost.gradient(x)
+        grad = self.gradient(x)
         h = 1e-6
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (self.cost.eval(x + e) - self.cost.eval(x - e)) / (2 * h)
+            fd = (self.f(x + e) - self.f(x - e)) / (2 * h)
             assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(grad[i]))
 
     def test_subgradient_optimality_residual(self):
         rng = np.random.default_rng(7)
         target = rng.standard_normal(3)
         rho = 0.9
-        x = self.cost.prox(target, rho)
-        residual = self.cost.gradient(x) + rho * (x - target)
+        x = self.inst.prox(target[None], rho)[0]
+        residual = self.gradient(x) + rho * (x - target)
         assert np.linalg.norm(residual) <= 1e-8
-
-    def test_base_class_gradient_optional(self):
-        class Indicator(CostFunction):
-            def eval(self, x):
-                return 0.0
-
-            def prox(self, target, rho):
-                return np.asarray(target)
-
-        with pytest.raises(NotImplementedError):
-            Indicator().gradient(np.zeros(2))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            LeastSquaresCost(np.eye(3), np.zeros(2))
+            single_node(np.eye(3), np.zeros(2))
+
+
+def per_node_prox(inst, targets, rho):
+    """The prox as one dense solve per node."""
+    return np.stack([
+        np.linalg.solve(
+            inst.a[i].T @ inst.a[i] + rho * np.eye(inst.p), inst.a[i].T @ inst.b[i] + rho * targets[i]
+        )
+        for i in range(inst.n)
+    ])
+
+
+def per_node_objective(inst, x_rows):
+    """The objective as a sequential sum of per-node terms, in node order."""
+    total = 0.0
+    for i in range(inst.n):
+        r = inst.a[i] @ x_rows[i] - inst.b[i]
+        total += 0.5 * float(r @ r)
+    return total
+
+
+class TestStackedMatchesPerNode:
+    @pytest.mark.parametrize("n", [1, 20, 600])
+    @pytest.mark.parametrize("q, p", [(3, 3), (5, 3), (2, 4)])
+    def test_prox_and_objective_bitwise(self, n, q, p):
+        inst = generate_ls(n, p, q, seed=(n, q, p))
+        rng = np.random.default_rng((n, q, p))
+        targets = rng.standard_normal((n, p))
+        for rho in (0.3, 1.0, 7.0):
+            assert np.array_equal(inst.prox(targets, rho), per_node_prox(inst, targets, rho))
+        assert inst.objective(targets) == per_node_objective(inst, targets)
 
 
 class TestGenerate:
@@ -130,25 +157,10 @@ class TestGenerate:
     def test_objective_sums_node_costs(self):
         inst = generate_ls(4, 2, 2, seed=2)
         x_rows = np.random.default_rng(3).standard_normal((4, 2))
-        manual = sum(inst.cost(i).eval(x_rows[i]) for i in range(4))
-        assert np.isclose(inst.objective(x_rows), manual)
+        assert inst.objective(x_rows) == per_node_objective(inst, x_rows)
 
 
 class TestInstanceIO:
-    def test_round_trip(self, tmp_path):
-        inst = generate_ls(6, 3, 2, seed=9)
-        path = tmp_path / "instance.txt"
-        save_instance(inst, path)
-        back = load_instance(path)
-        assert np.array_equal(back.a, inst.a)
-        assert np.array_equal(back.b, inst.b)
-
-    def test_rejects_malformed(self, tmp_path):
-        path = tmp_path / "instance.txt"
-        path.write_text("0 2 2\n1.0 2.0\n")
-        with pytest.raises((ValueError, IndexError)):
-            load_instance(path)
-
     def test_instance_validates_shapes(self):
         with pytest.raises(ValueError):
             LeastSquaresInstance(a=np.zeros((2, 3, 3)), b=np.zeros((3, 3)))
