@@ -323,7 +323,8 @@ def run_terminating_consensus(
     step_cap : int
         Upper bound on ratio updates before giving up.
     graph_diameter : int, optional
-        Pass a precomputed diameter to skip the all-pairs BFS.
+        Pass a precomputed diameter to skip the reachability computation
+        (repeated squaring of ``I + A``, see :func:`~asyncadmm.digraph.diameter`).
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")

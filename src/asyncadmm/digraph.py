@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,14 @@ class Digraph:
             ins[j].append(i)
         return tuple(tuple(sorted(s)) for s in ins)
 
+    @cached_property
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Receiver and sender index arrays of the edges, in set iteration order."""
+        flat = chain.from_iterable(self.edges)
+        pairs = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
+        pairs.flags.writeable = False  # cached, so shared by every caller
+        return pairs[:, 0], pairs[:, 1]
+
     def out_degree(self, i: int) -> int:
         return len(self.out_neighbors[i])
 
@@ -94,61 +102,96 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed) -> Digraph:
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
     rng = np.random.default_rng(seed)
-    edges = {((i + 1) % n, i) for i in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i == j or (j, i) in edges:
-                continue
-            if rng.random() < extra_edge_prob:
-                edges.add((j, i))
-    return Digraph(n, frozenset(edges))
+    cycle = (((i + 1) % n, i) for i in range(n))
+    return Digraph(n, frozenset(chain(cycle, _extra_edges(rng, n, extra_edge_prob))))
 
 
-def _reaches_all(n: int, adjacency, start: int = 0) -> bool:
-    seen = {start}
-    frontier = deque([start])
-    while frontier:
-        u = frontier.popleft()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == n
+def _extra_edges(rng: np.random.Generator, n: int, extra_edge_prob: float):
+    """Yield the Bernoulli extras ``(j, i)``, one uniform draw per non-cycle pair.
+
+    Pairs are drawn in row-major ``(i, j)`` order, skipping ``j == i`` and the
+    cycle edge ``j == (i + 1) % n``, so row ``i`` has ``n - 2`` draws.  Draw
+    ``c`` maps to ``j = c`` below the skipped pair and ``j = c + 2`` above it;
+    in row ``n - 1`` the skipped pair is ``{0, n - 1}``, so ``j = c + 1``.
+    Row-by-row draws consume the same stream as one ``(n, n - 2)`` batch
+    without holding the batch in memory; edges stream straight into the
+    digraph's frozenset, so no intermediate set is built either.
+    """
+    for i in range(n if n > 2 else 0):
+        c = np.flatnonzero(rng.random(n - 2) < extra_edge_prob)
+        j = c + 2 * (c >= i) + (i == n - 1)
+        yield from zip(j.tolist(), repeat(i))
+
+
+def _reachability_powers(g: Digraph) -> list[np.ndarray] | None:
+    """``[R, R^2, R^4, ..., R^(2^k)]`` as boolean matrices, ``R = I + A``.
+
+    ``R^m[u, v]`` is true iff ``v`` is within ``m`` hops of ``u``.  Squaring
+    stops at the first power that is all true; ``None`` means none is within
+    ``n - 1`` hops, i.e. the digraph is not strongly connected.  Products are
+    taken in float32: every count is at most ``n``, so it is exact.
+    """
+    receivers, senders = g.edge_columns
+    r = np.eye(g.n, dtype=bool)
+    r[senders, receivers] = True
+    powers = [r]
+    hops = 1
+    while not powers[-1].all():
+        if hops >= g.n - 1:
+            return None
+        powers.append(_compose(powers[-1], powers[-1]))
+        hops *= 2
+    return powers
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean product: within ``s + t`` hops, from within ``s`` and ``t`` hops."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def is_strongly_connected(g: Digraph) -> bool:
     """True iff every ordered node pair is joined by a directed path."""
-    if g.n == 1:
-        return True
-    return _reaches_all(g.n, g.out_neighbors) and _reaches_all(g.n, g.in_neighbors)
+    return _reachability_powers(g) is not None
 
 
 def diameter(g: Digraph) -> int:
-    """Longest shortest directed path over all ordered pairs (all-pairs BFS)."""
-    best = 0
-    for src in range(g.n):
-        dist = {src: 0}
-        frontier = deque([src])
-        while frontier:
-            u = frontier.popleft()
-            for v in g.out_neighbors[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    frontier.append(v)
-        if len(dist) != g.n:
-            raise ValueError("diameter is undefined: digraph is not strongly connected")
-        best = max(best, max(dist.values()))
-    return best
+    """Longest shortest directed path over all ordered pairs.
+
+    Squares the reachability matrix ``R = I + A`` until it is all true, then
+    binary-searches the smallest full power with the stored squares: about
+    ``2 log2(D)`` dense ``n x n`` products.  Fast for the well-connected
+    digraphs the experiments use (n=600, p=0.2: D=2, one product, about
+    0.04 s against 2 s for an all-pairs breadth-first search); slower than
+    that search on long cycles (a bare 600-node cycle, D=599, needs 19
+    products: 0.09-0.47 s against about 0.1 s, on 2 vCPUs).
+    """
+    powers = _reachability_powers(g)
+    if powers is None:
+        raise ValueError("diameter is undefined: digraph is not strongly connected")
+    if g.n == 1:
+        return 0
+    # powers[-1] = R^(2^k) is the first full power, so k == 0 means D == 1;
+    # otherwise D lies in (2^(k-1), 2^k].  Grow a non-full power greedily.
+    k = len(powers) - 1
+    if k == 0:
+        return 1
+    reach, hops = powers[k - 1], 2 ** (k - 1)
+    for step in range(k - 2, -1, -1):
+        longer = _compose(reach, powers[step])
+        if not longer.all():
+            reach, hops = longer, hops + 2**step
+    return hops + 1
 
 
 def build_weights(g: Digraph) -> WeightMatrix:
     """Weights ``1 / (1 + out_degree)`` on each sender's out-edges and self-loop."""
-    sender_weight = np.array([1.0 / (1.0 + g.out_degree(j)) for j in range(g.n)])
+    receivers, senders = g.edge_columns
+    sender_weight = 1.0 / (1.0 + np.bincount(senders, minlength=g.n))
+    nodes = np.arange(g.n)
+    rows = np.concatenate([receivers, nodes])
+    cols = np.concatenate([senders, nodes])
     matrix = np.zeros((g.n, g.n))
-    for j in range(g.n):
-        matrix[j, j] = sender_weight[j]
-        for l in g.out_neighbors[j]:
-            matrix[l, j] = sender_weight[j]
+    matrix[rows, cols] = sender_weight[cols]
     return WeightMatrix(matrix=matrix, sender_weight=sender_weight)
 
 

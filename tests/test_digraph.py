@@ -1,7 +1,10 @@
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncadmm.digraph import (
     Digraph,
@@ -177,3 +180,93 @@ class TestEdgeListFormat:
         path.write_text("\n")
         with pytest.raises(ValueError):
             load_edge_list(path)
+
+
+def loop_generator(n, extra_edge_prob, seed):
+    """Reference: the per-pair generator loop, one scalar draw per pair."""
+    rng = np.random.default_rng(seed)
+    edges = {((i + 1) % n, i) for i in range(n)}
+    for i in range(n):
+        for j in range(n):
+            if i == j or (j, i) in edges:
+                continue
+            if rng.random() < extra_edge_prob:
+                edges.add((j, i))
+    return frozenset(edges)
+
+
+def bfs_diameter(g):
+    """Reference: one breadth-first search per source."""
+    best = 0
+    for src in range(g.n):
+        dist = {src: 0}
+        frontier = deque([src])
+        while frontier:
+            u = frontier.popleft()
+            for v in g.out_neighbors[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    frontier.append(v)
+        if len(dist) != g.n:
+            raise ValueError("not strongly connected")
+        best = max(best, max(dist.values()))
+    return best
+
+
+def loop_weights(g):
+    """Reference: the per-sender weight loop."""
+    sender_weight = np.array([1.0 / (1.0 + g.out_degree(j)) for j in range(g.n)])
+    matrix = np.zeros((g.n, g.n))
+    for j in range(g.n):
+        matrix[j, j] = sender_weight[j]
+        for l in g.out_neighbors[j]:
+            matrix[l, j] = sender_weight[j]
+    return matrix, sender_weight
+
+
+def assert_matches_references(g, d=None):
+    assert diameter(g) == (bfs_diameter(g) if d is None else d)
+    matrix, sender_weight = loop_weights(g)
+    w = build_weights(g)
+    assert w.matrix.tobytes() == matrix.tobytes()
+    assert w.sender_weight.tobytes() == sender_weight.tobytes()
+
+
+class TestMatchesReferenceLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        p=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_random_digraphs(self, n, p, seed):
+        g = random_strongly_connected(n, p, seed=seed)
+        assert g.edges == loop_generator(n, p, seed)
+        assert is_strongly_connected(g)
+        assert_matches_references(g)
+
+    @pytest.mark.parametrize("seed", [(7, 2), (8, 2)])
+    def test_paper_scale(self, seed):
+        g = random_strongly_connected(600, 0.2, seed=seed)
+        assert g.edges == loop_generator(600, 0.2, seed)
+        assert_matches_references(g)
+        assert diameter(g) == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 9, 16, 17, 33, 64])
+    def test_cycles(self, n):
+        assert_matches_references(cycle(n), d=n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_complete_graphs(self, n):
+        assert_matches_references(complete(n), d=1)
+
+    def test_not_strongly_connected_raises(self):
+        # two 3-cycles joined one way only: 0..2 reaches 3..5, not back
+        edges = {((i + 1) % 3, i) for i in range(3)}
+        edges |= {(3 + (i + 1) % 3, 3 + i) for i in range(3)} | {(3, 0)}
+        g = Digraph(6, frozenset(edges))
+        assert not is_strongly_connected(g)
+        with pytest.raises(ValueError):
+            bfs_diameter(g)
+        with pytest.raises(ValueError):
+            diameter(g)

@@ -82,6 +82,51 @@ class TestExactAverage:
             exact_average(np.empty((0, 2)))
 
 
+def row_loop_average(vectors):
+    """Reference: the Neumaier recurrence as one numpy op chain per row."""
+    arr = np.asarray(vectors, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    total = np.zeros(arr.shape[1:])
+    comp = np.zeros_like(total)
+    for row in arr:
+        t = total + row
+        comp += np.where(
+            np.abs(total) >= np.abs(row), (total - t) + row, (row - t) + total
+        )
+        total = t
+    return (total + comp) / arr.shape[0]
+
+
+class TestExactAverageMatchesRowLoop:
+    def assert_same_bytes(self, vectors):
+        got, want = exact_average(vectors), row_loop_average(vectors)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 3), (1, 1), (2, 1), (20, 3), (600, 3), (5, 8)])
+    def test_standard_normal_rows(self, shape):
+        self.assert_same_bytes(np.random.default_rng(sum(shape)).standard_normal(shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_one_dimensional_input(self, n):
+        self.assert_same_bytes(np.random.default_rng(n).standard_normal(n))
+
+    def test_heavy_cancellation(self):
+        rng = np.random.default_rng(11)
+        big = rng.choice([-1.0, 1.0], size=(200, 3)) * 1e16
+        rows = np.concatenate([big, -big[::-1], rng.standard_normal((200, 3))])
+        self.assert_same_bytes(rows[rng.permutation(len(rows))])
+        self.assert_same_bytes(np.array([[1e16], [1.0], [-1e16], [1.0]]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_magnitudes_from_1e_minus8_to_1e8(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (300, 4)
+        rows = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        self.assert_same_bytes(rows)
+
+
 class TestSynchronousRatioOracle:
     def test_k_zero_is_initial_value(self):
         g = random_strongly_connected(6, 0.3, seed=6)
