@@ -47,6 +47,11 @@ __all__ = [
 RATIO, MIN_MAX = 0, 1  # message kinds; ratio sorts before min/max
 KIND_NAMES = ("RATIO_PAIR", "MIN_MAX_PAIR")
 
+# Most arrival-table entries (tick x kind x column x lag) one block may hold.
+# One tick at the paper's scale (n=600, tau_bar=3) already needs about 583k,
+# so there every block is a single tick; small digraphs step whole rounds.
+BLOCK_ENTRIES = 1 << 17
+
 
 class ProtocolError(RuntimeError):
     """The consensus state stopped being well-formed (lost mass, split extrema)."""
@@ -54,12 +59,19 @@ class ProtocolError(RuntimeError):
 
 @dataclass
 class ConsensusResult:
-    """Outcome of a terminating consensus instance."""
+    """Outcome of a terminating consensus instance.
+
+    ``delivered`` counts every delivery the trace would list (ratio and
+    min/max, self terms included); ``stale_discarded`` counts the extrema
+    among them that arrived from before the latest re-seed and were dropped.
+    """
 
     z: np.ndarray
     steps: int
     converged: bool
     check_steps: list[int] = field(default_factory=list)
+    delivered: int = 0
+    stale_discarded: int = 0
 
 
 def _rows(a, n: int, name: str) -> np.ndarray:
@@ -80,15 +92,27 @@ class ConsensusEngine:
     Each receiver then folds whatever is due.  The ratio kind is present when
     ``y0`` is given, the min/max kind when ``extrema`` is.
 
-    The edges are numbered in draw order: sender-major, then kind (ratio
-    before min/max), then receivers ascending, so one batched delay draw per
-    tick consumes the delay stream exactly as per-sender draws would.  A ring
-    of depth ``tau_bar + 1`` keeps, per send tick, those delays
-    (``delays``) and one payload row per sender.  The send made ``lag``
-    ticks ago on an edge is consumed now iff its delay equals ``lag``.
-    Ratio sums fold sequentially in receiver, sender, send-time order, so
-    results are reproducible bit for bit.  Min/max folds are order-free; they
-    drop extrema sent before ``epoch_start``, the latest re-seed.
+    The engine steps in blocks: runs of ticks with a fixed ``epoch_start``
+    (``terminate`` runs one per round, ``advance`` and ``trajectory`` one per
+    span), each cut to at most ``BLOCK_ENTRIES`` arrival-table entries.  A
+    block draws all its delays at once: edges are numbered in draw order
+    (sender-major, then kind with ratio before min/max, then receivers
+    ascending), so one batch consumes the delay stream exactly as per-sender
+    draws per tick would.  The delays land in a per-tick history whose
+    columns, per kind, are the edges and every node's self term (delay 0)
+    sorted by receiver and then sender.  The send made ``lag`` ticks ago on a
+    column is consumed now iff its delay equals ``lag``, so one comparison
+    per lag yields the block's arrival table in receiver, sender, oldest-send
+    order.  Only the folds run tick by tick, since each tick's sends carry
+    the state the previous tick produced.
+
+    Ratio sums fold sequentially with ``bincount`` in that order, so results
+    are reproducible bit for bit.  Extrema fold with ``maximum.reduceat`` /
+    ``minimum.reduceat`` over each receiver's arrivals, which always include
+    its own lag-0 term; they drop extrema sent before ``epoch_start``, the
+    latest re-seed.  Max and min are order-free except for the sign of a zero
+    (``max(0.0, -0.0)`` returns its first argument), which the ``==``
+    agreement check and the spread norm both ignore.
     """
 
     def __init__(
@@ -106,20 +130,23 @@ class ConsensusEngine:
         self.trace = trace
         self.time = 0
         self.epoch_start = 0
+        self.delivered = 0
+        self.stale_discarded = 0
         self.kinds = []
         depth = dm.tau_bar + 1
         if y0 is not None:
-            self.y = _rows(y0, n, "y0")
-            self.w = np.ones(n)
-            self.z = self.y / self.w[:, None]
+            # the ratio state component-major: numerator rows, then the mass
+            self._yw = np.vstack([_rows(y0, n, "y0").T, np.ones(n)])
+            self.z = np.divide(self.y, self.w[:, None], order="C")
             self._bw = np.asarray(weights.sender_weight, dtype=float)
-            self._y_ring = np.zeros((depth, *self.y.shape))
-            self._w_ring = np.zeros((depth, n))
+            # the scaled pairs sent, [component, ring slot * n + sender]
+            self._ratio_sent = np.zeros((len(self._yw), depth * n))
             self.kinds.append(RATIO)
         if extrema is not None:
             self.hi, self.lo = (_rows(a, n, "extrema") for a in extrema)
-            self._hi_ring = np.zeros((depth, *self.hi.shape))
-            self._lo_ring = np.zeros((depth, *self.lo.shape))
+            # the extrema sent, [ring slot * n + sender, component]
+            self._hi_sent = np.zeros((depth * n, self.hi.shape[1]))
+            self._lo_sent = np.zeros((depth * n, self.lo.shape[1]))
             self.kinds.append(MIN_MAX)
 
         # Index arrays are int32 to halve their footprint at the paper's scale.
@@ -128,101 +155,188 @@ class ConsensusEngine:
         self.edge_sender = np.repeat(nodes, degree)
         self.edge_receiver = np.array([r for out in g.out_neighbors for r in out], dtype=np.int32)
         edges = len(self.edge_sender)
-        first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[self.edge_sender]
         kind_count = len(self.kinds)
-        # position of each edge's delay, per kind, in one tick's batch
-        self.draw_pos = [
-            np.arange(edges, dtype=np.int32)
-            + (kind_count - 1) * first_edge
-            + q * degree[self.edge_sender]
-            for q in range(kind_count)
-        ]
-        self._draws = kind_count * edges
-        self._lags = np.arange(depth, dtype=np.int32)
-        # -1 marks ring slots not yet written; the extra last column is the
-        # self term's delay, which is always zero
-        self.delays = np.full((depth, self._draws + 1), -1, dtype=np.int32)
-        self.delays[:, -1] = 0
 
-        # Candidates: the send made ``lag`` ticks ago on each edge, plus every
-        # node's self term at lag 0, sorted by receiver, sender, send time.
-        # The order is the same for every kind; only draw positions differ.
-        lag = np.concatenate([np.repeat(self._lags, edges), np.zeros(n, dtype=np.int32)])
-        sender = np.concatenate([np.tile(self.edge_sender, depth), nodes])
-        receiver = np.concatenate([np.tile(self.edge_receiver, depth), nodes])
-        order = np.lexsort((-lag, sender, receiver))
-        self._receiver = receiver[order]
-        self._lag = lag[order]
-        # flat index into the tick's (lag, sender) payload rows
-        self._payload_at = self._lag * n + sender[order]
-        # flat index into the tick's (lag, draw position) arrival matrix
-        self._seen_at = [
-            self._lag * (self._draws + 1)
-            + np.concatenate([np.tile(pos, depth), np.full(n, self._draws, dtype=np.int32)])[order]
-            for pos in self.draw_pos
-        ]
+        # Columns of one kind: every edge and every node's self term, sorted
+        # by receiver, then sender.
+        sender = np.concatenate([self.edge_sender, nodes])
+        receiver = np.concatenate([self.edge_receiver, nodes])
+        order = np.lexsort((sender, receiver))
+        self._cols = cols = edges + n
+        self._col_sender = sender[order]
+        self._col_receiver = receiver[order]
+        col_of = np.empty(cols, dtype=np.int32)
+        col_of[order] = np.arange(cols, dtype=np.int32)
+        # each receiver's first column, where its extrema segment starts
+        self._first_col = np.searchsorted(self._col_receiver, nodes)
+        # column of each edge's delay, per kind, in a ``delays`` row
+        self.draw_pos = [q * cols + col_of[:edges] for q in range(kind_count)]
+        first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[self.edge_sender]
+        self._draws = kind_count * edges
+        self._draw_col = np.empty(self._draws, dtype=np.int32)  # batch position -> column
+        for q, pos in enumerate(self.draw_pos):
+            at = np.arange(edges) + (kind_count - 1) * first_edge + q * degree[self.edge_sender]
+            self._draw_col[at] = pos
+
+        # Delay history, one row per tick.  Between blocks rows 0..depth-1
+        # hold the last ``depth`` ticks; a block writes its ticks behind them.
+        # -1 marks ticks before time 0; self-term columns stay 0.
+        dtype = np.min_scalar_type(-1 - dm.tau_bar)
+        width = kind_count * cols
+        self._block_cap = max(1, BLOCK_ENTRIES // max(1, depth * width))
+        self._hist = np.full((depth + self._block_cap, width), -1, dtype=dtype)
+        self._hist[:, np.add.outer(np.arange(kind_count) * cols, col_of[edges:]).ravel()] = 0
+        self._lags_desc = np.arange(depth - 1, -1, -1, dtype=dtype)  # oldest send first
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._yw[:-1].T
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._yw[-1]
+
+    @property
+    def delays(self) -> np.ndarray:
+        """Delay ring: row ``t % depth`` holds the delays drawn at tick ``t``.
+
+        Covers the last ``depth`` ticks; -1 marks ticks before time 0.
+        """
+        depth = len(self._lags_desc)
+        ring = np.empty_like(self._hist[:depth])
+        ring[np.arange(self.time - depth, self.time) % depth] = self._hist[:depth]
+        return ring
 
     def reseed_extrema(self) -> None:
         self.hi = self.z.copy()
         self.lo = self.z.copy()
         self.epoch_start = self.time
 
-    def step(self) -> None:
-        k = self.time
-        depth = len(self._lags)
-        slot = k % depth
-        by_lag = (k - self._lags) % depth  # ring slot of the sends made ``lag`` ticks ago
-        self.delays[slot, :-1] = self.dm.sample_many(self._draws)
-        seen = (self.delays[by_lag] == self._lags[:, None]).ravel()
-        arrived = [seen[at] for at in self._seen_at]
-        if self.trace is not None:
-            self._trace_tick(k, arrived)
-        if RATIO in self.kinds:
-            self._y_ring[slot] = self._bw[:, None] * self.y
-            self._w_ring[slot] = self._bw * self.w
-            got = arrived[0]
-            receiver, source = self._receiver[got], self._payload_at[got]
-            w = np.bincount(receiver, weights=self._w_ring[by_lag].ravel()[source], minlength=self.n)
-            if np.any(w <= 0.0):
-                raise ProtocolError(f"nonpositive mass {w.min()} after update")
-            y_in = self._y_ring[by_lag].reshape(-1, self.y.shape[1])[source]
-            self.y = np.column_stack(
-                [np.bincount(receiver, weights=col, minlength=self.n) for col in y_in.T]
-            )
-            self.w = w
-            self.z = self.y / self.w[:, None]
-        if MIN_MAX in self.kinds:
-            self._hi_ring[slot] = self.hi
-            self._lo_ring[slot] = self.lo
-            got = arrived[-1] & (self._lag <= k - self.epoch_start)
-            receiver, source = self._receiver[got], self._payload_at[got]
-            hi, lo = self.hi.copy(), self.lo.copy()
-            np.maximum.at(hi, receiver, self._hi_ring[by_lag].reshape(-1, hi.shape[1])[source])
-            np.minimum.at(lo, receiver, self._lo_ring[by_lag].reshape(-1, lo.shape[1])[source])
-            self.hi, self.lo = hi, lo
-        self.time = k + 1
+    def _schedule(self, q: int, kind: int, steps: int, traced: list[np.ndarray]):
+        """Kind ``q``'s arrivals over the next ``steps`` ticks, as fold inputs.
 
-    def _trace_tick(self, k: int, arrived: list[np.ndarray]) -> None:
-        """One ``k,sender,receiver,KIND`` line per delivery, by receiver, sender, kind."""
-        receiver = np.concatenate([self._receiver[got] for got in arrived])
-        sender = np.concatenate([self._payload_at[got] % self.n for got in arrived])
-        kind = np.concatenate([np.full(np.count_nonzero(got), q) for q, got in zip(self.kinds, arrived)])
-        order = np.lexsort((kind, sender, receiver))
-        self.trace.extend(
-            f"{k},{s},{r},{KIND_NAMES[q]}"
-            for s, r, q in zip(sender[order].tolist(), receiver[order].tolist(), kind[order].tolist())
+        Returns each arrival's payload row (ring slot times ``n`` plus
+        sender), per-tick bounds into them, and the receivers (ratio) or each
+        tick's per-receiver segment starts (min/max).
+        """
+        n, k0, cols, hist = self.n, self.time, self._cols, self._hist
+        depth = len(self._lags_desc)
+        # [tick, column, oldest send first]: the send from tick k0 + t - lag
+        # arrives at k0 + t iff its delay equals lag
+        table = np.stack(
+            [
+                hist[1 + j : 1 + j + steps, q * cols : (q + 1) * cols] == lag
+                for j, lag in enumerate(self._lags_desc)
+            ],
+            axis=-1,
         )
+        arrived = np.count_nonzero(table)
+        self.delivered += arrived
+        if self.trace is not None:
+            traced.append(np.flatnonzero(table))
+        cut = self.epoch_start - k0 + depth - 1  # sent before the re-seed iff t + j < cut
+        if kind == MIN_MAX and cut > 0:
+            table &= (np.add.outer(np.arange(steps), np.arange(depth)) >= cut)[:, None, :]
+        flat = np.flatnonzero(table)
+        self.stale_discarded += arrived - len(flat)
+        bounds = np.searchsorted(flat, np.arange(steps + 1) * cols * depth)
+        if kind == MIN_MAX:
+            starts = np.add.outer(np.arange(steps) * cols, self._first_col) * depth
+            segments = np.searchsorted(flat, starts) - bounds[:-1, None]
+        # Decode flat = (t * cols + c) * depth + j in place: at n=600 each of
+        # these arrays holds about 73k arrivals per tick.
+        tick_col, source = np.divmod(flat, depth)  # source holds j for now
+        t, c = np.divmod(tick_col, cols)
+        del flat, tick_col
+        # payload row: ring slot of the send tick k0 + t + j - (depth - 1), then sender
+        source += t
+        source += k0 + 1
+        source %= depth
+        source *= n
+        source += self._col_sender[c]
+        if kind == RATIO:
+            segments = self._col_receiver[c]
+        return source, bounds, segments
+
+    def _block(self, steps: int, traj: list[np.ndarray] | None = None) -> None:
+        """``steps`` ticks: delays and arrival tables once, then the per-tick folds."""
+        k0, hist = self.time, self._hist
+        depth = len(self._lags_desc)
+        hist[depth : depth + steps, self._draw_col] = self.dm.sample_many(
+            steps * self._draws
+        ).reshape(steps, self._draws)
+        traced: list[np.ndarray] = []
+        folds = [self._schedule(q, kind, steps, traced) for q, kind in enumerate(self.kinds)]
+        if traced:
+            lines, line_bounds = self._trace_lines(k0, steps, traced)
+
+        for t in range(steps):
+            self.time = k = k0 + t
+            slot = k % depth
+            if traced:
+                self.trace.extend(lines[line_bounds[t] : line_bounds[t + 1]])
+            for kind, (source, bounds, segments) in zip(self.kinds, folds):
+                at = slice(bounds[t], bounds[t + 1])
+                if kind == RATIO:
+                    self._fold_ratio(slot, source[at], segments[at])
+                else:
+                    self._fold_extrema(slot, source[at], segments[t])
+            if traj is not None:
+                traj.append(self.z)
+        self.time = k0 + steps
+        # row by row, so no row is overwritten before it is read
+        for i in range(depth):
+            hist[i] = hist[steps + i]
+
+    def _fold_ratio(self, slot: int, source: np.ndarray, receiver: np.ndarray) -> None:
+        n = self.n
+        self._ratio_sent[:, slot * n : (slot + 1) * n] = self._bw * self._yw
+        self._yw = np.array(
+            [np.bincount(receiver, weights=row[source], minlength=n) for row in self._ratio_sent]
+        )
+        if (self.w <= 0.0).any():
+            raise ProtocolError(f"nonpositive mass {self.w.min()} after update")
+        self.z = np.divide(self.y, self.w[:, None], order="C")
+
+    def _fold_extrema(self, slot: int, source: np.ndarray, segments: np.ndarray) -> None:
+        n = self.n
+        self._hi_sent[slot * n : (slot + 1) * n] = self.hi
+        self._lo_sent[slot * n : (slot + 1) * n] = self.lo
+        self.hi = np.maximum.reduceat(self._hi_sent[source], segments)
+        self.lo = np.minimum.reduceat(self._lo_sent[source], segments)
+
+    def _trace_lines(self, k0: int, steps: int, traced: list[np.ndarray]):
+        """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
+        depth = len(self._lags_desc)
+        tick_col = np.concatenate(traced) // depth
+        t, c = np.divmod(tick_col, self._cols)
+        kind = np.concatenate([np.full(len(flat), q) for q, flat in zip(self.kinds, traced)])
+        sender, receiver = self._col_sender[c], self._col_receiver[c]
+        order = np.lexsort((kind, sender, receiver, t))
+        lines = [
+            f"{k0 + tt},{s},{r},{KIND_NAMES[q]}"
+            for tt, s, r, q in zip(
+                t[order].tolist(), sender[order].tolist(), receiver[order].tolist(), kind[order].tolist()
+            )
+        ]
+        return lines, np.searchsorted(t[order], np.arange(steps + 1))
+
+    def _run(self, steps: int, traj: list[np.ndarray] | None = None) -> None:
+        while steps > 0:
+            block = min(steps, self._block_cap)
+            self._block(block, traj)
+            steps -= block
+
+    def step(self) -> None:
+        self._block(1)
 
     def advance(self, steps: int) -> None:
-        for _ in range(steps):
-            self.step()
+        self._run(steps)
 
     def trajectory(self, steps: int) -> list[np.ndarray]:
         """Ratio estimates ``[z^now, ..., z^(now + steps)]``."""
         traj = [self.z]
-        for _ in range(steps):
-            self.step()
-            traj.append(self.z)
+        self._run(steps, traj)
         return traj
 
     def terminate(self, eps: float, step_cap: int, round_len: int) -> ConsensusResult:
@@ -234,16 +348,24 @@ class ConsensusEngine:
         check_steps: list[int] = []
         while True:
             k = self.time
+            converged = False
             if k != 0 and k % round_len == 0:
                 if not (np.all(self.hi == self.hi[0]) and np.all(self.lo == self.lo[0])):
                     raise ProtocolError(f"extrema disagree across nodes at check boundary {k}")
                 check_steps.append(k)
-                if float(np.linalg.norm(self.hi[0] - self.lo[0])) < eps:
-                    return ConsensusResult(z=self.z, steps=k, converged=True, check_steps=check_steps)
-                self.reseed_extrema()
-            if k >= step_cap:
-                return ConsensusResult(z=self.z, steps=k, converged=False, check_steps=check_steps)
-            self.step()
+                converged = float(np.linalg.norm(self.hi[0] - self.lo[0])) < eps
+                if not converged:
+                    self.reseed_extrema()
+            if converged or k >= step_cap:
+                return ConsensusResult(
+                    z=self.z,
+                    steps=k,
+                    converged=converged,
+                    check_steps=check_steps,
+                    delivered=self.delivered,
+                    stale_discarded=self.stale_discarded,
+                )
+            self._run(min(step_cap, (k // round_len + 1) * round_len) - k)
 
 
 def run_ratio_consensus(

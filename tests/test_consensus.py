@@ -2,10 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asyncadmm.consensus import (
-    ProtocolError,
+    KIND_NAMES,
+    MIN_MAX,
+    RATIO,
     ConsensusEngine,
+    ConsensusResult,
+    ProtocolError,
     ratio_trajectory,
     run_minmax_consensus,
     run_ratio_consensus,
@@ -356,3 +362,323 @@ class TestGoldenPins:
         z = run_ratio_consensus(g, w, pinned_delays(tau_bar), y0, 30)
         traj = ratio_trajectory(g, w, pinned_delays(tau_bar), y0, 30)
         assert (digest(z), digest(*traj)) == GOLDEN_RATIO[n, tau_bar]
+
+
+class PerTickEngine:
+    """Reference: the engine as it stepped before block stepping.
+
+    One delay draw, one candidate gather and ``ufunc.at`` extrema folds per
+    tick, over a ring of delays in draw order.
+    """
+
+    def __init__(self, g, dm, y0=None, weights=None, extrema=None, trace=None):
+        n = g.n
+        self.n, self.dm, self.trace = n, dm, trace
+        self.time = self.epoch_start = self.delivered = self.stale_discarded = 0
+        self.kinds = []
+        depth = dm.tau_bar + 1
+        if y0 is not None:
+            self.y = np.array(y0, dtype=float)
+            self.w = np.ones(n)
+            self.z = self.y / self.w[:, None]
+            self._bw = np.asarray(weights.sender_weight, dtype=float)
+            self._y_ring = np.zeros((depth, *self.y.shape))
+            self._w_ring = np.zeros((depth, n))
+            self.kinds.append(RATIO)
+        if extrema is not None:
+            self.hi, self.lo = (np.array(a, dtype=float) for a in extrema)
+            self._hi_ring = np.zeros((depth, *self.hi.shape))
+            self._lo_ring = np.zeros((depth, *self.lo.shape))
+            self.kinds.append(MIN_MAX)
+        degree = np.array([len(out) for out in g.out_neighbors], dtype=np.int32)
+        nodes = np.arange(n, dtype=np.int32)
+        edge_sender = np.repeat(nodes, degree)
+        edge_receiver = np.array([r for out in g.out_neighbors for r in out], dtype=np.int32)
+        edges = len(edge_sender)
+        first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[edge_sender]
+        kind_count = len(self.kinds)
+        draw_pos = [
+            np.arange(edges, dtype=np.int32) + (kind_count - 1) * first_edge + q * degree[edge_sender]
+            for q in range(kind_count)
+        ]
+        self._draws = kind_count * edges
+        self._lags = np.arange(depth, dtype=np.int32)
+        self.delays = np.full((depth, self._draws + 1), -1, dtype=np.int32)
+        self.delays[:, -1] = 0
+        lag = np.concatenate([np.repeat(self._lags, edges), np.zeros(n, dtype=np.int32)])
+        sender = np.concatenate([np.tile(edge_sender, depth), nodes])
+        receiver = np.concatenate([np.tile(edge_receiver, depth), nodes])
+        order = np.lexsort((-lag, sender, receiver))
+        self._receiver = receiver[order]
+        self._lag = lag[order]
+        self._payload_at = self._lag * n + sender[order]
+        self._seen_at = [
+            self._lag * (self._draws + 1)
+            + np.concatenate([np.tile(pos, depth), np.full(n, self._draws, dtype=np.int32)])[order]
+            for pos in draw_pos
+        ]
+
+    def reseed_extrema(self):
+        self.hi = self.z.copy()
+        self.lo = self.z.copy()
+        self.epoch_start = self.time
+
+    def step(self):
+        k = self.time
+        depth = len(self._lags)
+        slot = k % depth
+        by_lag = (k - self._lags) % depth
+        self.delays[slot, :-1] = self.dm.sample_many(self._draws)
+        seen = (self.delays[by_lag] == self._lags[:, None]).ravel()
+        arrived = [seen[at] for at in self._seen_at]
+        self.delivered += sum(int(got.sum()) for got in arrived)
+        if self.trace is not None:
+            self._trace_tick(k, arrived)
+        if RATIO in self.kinds:
+            self._y_ring[slot] = self._bw[:, None] * self.y
+            self._w_ring[slot] = self._bw * self.w
+            got = arrived[0]
+            receiver, source = self._receiver[got], self._payload_at[got]
+            w = np.bincount(receiver, weights=self._w_ring[by_lag].ravel()[source], minlength=self.n)
+            if np.any(w <= 0.0):
+                raise ProtocolError(f"nonpositive mass {w.min()} after update")
+            y_in = self._y_ring[by_lag].reshape(-1, self.y.shape[1])[source]
+            self.y = np.column_stack(
+                [np.bincount(receiver, weights=col, minlength=self.n) for col in y_in.T]
+            )
+            self.w = w
+            self.z = self.y / self.w[:, None]
+        if MIN_MAX in self.kinds:
+            self._hi_ring[slot] = self.hi
+            self._lo_ring[slot] = self.lo
+            fresh = self._lag <= k - self.epoch_start
+            self.stale_discarded += int((arrived[-1] & ~fresh).sum())
+            got = arrived[-1] & fresh
+            receiver, source = self._receiver[got], self._payload_at[got]
+            hi, lo = self.hi.copy(), self.lo.copy()
+            np.maximum.at(hi, receiver, self._hi_ring[by_lag].reshape(-1, hi.shape[1])[source])
+            np.minimum.at(lo, receiver, self._lo_ring[by_lag].reshape(-1, lo.shape[1])[source])
+            self.hi, self.lo = hi, lo
+        self.time = k + 1
+
+    def _trace_tick(self, k, arrived):
+        receiver = np.concatenate([self._receiver[got] for got in arrived])
+        sender = np.concatenate([self._payload_at[got] % self.n for got in arrived])
+        kind = np.concatenate([np.full(np.count_nonzero(got), q) for q, got in zip(self.kinds, arrived)])
+        order = np.lexsort((kind, sender, receiver))
+        self.trace.extend(
+            f"{k},{s},{r},{KIND_NAMES[q]}"
+            for s, r, q in zip(sender[order].tolist(), receiver[order].tolist(), kind[order].tolist())
+        )
+
+    def advance(self, steps):
+        for _ in range(steps):
+            self.step()
+
+    def trajectory(self, steps):
+        traj = [self.z]
+        for _ in range(steps):
+            self.step()
+            traj.append(self.z)
+        return traj
+
+    def terminate(self, eps, step_cap, round_len):
+        check_steps = []
+        while True:
+            k = self.time
+            if k != 0 and k % round_len == 0:
+                if not (np.all(self.hi == self.hi[0]) and np.all(self.lo == self.lo[0])):
+                    raise ProtocolError(f"extrema disagree across nodes at check boundary {k}")
+                check_steps.append(k)
+                if float(np.linalg.norm(self.hi[0] - self.lo[0])) < eps:
+                    return self._result(k, True, check_steps)
+                self.reseed_extrema()
+            if k >= step_cap:
+                return self._result(k, False, check_steps)
+            self.step()
+
+    def _result(self, k, converged, check_steps):
+        return ConsensusResult(
+            z=self.z,
+            steps=k,
+            converged=converged,
+            check_steps=check_steps,
+            delivered=self.delivered,
+            stale_discarded=self.stale_discarded,
+        )
+
+
+def graph_for(n, edge_prob, seed):
+    return Digraph(1, frozenset()) if n == 1 else random_strongly_connected(n, edge_prob, seed=seed)
+
+
+def delays_for(tau_bar, seed):
+    return DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=seed)
+
+
+networks = st.tuples(
+    st.integers(1, 30),  # n
+    st.floats(0.0, 0.5),  # edge probability
+    st.sampled_from([0, 1, 3, 10]),  # tau_bar
+    st.integers(0, 2**32 - 1),  # seed
+)
+
+
+def both_engines(network, p=2, ratio=True, extrema=None, traced=False, weights=None):
+    """The block engine and the per-tick reference on the same inputs and delay seed."""
+    n, edge_prob, tau_bar, seed = network
+    g = graph_for(n, edge_prob, seed)
+    y0 = np.random.default_rng(seed).standard_normal((n, p)) if ratio else None
+    w = (weights or build_weights)(g) if ratio else None
+    engines = [
+        cls(g, delays_for(tau_bar, seed + 1), y0=y0, weights=w, extrema=extrema, trace=[] if traced else None)
+        for cls in (ConsensusEngine, PerTickEngine)
+    ]
+    return g, engines
+
+
+def assert_same_result(got, want):
+    assert got.z.tobytes() == want.z.tobytes()
+    assert (got.steps, got.converged, got.check_steps) == (want.steps, want.converged, want.check_steps)
+    assert (got.delivered, got.stale_discarded) == (want.delivered, want.stale_discarded)
+
+
+class TestBlockMatchesPerTick:
+    """Block stepping reproduces per-tick stepping bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(network=networks, eps=st.sampled_from([1.0, 0.1, 0.01]), step_cap=st.integers(1, 400))
+    def test_terminate(self, network, eps, step_cap):
+        n, _, tau_bar, _ = network
+        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
+        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        round_len = (1 + tau_bar) * max(diameter(g), 1)
+        got = block.terminate(eps, step_cap, round_len)
+        want = ref.terminate(eps, step_cap, round_len)
+        assert_same_result(got, want)
+        assert block.trace == ref.trace
+        assert got.delivered == len(block.trace)
+
+    @pytest.mark.parametrize("tau_bar", [1, 3, 10])
+    def test_step_cap_mid_round(self, tau_bar):
+        network = (20, 0.2, tau_bar, 7)
+        extrema = (np.full((20, 2), np.inf), np.full((20, 2), -np.inf))
+        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        round_len = (1 + tau_bar) * diameter(g)
+        cap = 2 * round_len + round_len // 2
+        got = block.terminate(1e-12, cap, round_len)
+        assert_same_result(got, ref.terminate(1e-12, cap, round_len))
+        assert not got.converged and got.steps == cap and got.check_steps == [round_len, 2 * round_len]
+        assert block.trace == ref.trace
+
+    @settings(max_examples=30, deadline=None)
+    @given(network=networks, spans=st.lists(st.integers(0, 40), min_size=1, max_size=4))
+    def test_advance_and_trajectory(self, network, spans):
+        _, (block, ref) = both_engines(network, traced=True)
+        for span in spans:
+            block.advance(span)
+            ref.advance(span)
+            assert block.z.tobytes() == ref.z.tobytes()
+            assert block.time == ref.time
+        got, want = block.trajectory(spans[0]), ref.trajectory(spans[0])
+        assert [z.tobytes() for z in got] == [z.tobytes() for z in want]
+        assert block.trace == ref.trace
+        assert block.delivered == ref.delivered == len(block.trace)
+
+    @staticmethod
+    def raise_tick(network, sender_weight):
+        """Advance both engines over weights that may lose mass; the tick each stopped at."""
+        n = network[0]
+        weights = WeightMatrix(matrix=np.zeros((n, n)), sender_weight=sender_weight)
+        _, (block, ref) = both_engines(network, traced=True, weights=lambda g: weights)
+        outcomes = []
+        for engine in (block, ref):
+            try:
+                engine.advance(60)
+                outcomes.append(("ok", engine.z.tobytes()))
+            except ProtocolError as err:
+                outcomes.append(("raised", str(err)))
+        assert outcomes[0] == outcomes[1]
+        assert block.time == ref.time
+        assert block.trace == ref.trace
+        return block.time if outcomes[0][0] == "raised" else None
+
+    @settings(max_examples=30, deadline=None)
+    @given(network=networks, data=st.data())
+    def test_nonpositive_mass_at_the_same_tick(self, network, data):
+        # some negative broadcast weights: the mass can go nonpositive at any tick
+        n = network[0]
+        self.raise_tick(network, np.array(data.draw(st.lists(st.floats(-0.2, 1.0), min_size=n, max_size=n))))
+
+    def test_nonpositive_mass_inside_a_block(self):
+        sender_weight = np.random.default_rng(1).uniform(-0.05, 1.0, 20)
+        assert self.raise_tick((20, 0.2, 3, 1), sender_weight) == 6
+
+
+def signed_values(with_zeros):
+    values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0)
+    if with_zeros:
+        values = st.one_of(values, st.sampled_from([0.0, -0.0]))
+    return values
+
+
+class TestExtremaFold:
+    """The ``reduceat`` extrema fold against the ``ufunc.at`` fold it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(network=networks, data=st.data(), with_zeros=st.booleans(), steps=st.integers(1, 40))
+    def test_matches_ufunc_at(self, network, data, with_zeros, steps):
+        n = network[0]
+        rows = st.lists(signed_values(with_zeros), min_size=n * 2, max_size=n * 2)
+        hi0 = np.reshape(data.draw(rows), (n, 2))
+        lo0 = np.reshape(data.draw(rows), (n, 2))
+        _, (block, ref) = both_engines(network, ratio=False, extrema=(hi0, lo0))
+        block.advance(steps)
+        ref.advance(steps)
+        # fold order decides only the sign of a zero, which == ignores
+        assert np.array_equal(block.hi, ref.hi) and np.array_equal(block.lo, ref.lo)
+        if not with_zeros:
+            assert block.hi.tobytes() == ref.hi.tobytes()
+            assert block.lo.tobytes() == ref.lo.tobytes()
+
+
+class TestInFlightMass:
+    """Mass in the states plus mass still in flight is conserved across blocks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(network=networks, spans=st.lists(st.integers(0, 50), min_size=1, max_size=5))
+    def test_conserved_at_block_boundaries(self, network, spans):
+        n, _, tau_bar, _ = network
+        g, (engine, _) = both_engines(network, p=2)
+        depth = tau_bar + 1
+        y_mass0 = engine.y.sum(axis=0)
+        for span in spans:
+            engine.advance(span)
+            y_mass = engine.y.sum(axis=0)
+            w_mass = float(engine.w.sum())
+            ring = engine.delays
+            # sends still in flight: delay longer than their age
+            for lag in range(min(depth, engine.time)):
+                slot = (engine.time - 1 - lag) % depth
+                late = ring[slot, engine.draw_pos[0]] > lag
+                sent = engine._ratio_sent[:, slot * n + engine.edge_sender[late]]
+                y_mass = y_mass + sent[:-1].sum(axis=1)
+                w_mass += float(sent[-1].sum())
+            assert np.allclose(y_mass, y_mass0, rtol=1e-10, atol=1e-10)
+            assert abs(w_mass - n) < 1e-10 * n
+
+
+class TestCounters:
+    def test_counts_deliveries_and_stale_extrema(self):
+        g, w, y0 = seeded_setup(n=12, seed=30)
+        trace = []
+        res = run_terminating_consensus(g, w, DelayModel.uniform(3, seed=31), y0, 1e-3, 10_000, trace=trace)
+        assert res.delivered == len(trace)
+        assert 0 < res.stale_discarded < res.delivered
+
+    def test_nothing_stale_without_delays(self):
+        g, w, y0 = seeded_setup(n=12, seed=30)
+        res = run_terminating_consensus(g, w, DelayModel.zero(), y0, 1e-3, 10_000)
+        # every node folds one message of each kind from itself and each in-neighbor per tick
+        assert res.delivered == 2 * res.steps * (len(g.edges) + g.n)
+        assert res.stale_discarded == 0
