@@ -28,6 +28,7 @@ mass conservation requires each one to be consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -106,13 +107,28 @@ class ConsensusEngine:
     order.  Only the folds run tick by tick, since each tick's sends carry
     the state the previous tick produced.
 
+    Sends sit in a ring of ``depth`` slots of ``n`` senders, component-major,
+    and each tick's sends are written twice, to slots ``k % depth`` and
+    ``k % depth + depth``.  The ``depth`` sends a tick can consume then lie
+    in consecutive slots from ``(k + 1) % depth`` on, so two int32 maps over
+    the arrival table's (column, lag) offsets give each arrival's payload row
+    (past that first slot) and its receiver without any modular arithmetic.
+
     Ratio sums fold sequentially with ``bincount`` in that order, so results
-    are reproducible bit for bit.  Extrema fold with ``maximum.reduceat`` /
-    ``minimum.reduceat`` over each receiver's arrivals, which always include
-    its own lag-0 term; they drop extrema sent before ``epoch_start``, the
-    latest re-seed.  Max and min are order-free except for the sign of a zero
-    (``max(0.0, -0.0)`` returns its first argument), which the ``==``
-    agreement check and the spread norm both ignore.
+    are reproducible bit for bit.  Extrema fold over each receiver's
+    arrivals, which always include its own lag-0 term, and drop extrema sent
+    before ``epoch_start``, the latest re-seed.  They travel as ranks: at the
+    start and at every re-seed each component of the snapshot is sorted once,
+    ``hi`` ascending and ``lo`` descending, into a table of the smallest
+    unsigned type that holds ``n``, so a single ``maximum.reduceat`` folds
+    both; values are decoded only where ``hi`` and ``lo`` are read (at check
+    boundaries).  This is exact because every extremum that passes the epoch
+    filter is a copy of an entry of the current epoch's table.  Equal values
+    get distinct ranks in node order, so which of them a fold keeps, and with
+    it the sign of a zero, may differ from a fold over values
+    (``max(0.0, -0.0)`` returns its first argument); the ``==`` agreement
+    check and the spread norm both ignore that.  A NaN, which has no rank,
+    is rejected up front.
     """
 
     def __init__(
@@ -135,33 +151,45 @@ class ConsensusEngine:
         self.kinds = []
         depth = dm.tau_bar + 1
         if y0 is not None:
+            y0 = _rows(y0, n, "y0")
+            if not np.isfinite(y0).all():
+                raise ValueError("y0 must be finite")
             # the ratio state component-major: numerator rows, then the mass
-            self._yw = np.vstack([_rows(y0, n, "y0").T, np.ones(n)])
+            self._yw = np.vstack([y0.T, np.ones(n)])
             self.z = np.divide(self.y, self.w[:, None], order="C")
             self._bw = np.asarray(weights.sender_weight, dtype=float)
-            # the scaled pairs sent, [component, ring slot * n + sender]
-            self._ratio_sent = np.zeros((len(self._yw), depth * n))
+            # the scaled pairs sent, [component, ring slot * n + sender]; the
+            # same memory as [component, copy, slot, sender] for the writes
+            self._ratio_sent = np.zeros((len(self._yw), 2 * depth * n))
+            self._ratio_slots = self._ratio_sent.reshape(len(self._yw), 2, depth, n)
             self.kinds.append(RATIO)
         if extrema is not None:
-            self.hi, self.lo = (_rows(a, n, "extrema") for a in extrema)
-            # the extrema sent, [ring slot * n + sender, component]
-            self._hi_sent = np.zeros((depth * n, self.hi.shape[1]))
-            self._lo_sent = np.zeros((depth * n, self.lo.shape[1]))
+            hi, lo = (_rows(a, n, "extrema") for a in extrema)
+            if np.isnan(hi).any() or np.isnan(lo).any():
+                raise ValueError("extrema must not contain NaN")
+            # the extrema state component-major, as ranks: hi rows, then lo rows
+            self._hi_rows = hi.shape[1]
+            self._encode_extrema(hi, lo)
+            # the extrema ranks sent, laid out as the ratio pairs
+            self._ext_sent = np.zeros((len(self._ext), 2 * depth * n), dtype=self._ext.dtype)
+            self._ext_slots = self._ext_sent.reshape(len(self._ext), 2, depth, n)
             self.kinds.append(MIN_MAX)
 
         # Index arrays are int32 to halve their footprint at the paper's scale.
-        degree = np.array([len(out) for out in g.out_neighbors], dtype=np.int32)
+        degree = np.fromiter(map(len, g.out_neighbors), dtype=np.int32, count=n)
         nodes = np.arange(n, dtype=np.int32)
         self.edge_sender = np.repeat(nodes, degree)
-        self.edge_receiver = np.array([r for out in g.out_neighbors for r in out], dtype=np.int32)
+        self.edge_receiver = np.fromiter(
+            chain.from_iterable(g.out_neighbors), dtype=np.int32, count=len(self.edge_sender)
+        )
         edges = len(self.edge_sender)
         kind_count = len(self.kinds)
 
         # Columns of one kind: every edge and every node's self term, sorted
-        # by receiver, then sender.
+        # by receiver, then sender (one unique key per pair).
         sender = np.concatenate([self.edge_sender, nodes])
         receiver = np.concatenate([self.edge_receiver, nodes])
-        order = np.lexsort((sender, receiver))
+        order = np.argsort(receiver.astype(np.int64) * n + sender)
         self._cols = cols = edges + n
         self._col_sender = sender[order]
         self._col_receiver = receiver[order]
@@ -169,6 +197,10 @@ class ConsensusEngine:
         col_of[order] = np.arange(cols, dtype=np.int32)
         # each receiver's first column, where its extrema segment starts
         self._first_col = np.searchsorted(self._col_receiver, nodes)
+        # by arrival-table offset (column, lag position): the payload row
+        # past the tick's first ring slot, and the receiver
+        self._payload_of = (np.arange(depth, dtype=np.int32) * n + self._col_sender[:, None]).ravel()
+        self._receiver_of = np.repeat(self._col_receiver, depth)
         # column of each edge's delay, per kind, in a ``delays`` row
         self.draw_pos = [q * cols + col_of[:edges] for q in range(kind_count)]
         first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[self.edge_sender]
@@ -207,9 +239,27 @@ class ConsensusEngine:
         ring[np.arange(self.time - depth, self.time) % depth] = self._hist[:depth]
         return ring
 
+    @property
+    def hi(self) -> np.ndarray:
+        return self._decode_extrema()[: self._hi_rows].T.copy()
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self._decode_extrema()[self._hi_rows :].T.copy()
+
+    def _encode_extrema(self, hi: np.ndarray, lo: np.ndarray) -> None:
+        """Rank each component of a snapshot: ``hi`` ascending, ``lo`` descending."""
+        values = np.vstack([hi.T, lo.T])
+        order = np.argsort(np.vstack([hi.T, -lo.T]), axis=1, kind="stable")
+        self._ext_table = np.take_along_axis(values, order, axis=1)
+        self._ext = np.empty(order.shape, dtype=np.min_scalar_type(self.n))
+        np.put_along_axis(self._ext, order, np.arange(self.n), axis=1)
+
+    def _decode_extrema(self) -> np.ndarray:
+        return np.take_along_axis(self._ext_table, self._ext, axis=1)
+
     def reseed_extrema(self) -> None:
-        self.hi = self.z.copy()
-        self.lo = self.z.copy()
+        self._encode_extrema(self.z, self.z)
         self.epoch_start = self.time
 
     def _schedule(self, q: int, kind: int, steps: int, traced: list[np.ndarray]):
@@ -239,23 +289,21 @@ class ConsensusEngine:
             table &= (np.add.outer(np.arange(steps), np.arange(depth)) >= cut)[:, None, :]
         flat = np.flatnonzero(table)
         self.stale_discarded += arrived - len(flat)
+        ticks = np.arange(steps)
         bounds = np.searchsorted(flat, np.arange(steps + 1) * cols * depth)
         if kind == MIN_MAX:
-            starts = np.add.outer(np.arange(steps) * cols, self._first_col) * depth
+            starts = np.add.outer(ticks * cols, self._first_col) * depth
             segments = np.searchsorted(flat, starts) - bounds[:-1, None]
-        # Decode flat = (t * cols + c) * depth + j in place: at n=600 each of
-        # these arrays holds about 73k arrivals per tick.
-        tick_col, source = np.divmod(flat, depth)  # source holds j for now
-        t, c = np.divmod(tick_col, cols)
-        del flat, tick_col
-        # payload row: ring slot of the send tick k0 + t + j - (depth - 1), then sender
-        source += t
-        source += k0 + 1
-        source %= depth
-        source *= n
-        source += self._col_sender[c]
+        # flat = t * cols * depth + (c * depth + j); keep the offset in tick t's table
+        counts = np.diff(bounds)
+        flat -= np.repeat(ticks * (cols * depth), counts)
+        # Tick k0 + t reads the sends of ticks k0 + t - (depth - 1) .. k0 + t,
+        # from ring slot (k0 + t + 1) % depth on; the ring holds every send
+        # twice, so that window never wraps.
+        source = self._payload_of[flat].astype(np.intp)  # each fold gathers with it
+        source += np.repeat((k0 + 1 + ticks) % depth * n, counts)
         if kind == RATIO:
-            segments = self._col_receiver[c]
+            segments = self._receiver_of[flat]
         return source, bounds, segments
 
     def _block(self, steps: int, traj: list[np.ndarray] | None = None) -> None:
@@ -290,7 +338,7 @@ class ConsensusEngine:
 
     def _fold_ratio(self, slot: int, source: np.ndarray, receiver: np.ndarray) -> None:
         n = self.n
-        self._ratio_sent[:, slot * n : (slot + 1) * n] = self._bw * self._yw
+        self._ratio_slots[:, :, slot] = (self._bw * self._yw)[:, None]
         self._yw = np.array(
             [np.bincount(receiver, weights=row[source], minlength=n) for row in self._ratio_sent]
         )
@@ -299,11 +347,8 @@ class ConsensusEngine:
         self.z = np.divide(self.y, self.w[:, None], order="C")
 
     def _fold_extrema(self, slot: int, source: np.ndarray, segments: np.ndarray) -> None:
-        n = self.n
-        self._hi_sent[slot * n : (slot + 1) * n] = self.hi
-        self._lo_sent[slot * n : (slot + 1) * n] = self.lo
-        self.hi = np.maximum.reduceat(self._hi_sent[source], segments)
-        self.lo = np.minimum.reduceat(self._lo_sent[source], segments)
+        self._ext_slots[:, :, slot] = self._ext[:, None]
+        self._ext = np.maximum.reduceat(self._ext_sent.take(source, axis=1), segments, axis=1)
 
     def _trace_lines(self, k0: int, steps: int, traced: list[np.ndarray]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
@@ -350,10 +395,12 @@ class ConsensusEngine:
             k = self.time
             converged = False
             if k != 0 and k % round_len == 0:
-                if not (np.all(self.hi == self.hi[0]) and np.all(self.lo == self.lo[0])):
+                extrema = self._decode_extrema()
+                if not np.all(extrema == extrema[:, :1]):
                     raise ProtocolError(f"extrema disagree across nodes at check boundary {k}")
                 check_steps.append(k)
-                converged = float(np.linalg.norm(self.hi[0] - self.lo[0])) < eps
+                hi, lo = extrema[: self._hi_rows, 0], extrema[self._hi_rows :, 0]
+                converged = float(np.linalg.norm(hi - lo)) < eps
                 if not converged:
                     self.reseed_extrema()
             if converged or k >= step_cap:
@@ -439,7 +486,8 @@ def run_terminating_consensus(
     Parameters
     ----------
     y0 : ndarray, shape (n, p)
-        Initial numerator rows; masses start at one.
+        Initial numerator rows, all finite (else ``ValueError``); masses
+        start at one.
     eps : float
         Spread tolerance (2-norm over the ``p`` components), must be > 0.
     step_cap : int

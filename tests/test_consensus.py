@@ -682,3 +682,76 @@ class TestCounters:
         # every node folds one message of each kind from itself and each in-neighbor per tick
         assert res.delivered == 2 * res.steps * (len(g.edges) + g.n)
         assert res.stale_discarded == 0
+
+
+class TestRankFold:
+    """The rank-encoded extrema fold against the per-tick ``ufunc.at`` fold of values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(network=networks, data=st.data(), with_zeros=st.booleans(), steps=st.integers(1, 40))
+    def test_ties_signed_zeros_and_infinities(self, network, data, with_zeros, steps):
+        n = network[0]
+        # few distinct values, so most of them are tied
+        values = [-np.inf, -2.5, -1.0, 1.0, 2.5, np.inf] + ([0.0, -0.0] if with_zeros else [])
+        rows = st.lists(st.sampled_from(values), min_size=n * 2, max_size=n * 2)
+        hi0 = np.reshape(data.draw(rows), (n, 2))
+        lo0 = np.reshape(data.draw(rows), (n, 2))
+        _, (block, ref) = both_engines(network, ratio=False, extrema=(hi0, lo0))
+        block.advance(steps)
+        ref.advance(steps)
+        assert np.array_equal(block.hi, ref.hi) and np.array_equal(block.lo, ref.lo)
+        if not with_zeros:
+            assert block.hi.tobytes() == ref.hi.tobytes()
+            assert block.lo.tobytes() == ref.lo.tobytes()
+
+    @pytest.mark.parametrize("tau_bar", [0, 3])
+    def test_more_nodes_than_one_byte_ranks(self, tau_bar):
+        # 300 distinct values per component: ranks past 255 must survive the fold
+        n = 300
+        g = random_strongly_connected(n, 0.02, seed=9)
+        vals = np.random.default_rng(9).standard_normal((n, 2))
+        for steps in (1, 3, (1 + tau_bar) * diameter(g)):
+            hi, lo = run_minmax_consensus(g, delays_for(tau_bar, 10), vals, vals + 0.5, steps)
+            ref = PerTickEngine(g, delays_for(tau_bar, 10), extrema=(vals, vals + 0.5))
+            ref.advance(steps)
+            assert hi.tobytes() == ref.hi.tobytes() and lo.tobytes() == ref.lo.tobytes()
+
+    def test_reseeds_swap_the_rank_table(self):
+        # tau_bar=10: extrema sent before each re-seed are still in flight after it
+        network = (20, 0.2, 10, 3)
+        extrema = (np.full((20, 2), np.inf), np.full((20, 2), -np.inf))
+        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        round_len = 11 * diameter(g)
+        got = block.terminate(0.01, 100_000, round_len)
+        assert_same_result(got, ref.terminate(0.01, 100_000, round_len))
+        assert len(got.check_steps) >= 3 and got.stale_discarded > 0
+        assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
+        assert block.trace == ref.trace
+
+
+class TestRejectsBadInput:
+    """Inputs that no fold can handle fail before the first tick."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_y0(self, bad):
+        g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
+        y0[4, 1] = bad
+        dm = DelayModel.uniform(3, seed=11)
+        with pytest.raises(ValueError, match="y0 must be finite"):
+            run_terminating_consensus(g, w, dm, y0, 0.1, 100_000)
+        with pytest.raises(ValueError, match="y0 must be finite"):
+            run_ratio_consensus(g, w, dm, y0, 5)
+        # no tick ran: the delay stream is untouched
+        assert np.array_equal(dm.sample_many(50), DelayModel.uniform(3, seed=11).sample_many(50))
+
+    @pytest.mark.parametrize("which", ["hi", "lo"])
+    def test_nan_extrema(self, which):
+        g = three_cycle()
+        vals = np.array([[5.0], [1.0], [3.0]])
+        bad = vals.copy()
+        bad[1, 0] = np.nan
+        hi0, lo0 = (bad, vals) if which == "hi" else (vals, bad)
+        dm = DelayModel.uniform(2, seed=0)
+        with pytest.raises(ValueError, match="extrema must not contain NaN"):
+            run_minmax_consensus(g, dm, hi0, lo0, steps=6)
+        assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
