@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -196,16 +197,44 @@ def _sweep_cell(cfg: ExperimentConfig, eps: float, tau: float):
 
 
 def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
-    """Grid of runs over (epsilon, tau_bar); one CSV row per cell, in key order."""
+    """Grid of runs over (epsilon, tau_bar); one CSV row per cell, in key order.
+
+    Every cell is an independent seeded run, so the cells run in worker
+    processes forked from this one, one per available CPU at most.  They are
+    submitted longest first: a consensus round lasts ``(1 + tau_bar) * D``
+    ticks, so the largest ``tau_bar`` goes first.  Rows are collected in key
+    order, so ``sweep.csv`` is the same for any number of workers.  Where the
+    platform cannot fork, the cells run in this process.
+    """
     if not eps_list or not tau_list:
         raise ValueError("sweep needs nonempty epsilon and tau_bar lists")
+    if cfg.trace:
+        raise ValueError("--trace is only written by run")
+    # imported here: importing the CLI stays as cheap as the solver's imports
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    cells = [(eps, int(tau)) for eps in eps_list for tau in tau_list]
+    if "fork" in multiprocessing.get_all_start_methods():
+        # fork, not spawn: a worker starts as a copy of this process
+        # (imports, configuration), not from a fresh interpreter
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pool = ProcessPoolExecutor(
+            min(len(cells), cpus or 1), mp_context=multiprocessing.get_context("fork")
+        )
+        try:
+            longest_first = sorted(range(len(cells)), key=lambda i: -cells[i][1])
+            futures = {i: pool.submit(_sweep_cell, cfg, *cells[i]) for i in longest_first}
+            results = [futures[i].result() for i in range(len(cells))]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = [_sweep_cell(cfg, *cell) for cell in cells]
     lines = [",".join(SWEEP_COLUMNS)]
-    for eps in eps_list:
-        for tau in tau_list:
-            status, rel, mean_steps, capped = _sweep_cell(cfg, eps, tau)
-            lines.append(f"{eps!r},{int(tau)},{status},{rel},{mean_steps},{capped}")
+    for (eps, tau), (status, rel, mean_steps, capped) in zip(cells, results):
+        lines.append(f"{eps!r},{tau},{status},{rel},{mean_steps},{capped}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     cfg.to_file(out / "config.txt")
     print(REFERENCE_TREND)
@@ -228,7 +257,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="run seed")
     parser.add_argument("--mode", choices=MODES, help="solver mode")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--trace", action="store_true", default=None, help="dump delivery trace")
+    parser.add_argument("--trace", action="store_true", default=None, help="dump delivery trace (run only)")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:

@@ -156,7 +156,6 @@ class ConsensusEngine:
                 raise ValueError("y0 must be finite")
             # the ratio state component-major: numerator rows, then the mass
             self._yw = np.vstack([y0.T, np.ones(n)])
-            self.z = np.divide(self.y, self.w[:, None], order="C")
             self._bw = np.asarray(weights.sender_weight, dtype=float)
             # the scaled pairs sent, [component, ring slot * n + sender]; the
             # same memory as [component, copy, slot, sender] for the writes
@@ -229,6 +228,11 @@ class ConsensusEngine:
         return self._yw[-1]
 
     @property
+    def z(self) -> np.ndarray:
+        """Ratio estimates ``y / w``, one row per node, computed on each read."""
+        return np.divide(self.y, self.w[:, None], order="C")
+
+    @property
     def delays(self) -> np.ndarray:
         """Delay ring: row ``t % depth`` holds the delays drawn at tick ``t``.
 
@@ -285,8 +289,11 @@ class ConsensusEngine:
         if self.trace is not None:
             traced.append(np.flatnonzero(table))
         cut = self.epoch_start - k0 + depth - 1  # sent before the re-seed iff t + j < cut
-        if kind == MIN_MAX and cut > 0:
-            table &= (np.add.outer(np.arange(steps), np.arange(depth)) >= cut)[:, None, :]
+        if kind == MIN_MAX:
+            # one lag slab at a time, so numpy's inner loop runs along the
+            # columns rather than along the short lag axis
+            for j in range(min(cut, depth)):
+                table[: cut - j, :, j] = False
         flat = np.flatnonzero(table)
         self.stale_discarded += arrived - len(flat)
         ticks = np.arange(steps)
@@ -303,7 +310,8 @@ class ConsensusEngine:
         source = self._payload_of[flat].astype(np.intp)  # each fold gathers with it
         source += np.repeat((k0 + 1 + ticks) % depth * n, counts)
         if kind == RATIO:
-            segments = self._receiver_of[flat]
+            # bincount wants intp: cast once here, not once per component
+            segments = self._receiver_of[flat].astype(np.intp)
         return source, bounds, segments
 
     def _block(self, steps: int, traj: list[np.ndarray] | None = None) -> None:
@@ -344,7 +352,6 @@ class ConsensusEngine:
         )
         if (self.w <= 0.0).any():
             raise ProtocolError(f"nonpositive mass {self.w.min()} after update")
-        self.z = np.divide(self.y, self.w[:, None], order="C")
 
     def _fold_extrema(self, slot: int, source: np.ndarray, segments: np.ndarray) -> None:
         self._ext_slots[:, :, slot] = self._ext[:, None]

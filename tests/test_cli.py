@@ -1,9 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asyncadmm import admm
+from asyncadmm import admm, cli
 from asyncadmm.cli import ExperimentConfig, main
 from asyncadmm.digraph import random_strongly_connected, save_edge_list
 
@@ -223,3 +227,61 @@ class TestSweep:
                 "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
                 "--seed", "2", "--epsilons", "0.1", "--tau-bars", "1", "--out", str(tmp_path / "s"),
             )
+
+    def test_trace_is_rejected_by_flag_and_config_file(self, tmp_path, capsys):
+        args = [
+            "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+            "--seed", "2", "--epsilons", "0.1", "--tau-bars", "1",
+        ]
+        assert run_cli(*args, "--trace", "--out", str(tmp_path / "flag")) == 1
+        assert "--trace is only written by run" in capsys.readouterr().err
+        config = tmp_path / "config.txt"
+        config.write_text("trace=true\n")
+        assert run_cli(*args, "--config", str(config), "--out", str(tmp_path / "file")) == 1
+        assert "--trace is only written by run" in capsys.readouterr().err
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+
+    def test_pooled_rows_equal_in_process_cells(self, tmp_path):
+        eps_list, tau_list = [0.1, -1.0, 0.05], [1, 3, 2]
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+            "--seed", "2", "--epsilons", "0.1,-1,0.05", "--tau-bars", "1,3,2", "--out", str(out),
+        ) == 0
+        cfg = ExperimentConfig(nodes=8, edge_prob=0.3, dim=2, kmax=5, seed=2)
+        want = [
+            ",".join([repr(eps), str(tau), *cli._sweep_cell(cfg, eps, tau)])
+            for eps in eps_list
+            for tau in tau_list
+        ]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows == want
+        assert [row.split(",")[2].startswith("error") for row in rows] == [False] * 3 + [True] * 3 + [False] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="cells run in-process without fork")
+    def test_cells_run_in_worker_processes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_sweep_cell", _cell_pid)
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--nodes", "8", "--epsilons", "0.1,0.01", "--tau-bars", "1,2", "--out", str(out),
+        ) == 0
+        pids = {row.split(",")[2] for row in (out / "sweep.csv").read_text().splitlines()[1:]}
+        assert pids and str(os.getpid()) not in pids
+
+
+def _cell_pid(cfg, eps, tau):
+    """Stands in for a sweep cell: reports the process that ran it."""
+    return (str(os.getpid()), "", "", "")
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, asyncadmm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[]"
