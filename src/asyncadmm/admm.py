@@ -108,6 +108,14 @@ class RunRecord:
         return sum(self.capped)
 
     @property
+    def relative_error(self) -> float:
+        return abs(self.final_objective - self.truth.f_star) / abs(self.truth.f_star)
+
+    @property
+    def mean_consensus_steps(self) -> float:
+        return sum(self.consensus_steps) / self.iterations
+
+    @property
     def theta(self) -> float:
         """Constant of the O(1/k) bound on ``gap``.
 
@@ -208,29 +216,28 @@ def run(
     z = rng.standard_normal((n, p))
     lam = rng.standard_normal((n, p))
 
-    record = RunRecord(config=cfg, truth=truth, x0=x.copy(), z0=z.copy(), lam0=lam.copy())
-    record.x_hist.append(x.copy())
-    record.z_hist.append(z.copy())
-    record.lam_hist.append(lam.copy())
+    # x, z and lam are never written in place (each iteration makes new ones)
+    record = RunRecord(config=cfg, truth=truth, x0=x, z0=z, lam0=lam)
+    record.x_hist.append(x)
+    record.z_hist.append(z)
+    record.lam_hist.append(lam)
 
-    x_star_rows = np.tile(truth.x_star, (n, 1))
     sum_x = np.zeros((n, p))
     sum_z = np.zeros((n, p))
 
     for k in range(1, cfg.k_max + 1):
         x = x_update(problem, lam, z, cfg.rho)
         y0 = x + lam / cfg.rho
+        z_prev = z
         if exact_averaging:
-            z_new = np.tile(oracle_mod.exact_average(y0), (n, 1))
+            z = np.tile(oracle_mod.exact_average(y0), (n, 1))
             steps, converged = 0, True
         else:
             # on a cap hit the capped estimates are kept and the event recorded
             res = run_terminating_consensus(
                 g, weights, dm, y0, cfg.eps, cfg.step_cap, graph_diameter=d, trace=trace
             )
-            z_new, steps, converged = res.z, res.steps, res.converged
-        z_prev = z
-        z = z_new
+            z, steps, converged = res.z, res.steps, res.converged
         lam = lam + cfg.rho * (x - z)
 
         sum_x += x
@@ -249,11 +256,11 @@ def run(
         record.dual_res.append(cfg.rho * float(np.linalg.norm(z - z_prev)))
         record.consensus_steps.append(steps)
         record.gap.append(gap)
-        record.max_node_err.append(float(np.max(np.linalg.norm(x - x_star_rows, axis=1))))
+        record.max_node_err.append(float(np.max(np.linalg.norm(x - truth.x_star, axis=1))))
         record.capped.append(not converged)
-        record.x_hist.append(x.copy())
-        record.z_hist.append(z.copy())
-        record.lam_hist.append(lam.copy())
+        record.x_hist.append(x)
+        record.z_hist.append(z)
+        record.lam_hist.append(lam)
 
         if stopping_criterion(x, z, z_prev, lam, cfg.eps_abs, cfg.eps_rel, cfg.rho):
             record.stopped_early = True

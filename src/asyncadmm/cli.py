@@ -132,33 +132,24 @@ def build_graph(cfg: ExperimentConfig) -> Digraph:
 
 
 def _execute(cfg: ExperimentConfig):
-    """Build graph + instance, run the solver, return (record, truth, graph)."""
+    """Build graph + instance, run the solver, return (record, graph, trace)."""
     cfg.validate()
     g = build_graph(cfg)
     instance = generate_ls(g.n, cfg.dim, cfg.dim, seed=(cfg.seed, _INSTANCE_STREAM))
-    truth = oracle.centralized_solution(instance)
     trace: list[str] | None = [] if cfg.trace else None
     record = admm.run(
-        instance,
-        g,
-        cfg.solver_config(),
-        exact_averaging=(cfg.mode == "sync_baseline"),
-        truth=truth,
-        trace=trace,
+        instance, g, cfg.solver_config(), exact_averaging=(cfg.mode == "sync_baseline"), trace=trace
     )
-    return record, truth, g, trace
+    return record, g, trace
 
 
-def _write_summary(record: admm.RunRecord, truth: oracle.GroundTruth, path) -> None:
-    total_steps = sum(record.consensus_steps)
-    mean_steps = total_steps / record.iterations
-    rel_err = abs(record.final_objective - truth.f_star) / abs(truth.f_star)
+def _write_summary(record: admm.RunRecord, path) -> None:
     row = [
         repr(float(record.final_objective)),
-        repr(float(truth.f_star)),
-        repr(float(rel_err)),
-        str(total_steps),
-        repr(float(mean_steps)),
+        repr(float(record.truth.f_star)),
+        repr(float(record.relative_error)),
+        str(sum(record.consensus_steps)),
+        repr(float(record.mean_consensus_steps)),
     ]
     Path(path).write_text(",".join(SUMMARY_COLUMNS) + "\n" + ",".join(row) + "\n")
 
@@ -168,17 +159,17 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    record, truth, g, trace = _execute(cfg)
+    record, g, trace = _execute(cfg)
     elapsed = time.perf_counter() - started
     record.to_csv(out / "run.csv")
-    _write_summary(record, truth, out / "summary.csv")
+    _write_summary(record, out / "summary.csv")
     cfg.to_file(out / "config.txt")
     save_edge_list(g, out / "topology.txt")
     if trace is not None:
         (out / "trace.txt").write_text("\n".join(trace) + ("\n" if trace else ""))
     print(
         f"iterations={record.iterations} final_objective={record.final_objective!r} "
-        f"oracle_objective={truth.f_star!r} capped_iterations={record.capped_iterations}"
+        f"oracle_objective={record.truth.f_star!r} capped_iterations={record.capped_iterations}"
     )
     print(f"runtime_seconds={elapsed:.3f}")  # informational only; never in the CSVs
     return 0
@@ -187,12 +178,11 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
 def _sweep_cell(cfg: ExperimentConfig, eps: float, tau: float):
     cell = replace(cfg, epsilon=eps, tau_bar=int(tau))
     try:
-        record, truth, _, _ = _execute(cell)
+        record, _, _ = _execute(cell)
     except (ValueError, oracle.SingularProblemError, consensus.ProtocolError) as exc:
         # an invalid cell or a failed protocol run must not kill the sweep
         return ("error: " + str(exc).replace(",", ";"), "", "", "")
-    rel_err = abs(record.final_objective - truth.f_star) / abs(truth.f_star)
-    mean_steps = sum(record.consensus_steps) / record.iterations
+    rel_err, mean_steps = record.relative_error, record.mean_consensus_steps
     return ("ok", repr(float(rel_err)), repr(float(mean_steps)), str(record.capped_iterations))
 
 

@@ -20,6 +20,9 @@ __all__ = [
     "load_edge_list",
 ]
 
+# edge_columns casts ids to intp, so anything else would be truncated silently
+_NODE_ID_TYPES = (int, np.integer)
+
 
 @dataclass(frozen=True)
 class Digraph:
@@ -39,9 +42,12 @@ class Digraph:
             raise ValueError(f"node count must be >= 1, got {self.n}")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
+        n = self.n
         for j, i in self.edges:
-            if not (0 <= j < self.n and 0 <= i < self.n):
-                raise ValueError(f"edge ({j}, {i}) out of range for n={self.n}")
+            if not (isinstance(j, _NODE_ID_TYPES) and isinstance(i, _NODE_ID_TYPES)):
+                raise ValueError(f"edge ({j!r}, {i!r}) has a non-integer node id")
+            if not (0 <= j < n and 0 <= i < n):
+                raise ValueError(f"edge ({j}, {i}) out of range for n={n}")
             if j == i:
                 raise ValueError(f"self-edge ({j}, {i}) must not be stored")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import WeightMatrix
-from .problems import LeastSquaresInstance
+from .problems import LeastSquaresInstance, _node_order_totals
 
 __all__ = [
     "SingularProblemError",
@@ -36,24 +36,18 @@ def centralized_solution(instance: LeastSquaresInstance) -> GroundTruth:
     """Solve ``(sum A_i^T A_i) x = sum A_i^T b_i`` and derive the dual blocks.
 
     The dual block of node ``i`` is ``-A_i^T (A_i x* - b_i)``; the blocks sum
-    to zero by the normal equations.
+    to zero by the normal equations.  Sums over nodes run in node order.
     """
-    p = instance.p
-    h = np.zeros((p, p))
-    r = np.zeros(p)
-    for i in range(instance.n):
-        h += instance.a[i].T @ instance.a[i]
-        r += instance.a[i].T @ instance.b[i]
+    a_t = instance.a.transpose(0, 2, 1)
+    h = _node_order_totals(a_t @ instance.a)[-1]
+    r = _node_order_totals((a_t @ instance.b[..., None])[..., 0])[-1]
     try:
         x_star = np.linalg.solve(h, r)
     except np.linalg.LinAlgError as exc:
         raise SingularProblemError(f"aggregate normal matrix is singular: {exc}") from exc
-    lam_star = np.empty((instance.n, p))
-    f_star = 0.0
-    for i in range(instance.n):
-        res = instance.a[i] @ x_star - instance.b[i]
-        lam_star[i] = -instance.a[i].T @ res
-        f_star += 0.5 * float(res @ res)
+    res = instance.a @ x_star - instance.b
+    lam_star = (-a_t @ res[..., None])[..., 0]
+    f_star = instance.objective(np.broadcast_to(x_star, (instance.n, instance.p)))
     return GroundTruth(x_star=x_star, f_star=f_star, lam_star=lam_star)
 
 
@@ -61,27 +55,21 @@ def exact_average(vectors) -> np.ndarray:
     """Arithmetic mean of the rows, single pass with compensated summation.
 
     Uses the Neumaier variant, which keeps the correction term even when a
-    new row is larger in magnitude than the running sum.  Each column runs
-    the recurrence on Python floats (IEEE doubles, as in numpy), which is
-    far cheaper than one array operation chain per row.
+    new row is larger in magnitude than the running sum.  Every column runs
+    at once, as two node-order folds: first the running totals, then the
+    corrections, each taken from a total and the row that produced it.
     """
     arr = np.asarray(vectors, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot average an empty collection")
     if arr.ndim == 1:
         arr = arr[:, None]
-    sums = []
-    for column in arr.reshape(arr.shape[0], -1).T.tolist():
-        total = comp = 0.0
-        for x in column:
-            t = total + x
-            if abs(total) >= abs(x):
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
-        sums.append(total + comp)
-    return np.array(sums).reshape(arr.shape[1:]) / arr.shape[0]
+    rows = arr.reshape(arr.shape[0], -1)
+    totals = _node_order_totals(rows)
+    prev, t = totals[:-1], totals[1:]
+    comp = np.where(np.abs(prev) >= np.abs(rows), (prev - t) + rows, (rows - t) + prev)
+    sums = totals[-1] + _node_order_totals(comp)[-1]
+    return sums.reshape(arr.shape[1:]) / arr.shape[0]
 
 
 def synchronous_ratio_oracle(weights: WeightMatrix, y0: np.ndarray, k: int) -> np.ndarray:

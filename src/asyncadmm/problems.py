@@ -57,13 +57,21 @@ class LeastSquaresInstance:
     def objective(self, x_rows: np.ndarray) -> float:
         """``F(X) = 0.5 * sum_i ||A_i x_i - b_i||^2`` for stacked rows ``x_rows``.
 
-        The node terms are added one after another in node order; ``np.sum``
-        (pairwise) and Python's ``sum`` (compensated since 3.12) would round
-        differently.
+        The node terms are added in node order (see :func:`_node_order_totals`).
         """
         r = (self.a @ np.asarray(x_rows, dtype=float)[..., None])[..., 0] - self.b
         terms = 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-        return float(np.cumsum(terms)[-1])
+        return float(_node_order_totals(terms)[-1])
+
+
+def _node_order_totals(terms: np.ndarray) -> np.ndarray:
+    """Running sums over axis 0: row ``k`` adds up ``terms[:k]`` in node order.
+
+    Row 0 is +0.0, so the first sum is ``0.0 + terms[0]``, as in a loop from
+    ``total = 0.0``, signed zeros included.  ``np.sum`` (pairwise) and Python's
+    ``sum`` (compensated since 3.12) would round differently.
+    """
+    return np.cumsum(np.concatenate([np.zeros((1, *terms.shape[1:])), terms]), axis=0)
 
 
 def generate_ls(n: int, p: int, q: int, seed) -> LeastSquaresInstance:

@@ -37,8 +37,10 @@ class TestDigraph:
             Digraph(3, frozenset({(1, 1)}))
 
     def test_rejects_out_of_range_edge(self):
-        with pytest.raises(ValueError):
-            Digraph(3, frozenset({(0, 3)}))
+        # 1.5 would be truncated to node 1, duplicating edge (1, 0)
+        for edges in ({(0, 3)}, {(1.5, 0), (1, 0), (2, 1), (0, 2)}):
+            with pytest.raises(ValueError):
+                Digraph(3, frozenset(edges))
 
     def test_neighbor_tables_are_transposes(self):
         g = random_strongly_connected(12, 0.3, seed=3)

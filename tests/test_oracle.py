@@ -5,6 +5,7 @@ from asyncadmm.consensus import ratio_trajectory
 from asyncadmm.digraph import Digraph, build_weights, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import (
+    GroundTruth,
     SingularProblemError,
     centralized_solution,
     exact_average,
@@ -59,6 +60,36 @@ class TestCentralizedSolution:
             centralized_solution(inst)
 
 
+def per_node_centralized(instance):
+    """Reference: the centralized optimum with one loop iteration per node."""
+    p = instance.p
+    h = np.zeros((p, p))
+    r = np.zeros(p)
+    for i in range(instance.n):
+        h += instance.a[i].T @ instance.a[i]
+        r += instance.a[i].T @ instance.b[i]
+    x_star = np.linalg.solve(h, r)
+    lam_star = np.empty((instance.n, p))
+    f_star = 0.0
+    for i in range(instance.n):
+        res = instance.a[i] @ x_star - instance.b[i]
+        lam_star[i] = -instance.a[i].T @ res
+        f_star += 0.5 * float(res @ res)
+    return GroundTruth(x_star=x_star, f_star=f_star, lam_star=lam_star)
+
+
+class TestCentralizedMatchesPerNode:
+    @pytest.mark.parametrize(
+        "n, q, p", [(1, 3, 3), (1, 5, 3), (20, 3, 3), (20, 2, 4), (600, 3, 3), (600, 5, 3)]
+    )
+    def test_bitwise(self, n, q, p):
+        inst = generate_ls(n, p, q, seed=(n, q, p))
+        got, want = centralized_solution(inst), per_node_centralized(inst)
+        assert got.x_star.tobytes() == want.x_star.tobytes()
+        assert got.lam_star.tobytes() == want.lam_star.tobytes()
+        assert type(got.f_star) is float and got.f_star == want.f_star
+
+
 class TestExactAverage:
     def test_two_vectors(self):
         assert np.array_equal(exact_average([[1.0], [3.0]]), [2.0])
@@ -111,6 +142,13 @@ class TestExactAverageMatchesRowLoop:
     @pytest.mark.parametrize("n", [1, 2, 17])
     def test_one_dimensional_input(self, n):
         self.assert_same_bytes(np.random.default_rng(n).standard_normal(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_signed_zero_columns(self, n):
+        normal = np.random.default_rng(n).standard_normal(n)
+        starts_with_negative_zero = np.concatenate([[-0.0], normal[1:]])
+        self.assert_same_bytes(np.full((n, 1), -0.0))
+        self.assert_same_bytes(np.column_stack([np.full(n, -0.0), starts_with_negative_zero]))
 
     def test_heavy_cancellation(self):
         rng = np.random.default_rng(11)
