@@ -19,6 +19,7 @@ MODES = ("asyadmm", "sync_baseline")
 
 _GRAPH_STREAM = 2
 _INSTANCE_STREAM = 3
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 SUMMARY_COLUMNS = (
     "final_objective",
@@ -114,7 +115,9 @@ class ExperimentConfig:
             elif f.type in ("float", float):
                 kwargs[f.name] = float(raw_val)
             elif f.type in ("bool", bool):
-                kwargs[f.name] = raw_val.lower() in ("1", "true", "yes")
+                if raw_val.lower() not in _BOOL_WORDS:
+                    raise ValueError(f"config {f.name} must be 1/true/yes or 0/false/no, got {raw_val!r}")
+                kwargs[f.name] = _BOOL_WORDS[raw_val.lower()]
             else:
                 kwargs[f.name] = raw_val
         if values:

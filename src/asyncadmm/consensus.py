@@ -28,7 +28,6 @@ mass conservation requires each one to be consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -174,40 +173,22 @@ class ConsensusEngine:
             self._ext_slots = self._ext_sent.reshape(len(self._ext), 2, depth, n)
             self.kinds.append(MIN_MAX)
 
-        # Index arrays are int32 to halve their footprint at the paper's scale.
-        degree = np.fromiter(map(len, g.out_neighbors), dtype=np.int32, count=n)
-        nodes = np.arange(n, dtype=np.int32)
-        self.edge_sender = np.repeat(nodes, degree)
-        self.edge_receiver = np.fromiter(
-            chain.from_iterable(g.out_neighbors), dtype=np.int32, count=len(self.edge_sender)
-        )
-        edges = len(self.edge_sender)
+        # Columns of one kind: the digraph's links (edges and self terms, by
+        # receiver, then sender), int32 to halve the maps below at n=600.
+        self._col_receiver, self._col_sender = receiver, sender = g.links
+        self._cols = cols = len(receiver)
         kind_count = len(self.kinds)
-
-        # Columns of one kind: every edge and every node's self term, sorted
-        # by receiver, then sender (one unique key per pair).
-        sender = np.concatenate([self.edge_sender, nodes])
-        receiver = np.concatenate([self.edge_receiver, nodes])
-        order = np.argsort(receiver.astype(np.int64) * n + sender)
-        self._cols = cols = edges + n
-        self._col_sender = sender[order]
-        self._col_receiver = receiver[order]
-        col_of = np.empty(cols, dtype=np.int32)
-        col_of[order] = np.arange(cols, dtype=np.int32)
         # each receiver's first column, where its extrema segment starts
-        self._first_col = np.searchsorted(self._col_receiver, nodes)
+        self._first_col = np.searchsorted(receiver, np.arange(n))
         # by arrival-table offset (column, lag position): the payload row
         # past the tick's first ring slot, and the receiver
-        self._payload_of = (np.arange(depth, dtype=np.int32) * n + self._col_sender[:, None]).ravel()
-        self._receiver_of = np.repeat(self._col_receiver, depth)
-        # column of each edge's delay, per kind, in a ``delays`` row
-        self.draw_pos = [q * cols + col_of[:edges] for q in range(kind_count)]
-        first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[self.edge_sender]
-        self._draws = kind_count * edges
-        self._draw_col = np.empty(self._draws, dtype=np.int32)  # batch position -> column
-        for q, pos in enumerate(self.draw_pos):
-            at = np.arange(edges) + (kind_count - 1) * first_edge + q * degree[self.edge_sender]
-            self._draw_col[at] = pos
+        self._payload_of = (np.arange(depth, dtype=np.int32) * n + sender[:, None]).ravel()
+        self._receiver_of = np.repeat(receiver, depth)
+        # batch position -> delay column: draws go sender-major, then by kind,
+        # then receivers ascending, so sort the kind-major edge columns stably
+        edge_cols = np.add.outer(np.arange(kind_count, dtype=np.int32) * cols, g.send_order).ravel()
+        self._draw_col = edge_cols[np.argsort(np.tile(sender[g.send_order], kind_count), kind="stable")]
+        self._draws = len(self._draw_col)
 
         # Delay history, one row per tick.  Between blocks rows 0..depth-1
         # hold the last ``depth`` ticks; a block writes its ticks behind them.
@@ -215,8 +196,8 @@ class ConsensusEngine:
         dtype = np.min_scalar_type(-1 - dm.tau_bar)
         width = kind_count * cols
         self._block_cap = max(1, BLOCK_ENTRIES // max(1, depth * width))
-        self._hist = np.full((depth + self._block_cap, width), -1, dtype=dtype)
-        self._hist[:, np.add.outer(np.arange(kind_count) * cols, col_of[edges:]).ravel()] = 0
+        self._hist = np.zeros((depth + self._block_cap, width), dtype=dtype)
+        self._hist[:depth, self._draw_col] = -1
         self._lags_desc = np.arange(depth - 1, -1, -1, dtype=dtype)  # oldest send first
 
     @property

@@ -20,7 +20,7 @@ __all__ = [
     "load_edge_list",
 ]
 
-# edge_columns casts ids to intp, so anything else would be truncated silently
+# links casts ids to int64, so anything else would be truncated silently
 _NODE_ID_TYPES = (int, np.integer)
 
 
@@ -31,7 +31,8 @@ class Digraph:
     An edge ``(j, i)`` means node ``i`` transmits to node ``j``.  Self-loops
     are implied by the broadcast weighting and never stored.  Instances are
     immutable and safe to share across threads.  ``n == 1`` is permitted as
-    the degenerate single-node case.
+    the degenerate single-node case.  Weights, diameter, edge-list file and
+    consensus engine all read the cached :attr:`links` and :attr:`send_order`.
     """
 
     n: int
@@ -52,31 +53,31 @@ class Digraph:
                 raise ValueError(f"self-edge ({j}, {i}) must not be stored")
 
     @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """``out_neighbors[i]``: sorted receivers of node ``i``."""
-        outs: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in self.edges:
-            outs[i].append(j)
-        return tuple(tuple(sorted(o)) for o in outs)
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Receiver and sender of every edge and implied self-loop, int32, read-only.
+
+        Sorted by receiver, then sender: the engine's column order and the
+        edge-list file's line order.
+        """
+        n = self.n
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=2 * len(self.edges))
+        keys = np.concatenate([flat[0::2] * n + flat[1::2], np.arange(n) * (n + 1)])
+        keys.sort()  # unique keys, so any sort gives the same order
+        receiver, sender = (a.astype(np.int32) for a in np.divmod(keys, n))
+        receiver.flags.writeable = sender.flags.writeable = False
+        return receiver, sender
 
     @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """``in_neighbors[j]``: sorted transmitters heard by node ``j``."""
-        ins: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in self.edges:
-            ins[j].append(i)
-        return tuple(tuple(sorted(s)) for s in ins)
+    def send_order(self) -> np.ndarray:
+        """Positions in :attr:`links` of the edges (no self-loops), by sender, then receiver.
 
-    @cached_property
-    def edge_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Receiver and sender index arrays of the edges, in set iteration order."""
-        flat = chain.from_iterable(self.edges)
-        pairs = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges)).reshape(-1, 2)
-        pairs.flags.writeable = False  # cached, so shared by every caller
-        return pairs[:, 0], pairs[:, 1]
-
-    def out_degree(self, i: int) -> int:
-        return len(self.out_neighbors[i])
+        The order in which a tick draws its delays; int32 and read-only.
+        """
+        receiver, sender = self.links
+        order = np.argsort(sender.astype(np.int64) * self.n + receiver)
+        order = order[receiver[order] != sender[order]].astype(np.int32)
+        order.flags.writeable = False
+        return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,8 +85,8 @@ class WeightMatrix:
     """Column-stochastic broadcast weights.
 
     ``matrix[l, j]`` is the weight a message from sender ``j`` carries at
-    receiver ``l``; it is ``1 / (1 + out_degree(j))`` for every receiver in
-    the sender's out-neighborhood and for the sender itself, zero elsewhere.
+    receiver ``l``; it is ``1 / (1 + d_j)``, ``d_j`` the out-degree of ``j``,
+    for each of those receivers and for the sender itself, zero elsewhere.
     Every column therefore sums to one.  ``sender_weight[j]``, the scaling
     sender ``j`` applies to everything it ships (and keeps), is exposed
     separately because senders scale their own broadcasts: no node ever
@@ -137,9 +138,9 @@ def _reachability_powers(g: Digraph) -> list[np.ndarray] | None:
     ``n - 1`` hops, i.e. the digraph is not strongly connected.  Products are
     taken in float32: every count is at most ``n``, so it is exact.
     """
-    receivers, senders = g.edge_columns
-    r = np.eye(g.n, dtype=bool)
-    r[senders, receivers] = True
+    receiver, sender = g.links
+    r = np.zeros((g.n, g.n), dtype=bool)
+    r[sender, receiver] = True  # the self-loops make the identity
     powers = [r]
     hops = 1
     while not powers[-1].all():
@@ -190,25 +191,24 @@ def diameter(g: Digraph) -> int:
 
 
 def build_weights(g: Digraph) -> WeightMatrix:
-    """Weights ``1 / (1 + out_degree)`` on each sender's out-edges and self-loop."""
-    receivers, senders = g.edge_columns
-    sender_weight = 1.0 / (1.0 + np.bincount(senders, minlength=g.n))
-    nodes = np.arange(g.n)
-    rows = np.concatenate([receivers, nodes])
-    cols = np.concatenate([senders, nodes])
+    """Weights ``1 / (1 + d_j)`` on each sender's out-edges and self-loop."""
+    receiver, sender = g.links
+    sender_weight = 1.0 / np.bincount(sender, minlength=g.n)  # d_j edges plus the self-loop
     matrix = np.zeros((g.n, g.n))
-    matrix[rows, cols] = sender_weight[cols]
+    matrix[receiver, sender] = sender_weight[sender]
     return WeightMatrix(matrix=matrix, sender_weight=sender_weight)
 
 
 def save_edge_list(g: Digraph, path) -> None:
     """Write the text format: first line ``n``, then one ``j i`` line per edge.
 
-    A line ``j i`` means node ``i`` transmits to node ``j``.  Lines are sorted
-    so the output is canonical.
+    A line ``j i`` means node ``i`` transmits to node ``j``.  Lines are in
+    link-table order, so the output is canonical.
     """
+    receiver, sender = g.links
+    edge = receiver != sender
     lines = [str(g.n)]
-    lines.extend(f"{j} {i}" for j, i in sorted(g.edges))
+    lines.extend(f"{j} {i}" for j, i in zip(receiver[edge].tolist(), sender[edge].tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -38,15 +38,15 @@ def centralized_solution(instance: LeastSquaresInstance) -> GroundTruth:
     The dual block of node ``i`` is ``-A_i^T (A_i x* - b_i)``; the blocks sum
     to zero by the normal equations.  Sums over nodes run in node order.
     """
-    a_t = instance.a.transpose(0, 2, 1)
-    h = _node_order_totals(a_t @ instance.a)[-1]
-    r = _node_order_totals((a_t @ instance.b[..., None])[..., 0])[-1]
+    ata, atb = instance.normal_blocks
+    h = _node_order_totals(ata)[-1]
+    r = _node_order_totals(atb)[-1]
     try:
         x_star = np.linalg.solve(h, r)
     except np.linalg.LinAlgError as exc:
         raise SingularProblemError(f"aggregate normal matrix is singular: {exc}") from exc
     res = instance.a @ x_star - instance.b
-    lam_star = (-a_t @ res[..., None])[..., 0]
+    lam_star = (-instance.a.transpose(0, 2, 1) @ res[..., None])[..., 0]
     f_star = instance.objective(np.broadcast_to(x_star, (instance.n, instance.p)))
     return GroundTruth(x_star=x_star, f_star=f_star, lam_star=lam_star)
 

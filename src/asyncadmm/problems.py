@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,14 @@ class LeastSquaresInstance:
     def p(self) -> int:
         return self.a.shape[2]
 
+    @cached_property
+    def normal_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``A_i^T A_i`` ``(n, p, p)`` and ``A_i^T b_i`` ``(n, p)``: computed once, read-only."""
+        a_t = self.a.transpose(0, 2, 1)
+        ata, atb = a_t @ self.a, (a_t @ self.b[..., None])[..., 0]
+        ata.flags.writeable = atb.flags.writeable = False
+        return ata, atb
+
     def prox(self, targets: np.ndarray, rho: float) -> np.ndarray:
         """Row ``i`` is ``argmin_x f_i(x) + (rho/2) * ||x - targets[i]||^2``.
 
@@ -49,9 +58,9 @@ class LeastSquaresInstance:
         """
         if rho <= 0.0:
             raise ValueError(f"rho must be > 0, got {rho}")
-        a_t = self.a.transpose(0, 2, 1)
-        lhs = a_t @ self.a + rho * np.eye(self.p)
-        rhs = (a_t @ self.b[..., None])[..., 0] + rho * np.asarray(targets, dtype=float)
+        ata, atb = self.normal_blocks
+        lhs = ata + rho * np.eye(self.p)
+        rhs = atb + rho * np.asarray(targets, dtype=float)
         return np.linalg.solve(lhs, rhs[..., None])[..., 0]
 
     def objective(self, x_rows: np.ndarray) -> float:

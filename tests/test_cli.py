@@ -49,9 +49,11 @@ class TestConfigFile:
 
     def test_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "config.txt"
-        path.write_text("nodes=5\nbogus=1\n")
-        with pytest.raises(ValueError):
-            ExperimentConfig.from_file(path)
+        # an unknown key, and a typo in a boolean that must not read as false
+        for text in ("nodes=5\nbogus=1\n", "nodes=5\ntrace=ture\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                ExperimentConfig.from_file(path)
 
     def test_validation(self):
         with pytest.raises(ValueError):

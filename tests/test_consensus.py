@@ -20,6 +20,7 @@ from asyncadmm.consensus import (
 from asyncadmm.digraph import Digraph, WeightMatrix, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import exact_average, synchronous_ratio_oracle
+from reference import message_columns, out_lists
 
 # frozen once from the seeded run below; re-runs must reproduce it exactly
 GOLDEN_N20_TAU3_EPS01_STEPS = 32
@@ -113,15 +114,17 @@ class TestRatioStep:
         engine = ConsensusEngine(g, dm, y0=y0, weights=w)
         bw = w.sender_weight
         depth = dm.tau_bar + 1
+        columns = message_columns(g)
         sent = []
         for k in range(30):
             sent.append((bw[:, None] * engine.y, bw * engine.w))
             engine.step()
             inbox = [[(j, k)] for j in range(g.n)]
             for lag in range(min(depth, k + 1)):
-                due = engine.delays[(k - lag) % depth, engine.draw_pos[0]] == lag
-                for s, r in zip(engine.edge_sender[due], engine.edge_receiver[due]):
-                    inbox[r].append((s, k - lag))
+                delays = engine.delays[(k - lag) % depth]
+                for (r, s), d in zip(columns, delays.tolist()):
+                    if r != s and d == lag:
+                        inbox[r].append((s, k - lag))
             for r in range(g.n):
                 y_ref = np.zeros(y0.shape[1])
                 w_ref = 0.0
@@ -153,6 +156,7 @@ class TestMassConservation:
         engine = ConsensusEngine(g, dm, y0=y0, weights=w)
         bw = w.sender_weight
         depth = tau_bar + 1
+        col_sender = np.array([s for _, s in message_columns(g)])
         sent = []
         y_mass0 = y0.sum(axis=0)
         for k in range(120):
@@ -161,9 +165,10 @@ class TestMassConservation:
             y_mass = engine.y.sum(axis=0).copy()
             w_mass = float(engine.w.sum())
             # in flight: sends still in the ring whose delay exceeds their age
+            # (a self term has delay 0, so it is never late)
             for lag in range(min(depth, k + 1)):
-                late = engine.delays[(k - lag) % depth, engine.draw_pos[0]] > lag
-                senders = engine.edge_sender[late]
+                late = engine.delays[(k - lag) % depth] > lag
+                senders = col_sender[late]
                 y_mass += sent[k - lag][0][senders].sum(axis=0)
                 w_mass += float(sent[k - lag][1][senders].sum())
             assert np.allclose(y_mass, y_mass0, rtol=1e-10, atol=1e-12)
@@ -390,10 +395,11 @@ class PerTickEngine:
             self._hi_ring = np.zeros((depth, *self.hi.shape))
             self._lo_ring = np.zeros((depth, *self.lo.shape))
             self.kinds.append(MIN_MAX)
-        degree = np.array([len(out) for out in g.out_neighbors], dtype=np.int32)
+        outs = out_lists(g)
+        degree = np.array([len(out) for out in outs], dtype=np.int32)
         nodes = np.arange(n, dtype=np.int32)
         edge_sender = np.repeat(nodes, degree)
-        edge_receiver = np.array([r for out in g.out_neighbors for r in out], dtype=np.int32)
+        edge_receiver = np.array([r for out in outs for r in out], dtype=np.int32)
         edges = len(edge_sender)
         first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[edge_sender]
         kind_count = len(self.kinds)
@@ -651,17 +657,20 @@ class TestInFlightMass:
         n, _, tau_bar, _ = network
         g, (engine, _) = both_engines(network, p=2)
         depth = tau_bar + 1
+        columns = message_columns(g)
+        col_sender = np.array([s for _, s in columns], dtype=np.intp)
         y_mass0 = engine.y.sum(axis=0)
         for span in spans:
             engine.advance(span)
             y_mass = engine.y.sum(axis=0)
             w_mass = float(engine.w.sum())
             ring = engine.delays
-            # sends still in flight: delay longer than their age
+            # sends still in flight: delay longer than their age (the ratio
+            # kind's columns come first; a self term is never late)
             for lag in range(min(depth, engine.time)):
                 slot = (engine.time - 1 - lag) % depth
-                late = ring[slot, engine.draw_pos[0]] > lag
-                sent = engine._ratio_sent[:, slot * n + engine.edge_sender[late]]
+                late = ring[slot, : len(columns)] > lag
+                sent = engine._ratio_sent[:, slot * n + col_sender[late]]
                 y_mass = y_mass + sent[:-1].sum(axis=1)
                 w_mass += float(sent[-1].sum())
             assert np.allclose(y_mass, y_mass0, rtol=1e-10, atol=1e-10)
@@ -727,6 +736,30 @@ class TestRankFold:
         assert len(got.check_steps) >= 3 and got.stale_discarded > 0
         assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
         assert block.trace == ref.trace
+
+
+class TestSharedLinkTable:
+    """Engines built on one digraph share its cached link table, and nothing else."""
+
+    @pytest.mark.parametrize("tau_bar", [0, 3])
+    def test_consecutive_instances_equal_fresh_digraphs(self, tau_bar):
+        g, w, _ = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
+        y0s = np.random.default_rng(8).standard_normal((4, g.n, 3))
+        runs = []
+        for fresh in (False, True):
+            dm = delays_for(tau_bar, 11)  # one delay stream across the instances
+            results = []
+            for y0 in y0s:
+                h = Digraph(g.n, g.edges) if fresh else g
+                trace = []
+                res = run_terminating_consensus(h, build_weights(h), dm, y0, 0.01, 100_000, trace=trace)
+                results.append((res, trace))
+            runs.append(results)
+        for (got, got_trace), (want, want_trace) in zip(*runs):
+            assert got.z.tobytes() == want.z.tobytes()
+            assert (got.steps, got.check_steps) == (want.steps, want.check_steps)
+            assert (got.delivered, got.stale_discarded) == (want.delivered, want.stale_discarded)
+            assert got_trace == want_trace
 
 
 class TestRejectsBadInput:

@@ -15,6 +15,7 @@ from asyncadmm.digraph import (
     random_strongly_connected,
     save_edge_list,
 )
+from reference import out_lists
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,20 +43,11 @@ class TestDigraph:
             with pytest.raises(ValueError):
                 Digraph(3, frozenset(edges))
 
-    def test_neighbor_tables_are_transposes(self):
-        g = random_strongly_connected(12, 0.3, seed=3)
-        for i in range(g.n):
-            for j in g.out_neighbors[i]:
-                assert i in g.in_neighbors[j]
-        for j in range(g.n):
-            for i in g.in_neighbors[j]:
-                assert j in g.out_neighbors[i]
-        assert sum(g.out_degree(i) for i in range(g.n)) == len(g.edges)
-
     def test_single_node_is_degenerate_but_valid(self):
         g = Digraph(1, frozenset())
         assert is_strongly_connected(g)
         assert diameter(g) == 0
+        assert_matches_references(g, d=0)
 
 
 class TestGenerator:
@@ -153,7 +145,7 @@ class TestWeights:
         g = random_strongly_connected(9, 0.3, seed=4)
         w = build_weights(g)
         for j in range(g.n):
-            expected = set(g.out_neighbors[j]) | {j}
+            expected = set(out_lists(g)[j]) | {j}
             assert set(np.nonzero(w.matrix[:, j])[0]) == expected
 
 
@@ -200,12 +192,13 @@ def loop_generator(n, extra_edge_prob, seed):
 def bfs_diameter(g):
     """Reference: one breadth-first search per source."""
     best = 0
+    outs = out_lists(g)
     for src in range(g.n):
         dist = {src: 0}
         frontier = deque([src])
         while frontier:
             u = frontier.popleft()
-            for v in g.out_neighbors[u]:
+            for v in outs[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     frontier.append(v)
@@ -217,16 +210,31 @@ def bfs_diameter(g):
 
 def loop_weights(g):
     """Reference: the per-sender weight loop."""
-    sender_weight = np.array([1.0 / (1.0 + g.out_degree(j)) for j in range(g.n)])
+    outs = out_lists(g)
+    sender_weight = np.array([1.0 / (1.0 + len(outs[j])) for j in range(g.n)])
     matrix = np.zeros((g.n, g.n))
     for j in range(g.n):
         matrix[j, j] = sender_weight[j]
-        for l in g.out_neighbors[j]:
+        for l in outs[j]:
             matrix[l, j] = sender_weight[j]
     return matrix, sender_weight
 
 
+def assert_links_match_edges(g):
+    """Both orders of the link table against a loop over ``g.edges``."""
+    receiver, sender = g.links
+    pairs = sorted([*g.edges, *((v, v) for v in range(g.n))])
+    assert list(zip(receiver.tolist(), sender.tolist())) == pairs
+    send = [(sender[c], receiver[c]) for c in g.send_order.tolist()]
+    assert send == sorted((i, j) for j, i in g.edges)
+    for a in (receiver, sender, g.send_order):
+        assert a.dtype == np.int32 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[:1] = 0
+
+
 def assert_matches_references(g, d=None):
+    assert_links_match_edges(g)
     assert diameter(g) == (bfs_diameter(g) if d is None else d)
     matrix, sender_weight = loop_weights(g)
     w = build_weights(g)

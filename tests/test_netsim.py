@@ -6,6 +6,7 @@ import pytest
 from asyncadmm.consensus import KIND_NAMES, ConsensusEngine
 from asyncadmm.digraph import build_weights, random_strongly_connected
 from asyncadmm.netsim import DelayModel
+from reference import message_columns, out_lists
 
 
 class FixedDelays(DelayModel):
@@ -30,13 +31,17 @@ def run_logged(g, dm, steps):
     trace = []
     engine = engine_for(g, dm, trace)
     depth = dm.tau_bar + 1
+    columns = message_columns(g)
     sends = []
     for k in range(steps):
         engine.step()
-        row = engine.delays[k % depth]
+        row = engine.delays[k % depth].tolist()
         for q, kind in enumerate(engine.kinds):
-            for s, r, d in zip(engine.edge_sender, engine.edge_receiver, row[engine.draw_pos[q]]):
-                sends.append((k, int(s), int(r), KIND_NAMES[kind], int(d)))
+            # one kind's columns after another's, each in message_columns order
+            kind_row = row[q * len(columns) : (q + 1) * len(columns)]
+            for (r, s), d in zip(columns, kind_row):
+                if r != s:
+                    sends.append((k, s, r, KIND_NAMES[kind], d))
     return engine, trace, sends
 
 
@@ -135,16 +140,14 @@ class TestBroadcast:
         self.g = random_strongly_connected(8, 0.3, seed=2)
 
     def test_enqueues_out_neighbors_plus_self(self):
-        engine = engine_for(self.g, DelayModel.zero())
-        for j in range(self.g.n):
-            receivers = engine.edge_receiver[engine.edge_sender == j]
-            assert tuple(receivers) == self.g.out_neighbors[j]
         trace = []
         engine_for(self.g, DelayModel.zero(), trace).advance(1)
-        for kind in KIND_NAMES:
-            from_3 = [line.split(",") for line in trace if line.startswith("0,3,")]
-            got = sorted(int(r) for _, _, r, k in from_3 if k == kind)
-            assert got == sorted(list(self.g.out_neighbors[3]) + [3])
+        outs = out_lists(self.g)
+        for j in range(self.g.n):
+            from_j = [line.split(",") for line in trace if line.startswith(f"0,{j},")]
+            for kind in KIND_NAMES:
+                got = sorted(int(r) for _, _, r, k in from_j if k == kind)
+                assert got == sorted([*outs[j], j])
 
     def test_self_message_never_delayed(self):
         _, trace, _ = run_logged(self.g, DelayModel.uniform(6, seed=0), 30)
@@ -164,12 +167,13 @@ class TestBroadcast:
         runs = [run_logged(self.g, DelayModel.uniform(3, seed=17), 5) for _ in range(2)]
         assert runs[0][1] == runs[1][1] and runs[0][2] == runs[1][2]
         reference = DelayModel.uniform(3, seed=17)
+        outs = out_lists(self.g)
         expected = []
         for k in range(5):
             for j in range(self.g.n):
                 for kind in KIND_NAMES:
-                    draws = reference.sample_many(self.g.out_degree(j))
-                    expected += [(k, j, r, kind, int(d)) for r, d in zip(self.g.out_neighbors[j], draws)]
+                    draws = reference.sample_many(len(outs[j]))
+                    expected += [(k, j, r, kind, int(d)) for r, d in zip(outs[j], draws)]
         assert sorted(runs[0][2]) == sorted(expected)
 
     def test_conservation_every_message_delivered_once(self):
