@@ -150,6 +150,8 @@ class ConsensusEngine:
         self.kinds = []
         depth = dm.tau_bar + 1
         if y0 is not None:
+            if weights is None:
+                raise ValueError("y0 needs weights")
             y0 = _rows(y0, n, "y0")
             if not np.isfinite(y0).all():
                 raise ValueError("y0 must be finite")

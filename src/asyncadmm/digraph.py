@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,52 +19,53 @@ __all__ = [
     "load_edge_list",
 ]
 
-# links casts ids to int64, so anything else would be truncated silently
-_NODE_ID_TYPES = (int, np.integer)
 
-
-@dataclass(frozen=True)
 class Digraph:
-    """Fixed directed topology on nodes ``0 .. n-1``.
+    """Fixed directed topology on nodes ``0 .. n-1``, stored as its link table.
 
-    An edge ``(j, i)`` means node ``i`` transmits to node ``j``.  Self-loops
-    are implied by the broadcast weighting and never stored.  Instances are
-    immutable and safe to share across threads.  ``n == 1`` is permitted as
-    the degenerate single-node case.  Weights, diameter, edge-list file and
-    consensus engine all read the cached :attr:`links` and :attr:`send_order`.
+    An edge ``(j, i)`` means node ``i`` transmits to node ``j``.  ``edges`` is
+    any iterable of such pairs or an ``(m, 2)`` integer array; repeated edges
+    collapse to one.  Self-loops are implied by the broadcast weighting and
+    never passed in.  ``n == 1`` is the degenerate single-node case.  Only
+    ``n`` and ``links`` are stored: the receiver and sender of every edge and
+    self-loop, int32, read-only, by receiver then sender (the engine's column
+    order and the edge-list file's line order).  Weights, diameter, edge-list
+    file and consensus engine read ``links`` and :attr:`send_order`;
+    :attr:`edges` is a derived view for tests and edge counts.  Instances are
+    never mutated, so they are safe to share across threads, and compare by
+    identity: no caller compares or hashes digraphs.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
-        if not isinstance(self.edges, frozenset):
-            object.__setattr__(self, "edges", frozenset(self.edges))
-        n = self.n
-        for j, i in self.edges:
-            if not (isinstance(j, _NODE_ID_TYPES) and isinstance(i, _NODE_ID_TYPES)):
-                raise ValueError(f"edge ({j!r}, {i!r}) has a non-integer node id")
-            if not (0 <= j < n and 0 <= i < n):
-                raise ValueError(f"edge ({j}, {i}) out of range for n={n}")
-            if j == i:
-                raise ValueError(f"self-edge ({j}, {i}) must not be stored")
-
-    @cached_property
-    def links(self) -> tuple[np.ndarray, np.ndarray]:
-        """Receiver and sender of every edge and implied self-loop, int32, read-only.
-
-        Sorted by receiver, then sender: the engine's column order and the
-        edge-list file's line order.
-        """
-        n = self.n
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int64, count=2 * len(self.edges))
-        keys = np.concatenate([flat[0::2] * n + flat[1::2], np.arange(n) * (n + 1)])
-        keys.sort()  # unique keys, so any sort gives the same order
+    def __init__(self, n: int, edges) -> None:
+        if n < 1:
+            raise ValueError(f"node count must be >= 1, got {n}")
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        pairs = pairs if pairs.size else np.empty((0, 2), dtype=np.int64)  # [] reads as float
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (j, i) pairs, got an array of shape {pairs.shape}")
+        if pairs.dtype.kind not in "iu":  # a cast would truncate 1.5 to node 1 silently
+            raise ValueError(f"edge {tuple(pairs[0].tolist())} has a non-integer node id")
+        out_of_range = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if out_of_range.any():
+            raise ValueError(f"edge {tuple(pairs[out_of_range][0].tolist())} out of range for n={n}")
+        self_edge = pairs[:, 0] == pairs[:, 1]
+        if self_edge.any():
+            raise ValueError(f"self-edge {tuple(pairs[self_edge][0].tolist())} must not be stored")
+        receiver, sender = pairs.T.astype(np.int64)
+        # sort, then drop repeats: np.unique hashes ints since numpy 2.3, 15x slower here
+        keys = np.sort(np.concatenate([receiver * n + sender, np.arange(n) * (n + 1)]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         receiver, sender = (a.astype(np.int32) for a in np.divmod(keys, n))
         receiver.flags.writeable = sender.flags.writeable = False
-        return receiver, sender
+        self.n = n
+        self.links = receiver, sender
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges ``(j, i)`` as Python ints, derived from ``links``."""
+        receiver, sender = self.links
+        edge = receiver != sender
+        return frozenset(zip(receiver[edge].tolist(), sender[edge].tolist()))
 
     @cached_property
     def send_order(self) -> np.ndarray:
@@ -109,25 +109,25 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed) -> Digraph:
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise ValueError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
     rng = np.random.default_rng(seed)
-    cycle = (((i + 1) % n, i) for i in range(n))
-    return Digraph(n, frozenset(chain(cycle, _extra_edges(rng, n, extra_edge_prob))))
+    senders = np.arange(n)
+    cycle = np.column_stack([(senders + 1) % n, senders])
+    return Digraph(n, np.concatenate([cycle, *_extra_edges(rng, n, extra_edge_prob)]))
 
 
 def _extra_edges(rng: np.random.Generator, n: int, extra_edge_prob: float):
-    """Yield the Bernoulli extras ``(j, i)``, one uniform draw per non-cycle pair.
+    """Yield each row's Bernoulli extras as an ``(m, 2)`` array of ``(j, i)``.
 
     Pairs are drawn in row-major ``(i, j)`` order, skipping ``j == i`` and the
     cycle edge ``j == (i + 1) % n``, so row ``i`` has ``n - 2`` draws.  Draw
     ``c`` maps to ``j = c`` below the skipped pair and ``j = c + 2`` above it;
     in row ``n - 1`` the skipped pair is ``{0, n - 1}``, so ``j = c + 1``.
     Row-by-row draws consume the same stream as one ``(n, n - 2)`` batch
-    without holding the batch in memory; edges stream straight into the
-    digraph's frozenset, so no intermediate set is built either.
+    without holding the batch in memory.
     """
     for i in range(n if n > 2 else 0):
         c = np.flatnonzero(rng.random(n - 2) < extra_edge_prob)
         j = c + 2 * (c >= i) + (i == n - 1)
-        yield from zip(j.tolist(), repeat(i))
+        yield np.column_stack([j, np.full_like(j, i)])
 
 
 def _reachability_powers(g: Digraph) -> list[np.ndarray] | None:
@@ -219,10 +219,7 @@ def load_edge_list(path) -> Digraph:
         raise ValueError(f"empty topology file: {path}")
     try:
         n = int(raw[0])
-        edges = set()
-        for ln in raw[1:]:
-            j, i = ln.split()
-            edges.add((int(j), int(i)))
+        edges = [(int(j), int(i)) for j, i in map(str.split, raw[1:])]
     except ValueError as exc:
         raise ValueError(f"malformed topology file {path}: {exc}") from exc
-    return Digraph(n, frozenset(edges))
+    return Digraph(n, edges)

@@ -3,6 +3,9 @@
 The references in the tests (breadth-first diameter, per-sender weights,
 the per-tick engine, the expected sends) read this instead of the digraph's
 link table, so that no reference shares code with the code it checks.
+``g.edges`` is itself a view of the link table; ``tests/test_digraph.py``
+checks it against the pairs a digraph was built from and against the
+generator's per-pair reference loop.
 """
 
 

@@ -777,6 +777,10 @@ class TestRejectsBadInput:
         # no tick ran: the delay stream is untouched
         assert np.array_equal(dm.sample_many(50), DelayModel.uniform(3, seed=11).sample_many(50))
 
+    def test_y0_without_weights(self):
+        with pytest.raises(ValueError, match="y0 needs weights"):
+            ConsensusEngine(three_cycle(), DelayModel.uniform(2, seed=0), y0=np.ones((3, 1)))
+
     @pytest.mark.parametrize("which", ["hi", "lo"])
     def test_nan_extrema(self, which):
         g = three_cycle()

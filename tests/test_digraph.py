@@ -34,14 +34,31 @@ class TestDigraph:
             Digraph(0, frozenset())
 
     def test_rejects_self_edge(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"self-edge \(1, 1\)"):
             Digraph(3, frozenset({(1, 1)}))
 
     def test_rejects_out_of_range_edge(self):
-        # 1.5 would be truncated to node 1, duplicating edge (1, 0)
-        for edges in ({(0, 3)}, {(1.5, 0), (1, 0), (2, 1), (0, 2)}):
-            with pytest.raises(ValueError):
-                Digraph(3, frozenset(edges))
+        # 1.5 would be truncated to node 1, duplicating edge (1, 0); likewise
+        # a float array, and an object id has no integer to cast to
+        ring = [(1, 0), (2, 1), (0, 2)]
+        for edges in (
+            frozenset({(0, 3)}),
+            frozenset({(1.5, 0), *ring}),
+            np.array([(1.0, 0.0), *ring]),
+            [(object(), 0), *ring],
+        ):
+            with pytest.raises(ValueError, match=r"edge \("):
+                Digraph(3, edges)
+
+    def test_array_tuples_and_repeats_give_the_same_links(self):
+        g = random_strongly_connected(30, 0.2, seed=5)
+        pairs = sorted(g.edges)
+        repeated = [*pairs, *pairs[:7]]  # a repeated pair collapses to one edge
+        for edges in (np.array(pairs), np.array(pairs, dtype=np.uint16), pairs, repeated):
+            h = Digraph(g.n, edges)
+            for a, b in zip((*g.links, g.send_order), (*h.links, h.send_order)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert h.edges == frozenset(pairs)
 
     def test_single_node_is_degenerate_but_valid(self):
         g = Digraph(1, frozenset())
@@ -251,7 +268,9 @@ class TestMatchesReferenceLoops:
     )
     def test_random_digraphs(self, n, p, seed):
         g = random_strongly_connected(n, p, seed=seed)
-        assert g.edges == loop_generator(n, p, seed)
+        edges = sorted(loop_generator(n, p, seed))
+        assert g.edges == frozenset(edges)
+        assert Digraph(n, edges).edges == frozenset(edges)
         assert is_strongly_connected(g)
         assert_matches_references(g)
 
