@@ -58,8 +58,7 @@ class SolverConfig:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if self.tau_bar < 0:
-            raise ValueError(f"tau_bar must be >= 0, got {self.tau_bar}")
+        DelayModel(self.tau_bar)  # rejects a negative or non-integer tau_bar
         if self.step_cap < 1:
             raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
         if self.eps_abs < 0.0 or self.eps_rel < 0.0:

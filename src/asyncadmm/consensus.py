@@ -93,25 +93,28 @@ class ConsensusEngine:
     ``y0`` is given, the min/max kind when ``extrema`` is.
 
     The engine steps in blocks: runs of ticks with a fixed ``epoch_start``
-    (``terminate`` runs one per round, ``advance`` and ``trajectory`` one per
-    span), each cut to at most ``BLOCK_ENTRIES`` arrival-table entries.  A
-    block draws all its delays at once: edges are numbered in draw order
-    (sender-major, then kind with ratio before min/max, then receivers
-    ascending), so one batch consumes the delay stream exactly as per-sender
-    draws per tick would.  The delays land in a per-tick history whose
-    columns, per kind, are the edges and every node's self term (delay 0)
-    sorted by receiver and then sender.  The send made ``lag`` ticks ago on a
-    column is consumed now iff its delay equals ``lag``, so one comparison
-    per lag yields the block's arrival table in receiver, sender, oldest-send
-    order.  Only the folds run tick by tick, since each tick's sends carry
-    the state the previous tick produced.
+    (``terminate`` runs one per round, ``advance`` one per span and
+    ``trajectory`` one per tick), each cut to at most ``BLOCK_ENTRIES``
+    arrival-table entries.  A block draws all its delays at once: edges are
+    numbered in draw order (sender-major, then kind with ratio before
+    min/max, then receivers ascending), so one batch consumes the delay
+    stream exactly as per-sender draws per tick would.  The delays land in a
+    per-tick history whose columns, per kind, are the edges and every node's
+    self term (delay 0) sorted by receiver and then sender.  The send made
+    ``lag`` ticks ago on a column is consumed now iff its delay equals
+    ``lag``, so one comparison per lag yields the block's arrival table in
+    receiver, sender, oldest-send order.  Only the folds run tick by tick,
+    since each tick's sends carry the state the previous tick produced.
 
-    Sends sit in a ring of ``depth`` slots of ``n`` senders, component-major,
-    and each tick's sends are written twice, to slots ``k % depth`` and
-    ``k % depth + depth``.  The ``depth`` sends a tick can consume then lie
-    in consecutive slots from ``(k + 1) % depth`` on, so two int32 maps over
-    the arrival table's (column, lag) offsets give each arrival's payload row
-    (past that first slot) and its receiver without any modular arithmetic.
+    The history is the engine's one time axis: each tick's sends sit on the
+    row of its delays, per kind as ``[component, row * n + sender]``, written
+    once when the tick folds.  Between blocks rows ``0 .. depth - 1`` hold
+    the last ``depth`` ticks; a block writes its ticks behind them, and one
+    shift at the block's end moves the newest ``depth`` rows, delays and
+    sends together, back to the front.  Tick ``t`` of a block consumes sends
+    from rows ``t + 1 .. t + depth``, so two int32 maps over the arrival
+    table's (column, lag) offsets give each arrival's payload (past row
+    ``t + 1``) and its receiver.
 
     Ratio sums fold sequentially with ``bincount`` in that order, so results
     are reproducible bit for bit.  Extrema fold over each receiver's
@@ -158,10 +161,6 @@ class ConsensusEngine:
             # the ratio state component-major: numerator rows, then the mass
             self._yw = np.vstack([y0.T, np.ones(n)])
             self._bw = np.asarray(weights.sender_weight, dtype=float)
-            # the scaled pairs sent, [component, ring slot * n + sender]; the
-            # same memory as [component, copy, slot, sender] for the writes
-            self._ratio_sent = np.zeros((len(self._yw), 2 * depth * n))
-            self._ratio_slots = self._ratio_sent.reshape(len(self._yw), 2, depth, n)
             self.kinds.append(RATIO)
         if extrema is not None:
             hi, lo = (_rows(a, n, "extrema") for a in extrema)
@@ -170,9 +169,6 @@ class ConsensusEngine:
             # the extrema state component-major, as ranks: hi rows, then lo rows
             self._hi_rows = hi.shape[1]
             self._encode_extrema(hi, lo)
-            # the extrema ranks sent, laid out as the ratio pairs
-            self._ext_sent = np.zeros((len(self._ext), 2 * depth * n), dtype=self._ext.dtype)
-            self._ext_slots = self._ext_sent.reshape(len(self._ext), 2, depth, n)
             self.kinds.append(MIN_MAX)
 
         # Columns of one kind: the digraph's links (edges and self terms, by
@@ -182,8 +178,8 @@ class ConsensusEngine:
         kind_count = len(self.kinds)
         # each receiver's first column, where its extrema segment starts
         self._first_col = np.searchsorted(receiver, np.arange(n))
-        # by arrival-table offset (column, lag position): the payload row
-        # past the tick's first ring slot, and the receiver
+        # by arrival-table offset (column, lag position): the payload's
+        # offset past the tick's oldest history row, and the receiver
         self._payload_of = (np.arange(depth, dtype=np.int32) * n + sender[:, None]).ravel()
         self._receiver_of = np.repeat(receiver, depth)
         # batch position -> delay column: draws go sender-major, then by kind,
@@ -192,15 +188,18 @@ class ConsensusEngine:
         self._draw_col = edge_cols[np.argsort(np.tile(sender[g.send_order], kind_count), kind="stable")]
         self._draws = len(self._draw_col)
 
-        # Delay history, one row per tick.  Between blocks rows 0..depth-1
-        # hold the last ``depth`` ticks; a block writes its ticks behind them.
-        # -1 marks ticks before time 0; self-term columns stay 0.
-        dtype = np.min_scalar_type(-1 - dm.tau_bar)
+        # The history, one row per tick: its delays (-1 marks ticks before
+        # time 0; self-term columns stay 0) and, per kind, its sends as
+        # [component, row * n + sender] (the scaled ratio pairs, the extrema
+        # ranks), in kind order.
         width = kind_count * cols
+        self._depth = depth
         self._block_cap = max(1, BLOCK_ENTRIES // max(1, depth * width))
-        self._hist = np.zeros((depth + self._block_cap, width), dtype=dtype)
+        rows = depth + self._block_cap
+        self._hist = np.zeros((rows, width), dtype=np.min_scalar_type(-1 - dm.tau_bar))
         self._hist[:depth, self._draw_col] = -1
-        self._lags_desc = np.arange(depth - 1, -1, -1, dtype=dtype)  # oldest send first
+        states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
+        self._sent = [np.zeros((len(s), rows * n), dtype=s.dtype) for s in states]
 
     @property
     def y(self) -> np.ndarray:
@@ -217,14 +216,12 @@ class ConsensusEngine:
 
     @property
     def delays(self) -> np.ndarray:
-        """Delay ring: row ``t % depth`` holds the delays drawn at tick ``t``.
+        """The delays drawn over the last ``depth`` ticks, one row per tick.
 
-        Covers the last ``depth`` ticks; -1 marks ticks before time 0.
+        Rows run oldest first: row ``-1 - age`` holds the draws of tick
+        ``time - 1 - age``; -1 marks ticks before time 0.
         """
-        depth = len(self._lags_desc)
-        ring = np.empty_like(self._hist[:depth])
-        ring[np.arange(self.time - depth, self.time) % depth] = self._hist[:depth]
-        return ring
+        return self._hist[: self._depth].copy()
 
     @property
     def hi(self) -> np.ndarray:
@@ -252,19 +249,16 @@ class ConsensusEngine:
     def _schedule(self, q: int, kind: int, steps: int, traced: list[np.ndarray]):
         """Kind ``q``'s arrivals over the next ``steps`` ticks, as fold inputs.
 
-        Returns each arrival's payload row (ring slot times ``n`` plus
+        Returns each arrival's payload offset (history row times ``n`` plus
         sender), per-tick bounds into them, and the receivers (ratio) or each
         tick's per-receiver segment starts (min/max).
         """
-        n, k0, cols, hist = self.n, self.time, self._cols, self._hist
-        depth = len(self._lags_desc)
-        # [tick, column, oldest send first]: the send from tick k0 + t - lag
-        # arrives at k0 + t iff its delay equals lag
+        n, k0, cols, hist, depth = self.n, self.time, self._cols, self._hist, self._depth
+        # [tick, column, oldest send first]: the send from tick k0 + t - lag,
+        # on row 1 + t + j with j = depth - 1 - lag, arrives at k0 + t iff
+        # its delay equals lag
         table = np.stack(
-            [
-                hist[1 + j : 1 + j + steps, q * cols : (q + 1) * cols] == lag
-                for j, lag in enumerate(self._lags_desc)
-            ],
+            [hist[1 + j : 1 + j + steps, q * cols : (q + 1) * cols] == depth - 1 - j for j in range(depth)],
             axis=-1,
         )
         arrived = np.count_nonzero(table)
@@ -288,19 +282,17 @@ class ConsensusEngine:
         counts = np.diff(bounds)
         flat -= np.repeat(ticks * (cols * depth), counts)
         # Tick k0 + t reads the sends of ticks k0 + t - (depth - 1) .. k0 + t,
-        # from ring slot (k0 + t + 1) % depth on; the ring holds every send
-        # twice, so that window never wraps.
+        # history rows t + 1 .. t + depth.
         source = self._payload_of[flat].astype(np.intp)  # each fold gathers with it
-        source += np.repeat((k0 + 1 + ticks) % depth * n, counts)
+        source += np.repeat((1 + ticks) * n, counts)
         if kind == RATIO:
             # bincount wants intp: cast once here, not once per component
             segments = self._receiver_of[flat].astype(np.intp)
         return source, bounds, segments
 
-    def _block(self, steps: int, traj: list[np.ndarray] | None = None) -> None:
+    def _block(self, steps: int) -> None:
         """``steps`` ticks: delays and arrival tables once, then the per-tick folds."""
-        k0, hist = self.time, self._hist
-        depth = len(self._lags_desc)
+        n, k0, hist, depth = self.n, self.time, self._hist, self._depth
         hist[depth : depth + steps, self._draw_col] = self.dm.sample_many(
             steps * self._draws
         ).reshape(steps, self._draws)
@@ -310,40 +302,36 @@ class ConsensusEngine:
             lines, line_bounds = self._trace_lines(k0, steps, traced)
 
         for t in range(steps):
-            self.time = k = k0 + t
-            slot = k % depth
+            self.time = k0 + t
+            # this tick's sends go on its delays' row
+            sends = slice((depth + t) * n, (depth + t + 1) * n)
             if traced:
                 self.trace.extend(lines[line_bounds[t] : line_bounds[t + 1]])
-            for kind, (source, bounds, segments) in zip(self.kinds, folds):
+            for kind, sent, (source, bounds, segments) in zip(self.kinds, self._sent, folds):
                 at = slice(bounds[t], bounds[t + 1])
                 if kind == RATIO:
-                    self._fold_ratio(slot, source[at], segments[at])
+                    self._fold_ratio(sent, sends, source[at], segments[at])
                 else:
-                    self._fold_extrema(slot, source[at], segments[t])
-            if traj is not None:
-                traj.append(self.z)
+                    self._fold_extrema(sent, sends, source[at], segments[t])
         self.time = k0 + steps
-        # row by row, so no row is overwritten before it is read
-        for i in range(depth):
-            hist[i] = hist[steps + i]
+        # the newest depth rows to the front (numpy buffers an overlap)
+        hist[:depth] = hist[steps : steps + depth]
+        for sent in self._sent:
+            sent[:, : depth * n] = sent[:, steps * n : (steps + depth) * n]
 
-    def _fold_ratio(self, slot: int, source: np.ndarray, receiver: np.ndarray) -> None:
-        n = self.n
-        self._ratio_slots[:, :, slot] = (self._bw * self._yw)[:, None]
-        self._yw = np.array(
-            [np.bincount(receiver, weights=row[source], minlength=n) for row in self._ratio_sent]
-        )
+    def _fold_ratio(self, sent: np.ndarray, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
+        sent[:, sends] = self._bw * self._yw
+        self._yw = np.array([np.bincount(receiver, weights=row[source], minlength=self.n) for row in sent])
         if (self.w <= 0.0).any():
             raise ProtocolError(f"nonpositive mass {self.w.min()} after update")
 
-    def _fold_extrema(self, slot: int, source: np.ndarray, segments: np.ndarray) -> None:
-        self._ext_slots[:, :, slot] = self._ext[:, None]
-        self._ext = np.maximum.reduceat(self._ext_sent.take(source, axis=1), segments, axis=1)
+    def _fold_extrema(self, sent: np.ndarray, sends: slice, source: np.ndarray, segments: np.ndarray) -> None:
+        sent[:, sends] = self._ext
+        self._ext = np.maximum.reduceat(sent.take(source, axis=1), segments, axis=1)
 
     def _trace_lines(self, k0: int, steps: int, traced: list[np.ndarray]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
-        depth = len(self._lags_desc)
-        tick_col = np.concatenate(traced) // depth
+        tick_col = np.concatenate(traced) // self._depth
         t, c = np.divmod(tick_col, self._cols)
         kind = np.concatenate([np.full(len(flat), q) for q, flat in zip(self.kinds, traced)])
         sender, receiver = self._col_sender[c], self._col_receiver[c]
@@ -356,22 +344,18 @@ class ConsensusEngine:
         ]
         return lines, np.searchsorted(t[order], np.arange(steps + 1))
 
-    def _run(self, steps: int, traj: list[np.ndarray] | None = None) -> None:
+    def advance(self, steps: int) -> None:
         while steps > 0:
             block = min(steps, self._block_cap)
-            self._block(block, traj)
+            self._block(block)
             steps -= block
-
-    def step(self) -> None:
-        self._block(1)
-
-    def advance(self, steps: int) -> None:
-        self._run(steps)
 
     def trajectory(self, steps: int) -> list[np.ndarray]:
         """Ratio estimates ``[z^now, ..., z^(now + steps)]``."""
         traj = [self.z]
-        self._run(steps, traj)
+        for _ in range(steps):
+            self.advance(1)
+            traj.append(self.z)
         return traj
 
     def terminate(self, eps: float, step_cap: int, round_len: int) -> ConsensusResult:
@@ -402,7 +386,7 @@ class ConsensusEngine:
                     delivered=self.delivered,
                     stale_discarded=self.stale_discarded,
                 )
-            self._run(min(step_cap, (k // round_len + 1) * round_len) - k)
+            self.advance(min(step_cap, (k // round_len + 1) * round_len) - k)
 
 
 def run_ratio_consensus(

@@ -10,6 +10,8 @@ by :class:`asyncadmm.consensus.ConsensusEngine`.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["DelayModel"]
@@ -24,9 +26,13 @@ class DelayModel:
     """
 
     def __init__(self, tau_bar: int, seed=0):
+        try:
+            tau_bar = operator.index(tau_bar)  # a cast would truncate 2.5 to 2 silently
+        except TypeError:
+            raise ValueError(f"tau_bar must be an integer, got {tau_bar!r}") from None
         if tau_bar < 0:
             raise ValueError(f"tau_bar must be >= 0, got {tau_bar}")
-        self.tau_bar = int(tau_bar)
+        self.tau_bar = tau_bar
         self._rng = np.random.default_rng(seed)
 
     @classmethod

@@ -26,6 +26,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(tau_bar=-1)
 
+    def test_rejects_non_integer_tau_bar(self):
+        # it would otherwise run at tau_bar=2
+        with pytest.raises(ValueError, match="tau_bar must be an integer"):
+            SolverConfig(tau_bar=2.5)
+        assert SolverConfig(tau_bar=np.int32(2)).delay_model().tau_bar == 2
+
     def test_delay_model_is_zero_for_tau_zero(self):
         assert np.all(SolverConfig(tau_bar=0).delay_model().sample_many(1000) == 0)
         draws = SolverConfig(tau_bar=4).delay_model().sample_many(1000)

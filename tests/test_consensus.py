@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncadmm import consensus
 from asyncadmm.consensus import (
     KIND_NAMES,
     MIN_MAX,
@@ -118,10 +119,10 @@ class TestRatioStep:
         sent = []
         for k in range(30):
             sent.append((bw[:, None] * engine.y, bw * engine.w))
-            engine.step()
+            engine.advance(1)
             inbox = [[(j, k)] for j in range(g.n)]
             for lag in range(min(depth, k + 1)):
-                delays = engine.delays[(k - lag) % depth]
+                delays = engine.delays[-1 - lag]
                 for (r, s), d in zip(columns, delays.tolist()):
                     if r != s and d == lag:
                         inbox[r].append((s, k - lag))
@@ -161,13 +162,13 @@ class TestMassConservation:
         y_mass0 = y0.sum(axis=0)
         for k in range(120):
             sent.append((bw[:, None] * engine.y, bw * engine.w))
-            engine.step()
+            engine.advance(1)
             y_mass = engine.y.sum(axis=0).copy()
             w_mass = float(engine.w.sum())
-            # in flight: sends still in the ring whose delay exceeds their age
-            # (a self term has delay 0, so it is never late)
+            # in flight: sends of the last depth ticks whose delay exceeds
+            # their age (a self term has delay 0, so it is never late)
             for lag in range(min(depth, k + 1)):
-                late = engine.delays[(k - lag) % depth] > lag
+                late = engine.delays[-1 - lag] > lag
                 senders = col_sender[late]
                 y_mass += sent[k - lag][0][senders].sum(axis=0)
                 w_mass += float(sent[k - lag][1][senders].sum())
@@ -621,6 +622,42 @@ class TestBlockMatchesPerTick:
         assert self.raise_tick((20, 0.2, 3, 1), sender_weight) == 6
 
 
+class TestBlockBoundaries:
+    """Blocks of one tick, and blocks that end mid-round, step as per-tick stepping does.
+
+    The end-of-block shift moves the delays and the sends together; these
+    caps put that shift on every tick, and inside every round.
+    """
+
+    @pytest.mark.parametrize("mid_round", [False, True])
+    def test_terminate_then_advance(self, monkeypatch, mid_round):
+        n, _, tau_bar, _ = network = (20, 0.2, 3, 7)
+        g = graph_for(*network[:2], network[3])
+        round_len = (1 + tau_bar) * diameter(g)
+        cap = round_len // 2 + 1 if mid_round else 1
+        # two kinds: a block of cap ticks holds cap * depth * 2 * cols table entries
+        entries = cap * (1 + tau_bar) * 2 * len(g.links[0]) if mid_round else 0
+        monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
+        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
+        _, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        assert block._block_cap == cap and (cap == 1 or round_len % cap != 0)
+        got = block.terminate(1e-3, 10 * round_len, round_len)
+        assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
+        assert len(got.check_steps) >= 2
+        assert block.trace == ref.trace
+        # distinct starting extrema: a rank lost at a block end shows while they spread
+        vals = np.random.default_rng(n).standard_normal((n, 2))
+        _, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
+        for span in (1, cap - 1, cap, cap + 1, round_len + 1):
+            block.advance(span)
+            ref.advance(span)
+            assert block.time == ref.time
+            assert block.z.tobytes() == ref.z.tobytes()
+            assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
+        assert block.trace == ref.trace
+        assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
+
+
 def signed_values(with_zeros):
     values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0)
     if with_zeros:
@@ -664,13 +701,14 @@ class TestInFlightMass:
             engine.advance(span)
             y_mass = engine.y.sum(axis=0)
             w_mass = float(engine.w.sum())
-            ring = engine.delays
+            delays = engine.delays
             # sends still in flight: delay longer than their age (the ratio
-            # kind's columns come first; a self term is never late)
+            # kind's columns come first; a self term is never late).  Between
+            # blocks the history's first depth rows hold the last depth
+            # ticks, oldest first, sends beside delays.
             for lag in range(min(depth, engine.time)):
-                slot = (engine.time - 1 - lag) % depth
-                late = ring[slot, : len(columns)] > lag
-                sent = engine._ratio_sent[:, slot * n + col_sender[late]]
+                late = delays[-1 - lag, : len(columns)] > lag
+                sent = engine._sent[0][:, (depth - 1 - lag) * n + col_sender[late]]
                 y_mass = y_mass + sent[:-1].sum(axis=1)
                 w_mass += float(sent[-1].sum())
             assert np.allclose(y_mass, y_mass0, rtol=1e-10, atol=1e-10)

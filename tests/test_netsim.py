@@ -26,16 +26,15 @@ def run_logged(g, dm, steps):
     """Step an engine; return its trace lines and every non-self send.
 
     Sends are ``(sent_at, sender, receiver, kind, delay)``, read from the
-    engine's delay ring right after the tick that drew them.
+    engine's newest delay row right after the tick that drew them.
     """
     trace = []
     engine = engine_for(g, dm, trace)
-    depth = dm.tau_bar + 1
     columns = message_columns(g)
     sends = []
     for k in range(steps):
-        engine.step()
-        row = engine.delays[k % depth].tolist()
+        engine.advance(1)
+        row = engine.delays[-1].tolist()
         for q, kind in enumerate(engine.kinds):
             # one kind's columns after another's, each in message_columns order
             kind_row = row[q * len(columns) : (q + 1) * len(columns)]
@@ -69,6 +68,16 @@ class TestDelayModel:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             DelayModel(-1)
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, "3", None])
+    def test_rejects_non_integer_bound(self, bad):
+        with pytest.raises(ValueError, match="tau_bar must be an integer"):
+            DelayModel(bad)
+
+    def test_numpy_integer_bound(self):
+        dm = DelayModel(np.int64(3), seed=5)
+        assert dm.tau_bar == 3 and type(dm.tau_bar) is int
+        assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=5).sample_many(50))
 
     def test_uniform_within_bound(self):
         dm = DelayModel.uniform(4, seed=0)
