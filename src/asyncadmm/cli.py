@@ -178,8 +178,8 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     return 0
 
 
-def _sweep_cell(cfg: ExperimentConfig, eps: float, tau: float):
-    cell = replace(cfg, epsilon=eps, tau_bar=int(tau))
+def _sweep_cell(cfg: ExperimentConfig, eps: float, tau: int):
+    cell = replace(cfg, epsilon=eps, tau_bar=tau)  # a non-integer tau_bar fails as a cell error
     try:
         record, _, _ = _execute(cell)
     except (ValueError, oracle.SingularProblemError, consensus.ProtocolError) as exc:
@@ -209,7 +209,7 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = [(eps, int(tau)) for eps in eps_list for tau in tau_list]
+    cells = [(eps, tau) for eps in eps_list for tau in tau_list]
     if "fork" in multiprocessing.get_all_start_methods():
         # fork, not spawn: a worker starts as a copy of this process
         # (imports, configuration), not from a fresh interpreter

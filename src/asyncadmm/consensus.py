@@ -64,6 +64,8 @@ class ConsensusResult:
     ``delivered`` counts every delivery the trace would list (ratio and
     min/max, self terms included); ``stale_discarded`` counts the extrema
     among them that arrived from before the latest re-seed and were dropped.
+    ``extrema_folds`` counts the ticks whose extrema fold ran: the engine
+    skips the folds that cannot change the extrema.
     """
 
     z: np.ndarray
@@ -72,6 +74,7 @@ class ConsensusResult:
     check_steps: list[int] = field(default_factory=list)
     delivered: int = 0
     stale_discarded: int = 0
+    extrema_folds: int = 0
 
 
 def _rows(a, n: int, name: str) -> np.ndarray:
@@ -100,7 +103,9 @@ class ConsensusEngine:
     min/max, then receivers ascending), so one batch consumes the delay
     stream exactly as per-sender draws per tick would.  The delays land in a
     per-tick history whose columns, per kind, are the edges and every node's
-    self term (delay 0) sorted by receiver and then sender.  The send made
+    self term (delay 0) sorted by receiver and then sender; one gather
+    through a column-to-draw map writes them, the self terms reading a zero
+    appended to the batch.  The send made
     ``lag`` ticks ago on a column is consumed now iff its delay equals
     ``lag``, so one comparison per lag yields the block's arrival table in
     receiver, sender, oldest-send order.  Only the folds run tick by tick,
@@ -131,6 +136,16 @@ class ConsensusEngine:
     (``max(0.0, -0.0)`` returns its first argument); the ``==`` agreement
     check and the spread norm both ignore that.  A NaN, which has no rank,
     is rejected up front.
+
+    An extrema fold runs only while it can change the extrema.  A round
+    whose every row starts with one bit pattern (the ``+inf`` / ``-inf``
+    start, a constant re-seed) decodes the same whatever its ranks, and a
+    round in which every node holds every row's top rank (tested on ranks,
+    so a ``0.0`` / ``-0.0`` tie is not taken for agreement) keeps it.  From
+    then to the round's end the ticks skip the fold and its sends, and the
+    schedule only counts and traces the extrema arrivals: every later reader
+    of those sends is a skipped fold or is cut by the epoch filter.
+    ``extrema_folds`` counts the folds that ran.
     """
 
     def __init__(
@@ -150,6 +165,7 @@ class ConsensusEngine:
         self.epoch_start = 0
         self.delivered = 0
         self.stale_discarded = 0
+        self.extrema_folds = 0
         self.kinds = []
         depth = dm.tau_bar + 1
         if y0 is not None:
@@ -182,22 +198,25 @@ class ConsensusEngine:
         # offset past the tick's oldest history row, and the receiver
         self._payload_of = (np.arange(depth, dtype=np.int32) * n + sender[:, None]).ravel()
         self._receiver_of = np.repeat(receiver, depth)
-        # batch position -> delay column: draws go sender-major, then by kind,
-        # then receivers ascending, so sort the kind-major edge columns stably
+        # delay column -> batch position: draws go sender-major, then by kind,
+        # then receivers ascending, so sort the kind-major edge columns
+        # stably; self-term columns read the zero past the batch's end
         edge_cols = np.add.outer(np.arange(kind_count, dtype=np.int32) * cols, g.send_order).ravel()
-        self._draw_col = edge_cols[np.argsort(np.tile(sender[g.send_order], kind_count), kind="stable")]
-        self._draws = len(self._draw_col)
+        draw_col = edge_cols[np.argsort(np.tile(sender[g.send_order], kind_count), kind="stable")]
+        self._draws = draws = len(draw_col)
+        width = kind_count * cols
+        self._col_draw = np.full(width, draws, dtype=np.int32)
+        self._col_draw[draw_col] = np.arange(draws, dtype=np.int32)
 
         # The history, one row per tick: its delays (-1 marks ticks before
-        # time 0; self-term columns stay 0) and, per kind, its sends as
+        # time 0; self-term columns hold 0) and, per kind, its sends as
         # [component, row * n + sender] (the scaled ratio pairs, the extrema
         # ranks), in kind order.
-        width = kind_count * cols
         self._depth = depth
         self._block_cap = max(1, BLOCK_ENTRIES // max(1, depth * width))
         rows = depth + self._block_cap
         self._hist = np.zeros((rows, width), dtype=np.min_scalar_type(-1 - dm.tau_bar))
-        self._hist[:depth, self._draw_col] = -1
+        self._hist[:depth] = np.where(self._col_draw == draws, 0, -1)
         states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
         self._sent = [np.zeros((len(s), rows * n), dtype=s.dtype) for s in states]
 
@@ -234,6 +253,10 @@ class ConsensusEngine:
     def _encode_extrema(self, hi: np.ndarray, lo: np.ndarray) -> None:
         """Rank each component of a snapshot: ``hi`` ascending, ``lo`` descending."""
         values = np.vstack([hi.T, lo.T])
+        # one bit pattern per row (the +-inf start, a constant re-seed): every
+        # rank decodes to the same value, so no fold of this epoch changes any
+        bits = values.view(np.uint64)
+        self._ext_fixed = bool((bits == bits[:, :1]).all())
         order = np.argsort(np.vstack([hi.T, -lo.T]), axis=1, kind="stable")
         self._ext_table = np.take_along_axis(values, order, axis=1)
         self._ext = np.empty(order.shape, dtype=np.min_scalar_type(self.n))
@@ -251,7 +274,8 @@ class ConsensusEngine:
 
         Returns each arrival's payload offset (history row times ``n`` plus
         sender), per-tick bounds into them, and the receivers (ratio) or each
-        tick's per-receiver segment starts (min/max).
+        tick's per-receiver segment starts (min/max); None for fixed extrema,
+        whose arrivals are only counted.
         """
         n, k0, cols, hist, depth = self.n, self.time, self._cols, self._hist, self._depth
         # [tick, column, oldest send first]: the send from tick k0 + t - lag,
@@ -271,6 +295,9 @@ class ConsensusEngine:
             # columns rather than along the short lag axis
             for j in range(min(cut, depth)):
                 table[: cut - j, :, j] = False
+            if self._ext_fixed:  # no fold will run: only count the discards
+                self.stale_discarded += arrived - np.count_nonzero(table)
+                return None
         flat = np.flatnonzero(table)
         self.stale_discarded += arrived - len(flat)
         ticks = np.arange(steps)
@@ -292,10 +319,10 @@ class ConsensusEngine:
 
     def _block(self, steps: int) -> None:
         """``steps`` ticks: delays and arrival tables once, then the per-tick folds."""
-        n, k0, hist, depth = self.n, self.time, self._hist, self._depth
-        hist[depth : depth + steps, self._draw_col] = self.dm.sample_many(
-            steps * self._draws
-        ).reshape(steps, self._draws)
+        n, k0, hist, depth, draws = self.n, self.time, self._hist, self._depth, self._draws
+        drawn = np.zeros((steps, draws + 1), dtype=hist.dtype)  # the last column stays 0
+        drawn[:, :draws] = self.dm.sample_many(steps * draws).reshape(steps, draws)
+        np.take(drawn, self._col_draw, axis=1, out=hist[depth : depth + steps])
         traced: list[np.ndarray] = []
         folds = [self._schedule(q, kind, steps, traced) for q, kind in enumerate(self.kinds)]
         if traced:
@@ -307,7 +334,12 @@ class ConsensusEngine:
             sends = slice((depth + t) * n, (depth + t + 1) * n)
             if traced:
                 self.trace.extend(lines[line_bounds[t] : line_bounds[t + 1]])
-            for kind, sent, (source, bounds, segments) in zip(self.kinds, self._sent, folds):
+            for kind, sent, fold in zip(self.kinds, self._sent, folds):
+                if kind == MIN_MAX and self._ext_fixed:
+                    # no reader of these sends is a fold that runs: later
+                    # ticks of this epoch skip theirs, the epoch filter cuts the rest
+                    continue
+                source, bounds, segments = fold
                 at = slice(bounds[t], bounds[t + 1])
                 if kind == RATIO:
                     self._fold_ratio(sent, sends, source[at], segments[at])
@@ -328,6 +360,10 @@ class ConsensusEngine:
     def _fold_extrema(self, sent: np.ndarray, sends: slice, source: np.ndarray, segments: np.ndarray) -> None:
         sent[:, sends] = self._ext
         self._ext = np.maximum.reduceat(sent.take(source, axis=1), segments, axis=1)
+        self.extrema_folds += 1
+        # saturated: every node holds every row's top rank, which it folds
+        # back in from itself on each later tick of this epoch
+        self._ext_fixed = bool((self._ext == self.n - 1).all())
 
     def _trace_lines(self, k0: int, steps: int, traced: list[np.ndarray]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
@@ -385,6 +421,7 @@ class ConsensusEngine:
                     check_steps=check_steps,
                     delivered=self.delivered,
                     stale_discarded=self.stale_discarded,
+                    extrema_folds=self.extrema_folds,
                 )
             self.advance(min(step_cap, (k // round_len + 1) * round_len) - k)
 
@@ -452,8 +489,11 @@ def run_terminating_consensus(
     Every ``(1 + tau_bar) * D`` steps each node compares its extrema pair; the
     first check necessarily fails (the pair starts at ``+inf / -inf``) and
     re-seeds the extrema from the current ratios, so the earliest possible
-    exit is the second boundary.  On success every node stops at the same
-    boundary and the final estimates have pairwise spread at most ``eps``.
+    exit is the second boundary.  No extrema fold can change that start, so
+    the first round runs none, and a later round stops folding once every
+    node holds its extrema (``ConsensusResult.extrema_folds``).  On success
+    every node stops at the same boundary and the final estimates have
+    pairwise spread at most ``eps``.
     If ``step_cap`` updates elapse first, the current estimates are returned
     with ``converged=False``.
 

@@ -219,6 +219,14 @@ class TestSweep:
         assert rows[0][2].startswith("error")
         assert rows[1][2] == "ok"
 
+    def test_non_integer_tau_bar_is_a_cell_error(self, tmp_path):
+        # a library caller's 2.5 reaches SolverConfig as given, not truncated to 2
+        cfg = ExperimentConfig(nodes=6, edge_prob=0.4, dim=2, kmax=3, seed=1)
+        assert cli.sweep(cfg, [0.1], [2.5, 2], tmp_path / "sweep") == 0
+        rows = [l.split(",") for l in (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0] == ["0.1", "2.5", "error: tau_bar must be an integer; got 2.5", "", "", ""]
+        assert rows[1][:3] == ["0.1", "2", "ok"]
+
     def test_programming_error_in_a_cell_propagates(self, tmp_path, monkeypatch):
         def broken_run(*args, **kwargs):
             raise TypeError("broken solver")

@@ -25,6 +25,9 @@ from reference import message_columns, out_lists
 
 # frozen once from the seeded run below; re-runs must reproduce it exactly
 GOLDEN_N20_TAU3_EPS01_STEPS = 32
+# the ticks of that run whose extrema fold ran: none in the +-inf first
+# round, and 7 of the second round's 16 before max and min saturate
+GOLDEN_N20_TAU3_EPS01_EXTREMA_FOLDS = 7
 
 # Frozen from the message-object simulator that preceded the array engine.
 # (n, tau_bar) -> (steps, number of checks, first check, sha256 prefix of z)
@@ -262,6 +265,12 @@ class TestTerminatingConsensus:
         assert runs[0].steps == GOLDEN_N20_TAU3_EPS01_STEPS
         assert runs[1].steps == runs[0].steps
         assert np.array_equal(runs[0].z, runs[1].z)
+
+    def test_golden_extrema_folds(self):
+        g = random_strongly_connected(20, 0.2, seed=7)
+        y0 = np.random.default_rng(42).standard_normal((20, 3))
+        res = run_terminating_consensus(g, build_weights(g), DelayModel.uniform(3, seed=11), y0, 0.1, 100_000)
+        assert (res.steps, res.extrema_folds) == (GOLDEN_N20_TAU3_EPS01_STEPS, GOLDEN_N20_TAU3_EPS01_EXTREMA_FOLDS)
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
     def test_halts_with_spread_below_eps(self, eps):
@@ -531,7 +540,9 @@ networks = st.tuples(
 )
 
 
-def both_engines(network, p=2, ratio=True, extrema=None, traced=False, weights=None):
+def both_engines(
+    network, p=2, ratio=True, extrema=None, traced=False, weights=None, classes=(ConsensusEngine, PerTickEngine)
+):
     """The block engine and the per-tick reference on the same inputs and delay seed."""
     n, edge_prob, tau_bar, seed = network
     g = graph_for(n, edge_prob, seed)
@@ -539,7 +550,7 @@ def both_engines(network, p=2, ratio=True, extrema=None, traced=False, weights=N
     w = (weights or build_weights)(g) if ratio else None
     engines = [
         cls(g, delays_for(tau_bar, seed + 1), y0=y0, weights=w, extrema=extrema, trace=[] if traced else None)
-        for cls in (ConsensusEngine, PerTickEngine)
+        for cls in classes
     ]
     return g, engines
 
@@ -657,6 +668,147 @@ class TestBlockBoundaries:
         assert block.trace == ref.trace
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
 
+
+class FoldEveryTick(ConsensusEngine):
+    """The block engine with the extrema folded on every tick, none skipped."""
+
+    def _encode_extrema(self, hi, lo):
+        super()._encode_extrema(hi, lo)
+        self._ext_fixed = False
+
+    def _fold_extrema(self, *args):
+        super()._fold_extrema(*args)
+        self._ext_fixed = False
+
+
+def assert_same_state(got, want, signed_zeros=True):
+    """Time, z, hi and lo (bytes unless ``signed_zeros`` is false), counters and trace."""
+    assert got.time == want.time
+    assert got.z.tobytes() == want.z.tobytes()
+    if signed_zeros:
+        assert got.hi.tobytes() == want.hi.tobytes() and got.lo.tobytes() == want.lo.tobytes()
+    else:
+        assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)
+    assert (got.delivered, got.stale_discarded) == (want.delivered, want.stale_discarded)
+    assert got.trace == want.trace
+
+
+class TestFixedExtrema:
+    """Skipping the extrema folds that cannot change the extrema changes no output.
+
+    An epoch's extrema are fixed from its start when every row holds one bit
+    pattern (the +-inf start, a constant input), and from the tick every
+    node holds every row's top rank (saturation).
+    """
+
+    @pytest.mark.parametrize("tau_bar", [0, 1, 3, 10])
+    def test_infinite_start(self, tau_bar):
+        n = 20
+        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
+        g, (block, ref) = both_engines((n, 0.2, tau_bar, 7), extrema=extrema, traced=True)
+        round_len = (1 + tau_bar) * diameter(g)
+        block.advance(round_len)
+        ref.advance(round_len)
+        assert block.extrema_folds == 0
+        assert_same_state(block, ref)
+        got = block.terminate(0.01, 100_000, round_len)
+        assert_same_result(got, ref.terminate(0.01, 100_000, round_len))
+        assert_same_state(block, ref)
+        # every later round folds until it saturates, then skips
+        rounds = len(got.check_steps) - 1
+        assert rounds <= got.extrema_folds < rounds * round_len
+
+    @pytest.mark.parametrize("mid_round", [False, True])
+    def test_saturation_inside_a_block(self, monkeypatch, mid_round):
+        n, _, tau_bar, _ = network = (20, 0.2, 3, 7)
+        g = graph_for(*network[:2], network[3])
+        round_len = (1 + tau_bar) * diameter(g)
+        cap = round_len // 2 + 1 if mid_round else 1
+        entries = cap * (1 + tau_bar) * 2 * len(g.links[0]) if mid_round else 0
+        monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
+        vals = np.random.default_rng(n).standard_normal((n, 2))
+        _, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
+        assert block._block_cap == cap
+        block.advance(3 * round_len)
+        ref.advance(3 * round_len)
+        assert_same_state(block, ref)
+        # the first skipped tick, extrema_folds, is inside a block when blocks are longer than one tick
+        assert 0 < block.extrema_folds <= round_len
+        assert cap == 1 or block.extrema_folds % cap != 0
+        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
+        _, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        got = block.terminate(1e-3, 10 * round_len, round_len)
+        assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
+        assert_same_state(block, ref)
+        assert got.extrema_folds < got.steps - round_len
+
+    @pytest.mark.parametrize("all_tied", [False, True])
+    @pytest.mark.parametrize("tau_bar", [0, 3])
+    def test_signed_zeros_tied_at_the_maximum(self, tau_bar, all_tied):
+        n = 20
+        network = (n, 0.2, tau_bar, 7)
+        rng = np.random.default_rng(5)
+        signs = np.where(rng.random((n, 2)) < 0.5, 1.0, -1.0)
+        if all_tied:
+            # every hi equals 0 but not bitwise: the start is not fixed
+            hi0 = 0.0 * signs
+        else:
+            # the maximum of each hi component is a tie of 0.0 and -0.0
+            hi0 = -np.abs(rng.standard_normal((n, 2)))
+            hi0[::3] = 0.0 * signs[::3]
+        lo0 = np.full((n, 2), -5.0)  # already agreed: only hi's top ranks decide saturation
+        steps = 3 * (1 + tau_bar) * diameter(graph_for(n, 0.2, 7))
+        _, (block, ref, every) = both_engines(
+            network, extrema=(hi0, lo0), traced=True, classes=(ConsensusEngine, PerTickEngine, FoldEveryTick)
+        )
+        for engine in (block, ref, every):
+            engine.advance(steps)
+        # the value fold keeps each node's own zero; the rank fold spreads one
+        assert_same_state(block, ref, signed_zeros=False)
+        assert_same_state(block, every)
+        assert 0 < block.extrema_folds < steps == every.extrema_folds
+
+    @pytest.mark.parametrize("tau_bar", [1, 3, 10])
+    def test_constant_reseed(self, tau_bar):
+        # equal inputs give every node the same ratio bits, so each re-seed is
+        # fixed from its start while extrema sent before it are still arriving
+        g, w, _ = seeded_setup(n=6, seed=8)
+        y0 = np.tile([1.0, 2.0], (g.n, 1))
+        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+        block, ref = (
+            cls(g, DelayModel.uniform(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema, trace=[])
+            for cls in (ConsensusEngine, PerTickEngine)
+        )
+        round_len = (1 + tau_bar) * diameter(g)
+        got = block.terminate(1e-6, 100_000, round_len)
+        assert_same_result(got, ref.terminate(1e-6, 100_000, round_len))
+        assert_same_state(block, ref)
+        assert got.check_steps == [round_len, 2 * round_len]
+        assert got.extrema_folds == 0 and got.stale_discarded > 0
+
+    @pytest.mark.parametrize("tau_bar", [0, 3])
+    def test_minmax_constant_and_saturating_inputs(self, tau_bar):
+        n = 20
+        g = graph_for(n, 0.2, 7)
+        bound = (1 + tau_bar) * diameter(g)
+        vals = np.random.default_rng(n).standard_normal((n, 2))
+        constant = np.tile([1.5, -0.0], (n, 1))
+        steps = bound + 5
+        folds = []
+        for hi0, lo0 in ((constant, constant), (vals, vals + 0.5)):
+            hi, lo = run_minmax_consensus(g, delays_for(tau_bar, 10), hi0, lo0, steps)
+            block, ref = (
+                cls(g, delays_for(tau_bar, 10), extrema=(hi0, lo0), trace=[]) for cls in (ConsensusEngine, PerTickEngine)
+            )
+            block.advance(steps)
+            ref.advance(steps)
+            assert hi.tobytes() == ref.hi.tobytes() and lo.tobytes() == ref.lo.tobytes()
+            assert block.hi.tobytes() == hi.tobytes() and block.lo.tobytes() == lo.tobytes()
+            assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
+            assert block.trace == ref.trace
+            folds.append(block.extrema_folds)
+        # a constant input folds nothing; distinct inputs saturate within the bound, before steps
+        assert folds[0] == 0 and 0 < folds[1] <= bound
 
 def signed_values(with_zeros):
     values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0)
