@@ -52,17 +52,19 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rho <= 0.0:
+        # "not x > 0", not "x <= 0": NaN fails every comparison
+        if not self.rho > 0.0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         DelayModel(self.tau_bar)  # rejects a negative or non-integer tau_bar
         if self.step_cap < 1:
             raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
-        if self.eps_abs < 0.0 or self.eps_rel < 0.0:
-            raise ValueError("stopping tolerances must be >= 0")
+        for name in ("eps_abs", "eps_rel"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def delay_model(self) -> DelayModel:
         return DelayModel(self.tau_bar, seed=(self.seed, _DELAY_STREAM))

@@ -56,7 +56,7 @@ class LeastSquaresInstance:
         ``(A_i^T A_i + rho I) x_i = A_i^T b_i + rho * targets[i]``, each
         positive definite for any rho > 0.
         """
-        if rho <= 0.0:
+        if not rho > 0.0:  # NaN fails every comparison
             raise ValueError(f"rho must be > 0, got {rho}")
         ata, atb = self.normal_blocks
         lhs = ata + rho * np.eye(self.p)

@@ -26,6 +26,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(tau_bar=-1)
 
+    @pytest.mark.parametrize("name", ["rho", "eps", "eps_abs", "eps_rel"])
+    def test_rejects_nan(self, name):
+        # NaN fails every comparison, so a "<= 0" test lets it through
+        with pytest.raises(ValueError, match=rf"^{name} must be >=? 0, got nan$"):
+            SolverConfig(**{name: float("nan")})
+
     def test_rejects_non_integer_tau_bar(self):
         # it would otherwise run at tau_bar=2
         with pytest.raises(ValueError, match="tau_bar must be an integer"):

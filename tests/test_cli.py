@@ -115,6 +115,14 @@ class TestRunOnce:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,name", [("--epsilon", "eps"), ("--rho", "rho")])
+    def test_nan_exits_1_and_names_the_field(self, tmp_path, capsys, flag, name):
+        # NaN is not > 0: --epsilon nan would cap every instance, --rho nan fail as a y0 error
+        code = run_cli("run", *FAST, flag, "nan", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert f"error: {name} must be > 0, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "run.csv").exists()
+
     def test_trace_output(self, tmp_path):
         out = tmp_path / "out"
         run_cli("run", *FAST, "--trace", "--out", str(out))
@@ -218,6 +226,20 @@ class TestSweep:
         rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert rows[0][2].startswith("error")
         assert rows[1][2] == "ok"
+
+    @pytest.mark.parametrize(
+        "flags,name", [(["--epsilons", "nan,0.1"], "eps"), (["--rho", "nan", "--epsilons", "0.1"], "rho")]
+    )
+    def test_nan_is_a_cell_error_that_names_the_field(self, tmp_path, flags, name):
+        out = tmp_path / "sweep"
+        code = run_cli(
+            "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+            "--seed", "2", "--tau-bars", "1", *flags, "--out", str(out),
+        )
+        assert code == 0
+        rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][2] == f"error: {name} must be > 0; got nan"
+        assert [row[2] for row in rows[1:]] == (["ok"] if name == "eps" else [])
 
     def test_non_integer_tau_bar_is_a_cell_error(self, tmp_path):
         # a library caller's 2.5 reaches SolverConfig as given, not truncated to 2

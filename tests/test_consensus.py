@@ -70,6 +70,16 @@ GOLDEN_RATIO = {
     (20, 5): ("a70223cdf37c7c58", "fd74a4fc3a030cd9"),
 }
 
+# The benchmark's paper600 inputs at seed 7: random_strongly_connected(600,
+# 0.2) with graph seed (7, 2), y0 (7, 4) standard normal (600, 3), delays
+# (7, 1), eps 0.1, step cap 1000.  Frozen from the engine whose ratio columns
+# ran in link order.  tau_bar -> (steps, check steps, delivered, stale
+# discarded, extrema folds, sha256 of z)
+GOLDEN_PAPER600 = {
+    3: (16, [8, 16], 2113691, 108082, 3, "24029419c01c74b69245d797319e0e250c1056447df7e3527e8081732558890a"),
+    10: (44, [22, 44], 5688152, 361374, 4, "9d2d8b6cf8f9e1b306b4279703f9be66e176bbc618feb8a8e78bff341c859153"),
+}
+
 
 def digest(*arrays):
     h = hashlib.sha256()
@@ -338,6 +348,9 @@ class TestTerminatingConsensus:
             run_terminating_consensus(g, w, dm, y0, eps=0.0, step_cap=10)
         with pytest.raises(ValueError):
             run_terminating_consensus(g, w, dm, y0, eps=0.1, step_cap=0)
+        # NaN is not > 0; it would otherwise run to the step cap
+        with pytest.raises(ValueError, match="eps must be > 0, got nan"):
+            run_terminating_consensus(g, w, dm, y0, eps=float("nan"), step_cap=10)
 
     def test_single_node_network(self):
         g = Digraph(1, frozenset())
@@ -377,6 +390,26 @@ class TestGoldenPins:
         z = run_ratio_consensus(g, w, pinned_delays(tau_bar), y0, 30)
         traj = ratio_trajectory(g, w, pinned_delays(tau_bar), y0, 30)
         assert (digest(z), digest(*traj)) == GOLDEN_RATIO[n, tau_bar]
+
+
+class TestPaperScale:
+    """The paper's scale, where every block is one tick, pinned bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        g = random_strongly_connected(600, 0.2, seed=(7, 2))
+        return g, build_weights(g), np.random.default_rng((7, 4)).standard_normal((600, 3))
+
+    @pytest.mark.parametrize("tau_bar", sorted(GOLDEN_PAPER600))
+    def test_terminating(self, inputs, tau_bar):
+        g, w, y0 = inputs
+        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+        assert ConsensusEngine(g, DelayModel.uniform(tau_bar), y0=y0, weights=w, extrema=extrema)._block_cap == 1
+        res = run_terminating_consensus(g, w, DelayModel.uniform(tau_bar, seed=(7, 1)), y0, 0.1, 1000)
+        assert res.converged
+        got = (res.steps, res.check_steps, res.delivered, res.stale_discarded, res.extrema_folds)
+        assert got == GOLDEN_PAPER600[tau_bar][:5]
+        assert hashlib.sha256(res.z.tobytes()).hexdigest() == GOLDEN_PAPER600[tau_bar][5]
 
 
 class PerTickEngine:
@@ -883,6 +916,13 @@ class TestCounters:
         assert res.stale_discarded == 0
 
 
+    def test_an_engine_without_kinds_only_keeps_time(self):
+        g, _, _ = seeded_setup(n=12, seed=30)
+        engine = ConsensusEngine(g, DelayModel.uniform(3, seed=31))
+        engine.advance(9)
+        assert (engine.time, engine.delivered, engine.delays.shape) == (9, 0, (4, 0))
+
+
 class TestRankFold:
     """The rank-encoded extrema fold against the per-tick ``ufunc.at`` fold of values."""
 
@@ -929,7 +969,11 @@ class TestRankFold:
 
 
 class TestSharedLinkTable:
-    """Engines built on one digraph share its cached link table, and nothing else."""
+    """Engines built on one digraph share its link table and its column maps.
+
+    The maps are built once per delay bound and set of kinds; consecutive
+    instances on one digraph must step as instances on fresh digraphs do.
+    """
 
     @pytest.mark.parametrize("tau_bar", [0, 3])
     def test_consecutive_instances_equal_fresh_digraphs(self, tau_bar):
@@ -950,6 +994,43 @@ class TestSharedLinkTable:
             assert (got.steps, got.check_steps) == (want.steps, want.check_steps)
             assert (got.delivered, got.stale_discarded) == (want.delivered, want.stale_discarded)
             assert got_trace == want_trace
+
+    def test_interleaved_bounds_and_kinds_equal_fresh_digraphs(self):
+        g, _, _ = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
+        vals = np.random.default_rng(9).standard_normal((2, g.n, 2))
+        plan = [(tau_bar, kinds) for _ in range(2) for tau_bar in (0, 3, 10) for kinds in ("ratio", "extrema", "both")]
+        runs = []
+        for fresh in (False, True):
+            streams = {tau_bar: delays_for(tau_bar, 12) for tau_bar in (0, 3, 10)}  # one per bound
+            states = []
+            for steps, (tau_bar, kinds) in enumerate(plan, start=5):
+                h = Digraph(g.n, g.edges) if fresh else g
+                y0 = None if kinds == "extrema" else vals[0]
+                extrema = None if kinds == "ratio" else (vals[1], vals[1] + 0.5)
+                weights = None if y0 is None else build_weights(h)
+                engine = ConsensusEngine(h, streams[tau_bar], y0=y0, weights=weights, extrema=extrema, trace=[])
+                engine.advance(steps)
+                state = [engine.time, engine.delays.tobytes(), engine.trace]
+                state += [engine.delivered, engine.stale_discarded, engine.extrema_folds]
+                state += [] if y0 is None else [engine.z.tobytes()]
+                state += [] if extrema is None else [engine.hi.tobytes(), engine.lo.tobytes()]
+                states.append(state)
+            runs.append(states)
+        assert runs[0] == runs[1]
+        assert sorted(g.engine_maps) == sorted(
+            (tau_bar, kinds) for tau_bar in (0, 3, 10) for kinds in ((RATIO,), (MIN_MAX,), (RATIO, MIN_MAX))
+        )
+
+    def test_block_entries_patched_after_the_maps_exist(self, monkeypatch):
+        g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
+        multi = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w, trace=[])
+        monkeypatch.setattr(consensus, "BLOCK_ENTRIES", 0)
+        single = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w, trace=[])
+        assert single._maps is multi._maps
+        assert multi._block_cap > 1 and single._block_cap == 1
+        multi.advance(40)
+        single.advance(40)
+        assert single.z.tobytes() == multi.z.tobytes() and single.trace == multi.trace
 
 
 class TestRejectsBadInput:
@@ -981,4 +1062,19 @@ class TestRejectsBadInput:
         dm = DelayModel.uniform(2, seed=0)
         with pytest.raises(ValueError, match="extrema must not contain NaN"):
             run_minmax_consensus(g, dm, hi0, lo0, steps=6)
+        assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
+
+    def test_extrema_of_different_shapes(self):
+        vals = np.array([[5.0, 1.0], [1.0, 2.0], [3.0, 0.0]])
+        dm = DelayModel.uniform(2, seed=0)
+        with pytest.raises(ValueError, match=r"extrema hi and lo differ in shape: \(3, 2\) and \(3, 1\)"):
+            run_minmax_consensus(three_cycle(), dm, vals, vals[:, :1], steps=6)
+        assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_sender_weight_of_another_length(self, length):
+        weights = WeightMatrix(matrix=np.zeros((3, 3)), sender_weight=np.full(length, 0.5))
+        dm = DelayModel.uniform(2, seed=0)
+        with pytest.raises(ValueError, match=rf"sender_weight has shape \({length},\) for a 3-node digraph"):
+            run_ratio_consensus(three_cycle(), weights, dm, np.ones((3, 1)), steps=6)
         assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))

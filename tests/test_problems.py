@@ -36,6 +36,8 @@ class TestLsProx:
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
             single_node(np.eye(2), np.zeros(2)).prox(np.zeros((1, 2)), rho=0.0)
+        with pytest.raises(ValueError, match="rho must be > 0, got nan"):
+            single_node(np.eye(2), np.zeros(2)).prox(np.zeros((1, 2)), rho=float("nan"))
 
 
 class TestLeastSquaresCost:
