@@ -115,7 +115,9 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...]) -> _ColumnMap
     # order, while consecutive updates hit different bins and need not wait
     # for each other.  reduceat needs each receiver's extrema contiguous, so
     # the min/max columns stay in link order.
-    links = tuple(g.rank_order if kind == RATIO else np.arange(cols, dtype=np.int32) for kind in kinds)
+    rank = np.arange(cols) - np.searchsorted(receiver, receiver)
+    by_rank = np.argsort(rank, kind="stable").astype(np.int32)
+    links = tuple(by_rank if kind == RATIO else np.arange(cols, dtype=np.int32) for kind in kinds)
     # up to three maps of cols * depth entries: payload offsets (below
     # depth * n) and receivers (below n), each in the smallest unsigned type
     # that holds them, uint16 at n=600
@@ -172,13 +174,13 @@ class ConsensusEngine:
     per-tick history whose columns, per kind, are the digraph's links (the
     edges and every node's self term, delay 0): the min/max kind's in link
     order (receiver, then sender), the ratio kind's by each link's rank
-    among its receiver's links, then receiver (``Digraph.rank_order``).  One
-    gather through a column-to-draw map writes them, the self terms reading
-    a zero appended to the batch.  The send made ``lag`` ticks ago on a
-    column is consumed now iff its delay equals ``lag``, so one comparison
-    per lag yields the block's arrival table in column, oldest-send order.
-    Only the folds run tick by tick, since each tick's sends carry the state
-    the previous tick produced.
+    among its receiver's links, then receiver.  One gather through a
+    column-to-draw map writes them, the self terms reading a zero appended
+    to the batch.  The send made ``lag`` ticks ago on a column is consumed
+    now iff its delay equals ``lag``, so one comparison per lag yields the
+    block's arrival table in column, oldest-send order.  Only the folds run
+    tick by tick, since each tick's sends carry the state the previous tick
+    produced.
 
     The history is the engine's one time axis: each tick's sends sit on the
     row of its delays, per kind as ``[component, row * n + sender]``, written
@@ -221,9 +223,10 @@ class ConsensusEngine:
     round in which every node holds every row's top rank (tested on ranks,
     so a ``0.0`` / ``-0.0`` tie is not taken for agreement) keeps it.  From
     then to the round's end the ticks skip the fold and its sends, and the
-    schedule only counts and traces the extrema arrivals (untraced, it
-    counts each lag's without building the arrival table): every later
-    reader of those sends is a skipped fold or is cut by the epoch filter.
+    schedule only counts and traces the extrema arrivals (it counts each
+    lag's without the arrival table, which it builds only for the trace):
+    every later reader of those sends is a skipped fold or is cut by the
+    epoch filter.
     ``extrema_folds`` counts the folds that ran.
     """
 
@@ -352,32 +355,33 @@ class ConsensusEngine:
         n, k0, cols, hist, depth, maps = self.n, self.time, self._cols, self._hist, self._depth, self._maps
         columns = slice(q * cols, (q + 1) * cols)
         cut = self.epoch_start - k0 + depth - 1  # sent before the re-seed iff t + j < cut
-        if kind == MIN_MAX and self._ext_fixed and self.trace is None:
-            # no fold will run and nothing is traced: only count, per lag
-            # slab, the arrivals before the cut (stale) and after it
+        fixed = kind == MIN_MAX and self._ext_fixed
+        if fixed:
+            # no fold will run: only count, per lag slab, the arrivals
+            # before the cut (stale) and after it
             for j in range(depth):
                 slab = hist[1 + j : 1 + j + steps, columns] == depth - 1 - j
                 stale = np.count_nonzero(slab[: max(cut - j, 0)])
                 self.stale_discarded += stale
                 self.delivered += stale + np.count_nonzero(slab[max(cut - j, 0) :])
-            return None
+            if self.trace is None:
+                return None
         # [tick, column, oldest send first]: the send from tick k0 + t - lag,
         # on row 1 + t + j with j = depth - 1 - lag, arrives at k0 + t iff
         # its delay equals lag
         table = np.stack([hist[1 + j : 1 + j + steps, columns] == depth - 1 - j for j in range(depth)], axis=-1)
-        arrived = np.count_nonzero(table)
-        self.delivered += arrived
         if self.trace is not None:  # by tick, then link
             t, c = np.divmod(np.flatnonzero(table) // depth, cols)
             traced.append(t * cols + maps.links[q][c])
+        if fixed:
+            return None
+        arrived = np.count_nonzero(table)
+        self.delivered += arrived
         if kind == MIN_MAX:
             # one lag slab at a time, so numpy's inner loop runs along the
             # columns rather than along the short lag axis
             for j in range(min(cut, depth)):
                 table[: cut - j, :, j] = False
-            if self._ext_fixed:  # no fold will run: only count the discards
-                self.stale_discarded += arrived - np.count_nonzero(table)
-                return None
         flat = np.flatnonzero(table)
         self.stale_discarded += arrived - len(flat)
         ticks = np.arange(steps)

@@ -30,14 +30,13 @@ class Digraph:
     ``n`` and ``links`` are given: the receiver and sender of every edge and
     self-loop, int32, read-only, by receiver then sender (the edge-list
     file's line order).  Weights, diameter, edge-list file and consensus
-    engine read ``links``; the engine also reads :attr:`send_order`,
-    :attr:`rank_order` and :attr:`engine_maps`, each built on first use and
-    kept for the digraph's lifetime, so every consensus instance on one
-    digraph shares them.  :attr:`edges` is a derived view for tests and edge
-    counts.  The topology is never mutated, so instances are safe to share
-    across threads (two threads may each build a derived table once; they
-    build equal ones), and compare by identity: no caller compares or hashes
-    digraphs.
+    engine read ``links``; the engine also reads :attr:`send_order` and
+    :attr:`engine_maps`, each built on first use and kept for the digraph's
+    lifetime, so every consensus instance on one digraph shares them.
+    :attr:`edges` is a derived view for tests and edge counts.  The topology
+    is never mutated, so instances are safe to share across threads (two
+    threads may each build a derived table once; they build equal ones), and
+    compare by identity: no caller compares or hashes digraphs.
     """
 
     def __init__(self, n: int, edges) -> None:
@@ -80,21 +79,6 @@ class Digraph:
         receiver, sender = self.links
         order = np.argsort(sender.astype(np.int64) * self.n + receiver)
         order = order[receiver[order] != sender[order]].astype(np.int32)
-        order.flags.writeable = False
-        return order
-
-    @cached_property
-    def rank_order(self) -> np.ndarray:
-        """Positions in :attr:`links` by each link's rank among its receiver's links, then receiver.
-
-        Rank 0 is every receiver's first link (its lowest sender), rank 1 its
-        second, and so on: each receiver's links keep their order, but
-        consecutive positions go to different receivers.  The engine's ratio
-        columns run in this order; int32 and read-only.
-        """
-        receiver, _ = self.links
-        rank = np.arange(len(receiver)) - np.searchsorted(receiver, receiver)
-        order = np.argsort(rank, kind="stable").astype(np.int32)
         order.flags.writeable = False
         return order
 

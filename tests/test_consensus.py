@@ -915,7 +915,6 @@ class TestCounters:
         assert res.delivered == 2 * res.steps * (len(g.edges) + g.n)
         assert res.stale_discarded == 0
 
-
     def test_an_engine_without_kinds_only_keeps_time(self):
         g, _, _ = seeded_setup(n=12, seed=30)
         engine = ConsensusEngine(g, DelayModel.uniform(3, seed=31))
@@ -1020,6 +1019,21 @@ class TestSharedLinkTable:
         assert sorted(g.engine_maps) == sorted(
             (tau_bar, kinds) for tau_bar in (0, 3, 10) for kinds in ((RATIO,), (MIN_MAX,), (RATIO, MIN_MAX))
         )
+
+    def test_ratio_columns_by_rank_within_receiver(self):
+        g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
+        engine = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w, extrema=(y0, y0))
+        receiver, _ = g.links
+        by_receiver = [[] for _ in range(g.n)]
+        for c, r in enumerate(receiver.tolist()):
+            by_receiver[r].append(c)
+        # every receiver's first link, then every receiver's second, ...
+        ranked = [links[k] for k in range(max(map(len, by_receiver))) for links in by_receiver if k < len(links)]
+        ratio, minmax = engine._maps.links
+        assert ratio.tolist() == ranked
+        assert minmax.tolist() == list(range(len(receiver)))
+        for a in (ratio, minmax):
+            assert a.dtype == np.int32 and not a.flags.writeable
 
     def test_block_entries_patched_after_the_maps_exist(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)

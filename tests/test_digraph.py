@@ -244,13 +244,7 @@ def assert_links_match_edges(g):
     assert list(zip(receiver.tolist(), sender.tolist())) == pairs
     send = [(sender[c], receiver[c]) for c in g.send_order.tolist()]
     assert send == sorted((i, j) for j, i in g.edges)
-    # by rank among the receiver's links, then receiver
-    by_receiver = [[] for _ in range(g.n)]
-    for c, (r, _) in enumerate(pairs):
-        by_receiver[r].append(c)
-    ranked = [links[k] for k in range(max(map(len, by_receiver))) for links in by_receiver if k < len(links)]
-    assert g.rank_order.tolist() == ranked
-    for a in (receiver, sender, g.send_order, g.rank_order):
+    for a in (receiver, sender, g.send_order):
         assert a.dtype == np.int32 and not a.flags.writeable
         with pytest.raises(ValueError):
             a[:1] = 0
