@@ -55,6 +55,8 @@ class SolverConfig:
         # "not x > 0", not "x <= 0": NaN fails every comparison
         if not self.rho > 0.0:
             raise ValueError(f"rho must be > 0, got {self.rho}")
+        if self.rho == np.inf:  # the prox would scale the identity by inf: NaN off its diagonal
+            raise ValueError(f"rho must be finite, got {self.rho}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.k_max < 1:

@@ -82,7 +82,7 @@ class ExperimentConfig:
         return admm.SolverConfig(
             rho=self.rho,
             eps=self.epsilon,
-            tau_bar=0 if self.mode == "sync_baseline" else self.tau_bar,
+            tau_bar=self.tau_bar,
             k_max=self.kmax,
             eps_abs=self.eps_abs,
             eps_rel=self.eps_rel,

@@ -4,7 +4,8 @@ The ratio iteration tracks a numerator vector ``y`` and a positive scalar
 mass ``w`` per node.  Every step each node rescales its pair by its broadcast
 weight, ships it to all out-neighbors (and to itself, undelayed), and
 replaces its state by the sum of everything delivered to it on that tick.
-Because the weights are column stochastic, total mass is conserved and the
+Each weight is one over the sender's out-degree plus one, so the implied
+weight matrix is column stochastic: total mass is conserved and the
 ratio ``y / w`` at every node converges to the network-wide average of the
 initial ``y``.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import Digraph, WeightMatrix, diameter
+from .digraph import Digraph, diameter
 from .netsim import DelayModel
 
 __all__ = [
@@ -127,10 +128,13 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...]) -> _ColumnMap
     receiver_of = np.repeat(receiver[links[0]], depth).astype(np.min_scalar_type(n)) if RATIO in kinds else None
     first_col = np.searchsorted(receiver, np.arange(n)) if MIN_MAX in kinds else None
     # delay column -> batch position: draws go sender-major, then by kind,
-    # then receivers ascending, so sort the kind-major edge links stably;
-    # self-term columns read the zero past the batch's end
-    edge_links = np.add.outer(np.arange(len(kinds), dtype=np.int32) * cols, g.send_order).ravel()
-    draw_link = edge_links[np.argsort(np.tile(sender[g.send_order], len(kinds)), kind="stable")]
+    # then receivers ascending, so order the edge links by sender, then
+    # receiver, and sort them kind-major stably by sender; self-term columns
+    # read the zero past the batch's end
+    order = np.argsort(sender.astype(np.int64) * n + receiver)
+    edge = order[receiver[order] != sender[order]].astype(np.int32)
+    edge_links = np.add.outer(np.arange(len(kinds), dtype=np.int32) * cols, edge).ravel()
+    draw_link = edge_links[np.argsort(np.tile(sender[edge], len(kinds)), kind="stable")]
     draws = len(draw_link)
     link_draw = np.full(len(kinds) * cols, draws, dtype=np.int32)
     link_draw[draw_link] = np.arange(draws, dtype=np.int32)
@@ -162,7 +166,9 @@ class ConsensusEngine:
     broadcast weight, and its extrema pair ``(hi, lo)`` to each out-neighbor
     with an independent delay in ``[0, tau_bar]``, and to itself undelayed.
     Each receiver then folds whatever is due.  The ratio kind is present when
-    ``y0`` is given, the min/max kind when ``extrema`` is.
+    ``y0`` is given, with ``weights`` the ``(n,)`` vector of per-sender
+    weights (:func:`~asyncadmm.digraph.build_weights`); the min/max kind is
+    present when ``extrema`` is.
 
     The engine steps in blocks: runs of ticks with a fixed ``epoch_start``
     (``terminate`` runs one per round, ``advance`` one per span and
@@ -235,7 +241,7 @@ class ConsensusEngine:
         g: Digraph,
         dm: DelayModel,
         y0: np.ndarray | None = None,
-        weights: WeightMatrix | None = None,
+        weights: np.ndarray | None = None,
         extrema: tuple[np.ndarray, np.ndarray] | None = None,
         trace: list[str] | None = None,
     ):
@@ -258,9 +264,9 @@ class ConsensusEngine:
                 raise ValueError("y0 must be finite")
             # the ratio state component-major: numerator rows, then the mass
             self._yw = np.vstack([y0.T, np.ones(n)])
-            self._bw = np.asarray(weights.sender_weight, dtype=float)
+            self._bw = np.asarray(weights, dtype=float)
             if self._bw.shape != (n,):
-                raise ValueError(f"weights.sender_weight has shape {self._bw.shape} for a {n}-node digraph")
+                raise ValueError(f"weights has shape {self._bw.shape} for a {n}-node digraph")
             self.kinds.append(RATIO)
         if extrema is not None:
             hi, lo = (_rows(a, n, "extrema") for a in extrema)
@@ -511,7 +517,7 @@ class ConsensusEngine:
 
 def run_ratio_consensus(
     g: Digraph,
-    weights: WeightMatrix,
+    weights: np.ndarray,
     dm: DelayModel,
     y0: np.ndarray,
     steps: int,
@@ -529,7 +535,7 @@ def run_ratio_consensus(
 
 def ratio_trajectory(
     g: Digraph,
-    weights: WeightMatrix,
+    weights: np.ndarray,
     dm: DelayModel,
     y0: np.ndarray,
     steps: int,
@@ -559,7 +565,7 @@ def run_minmax_consensus(
 
 def run_terminating_consensus(
     g: Digraph,
-    weights: WeightMatrix,
+    weights: np.ndarray,
     dm: DelayModel,
     y0: np.ndarray,
     eps: float,

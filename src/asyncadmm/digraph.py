@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -10,7 +9,6 @@ import numpy as np
 
 __all__ = [
     "Digraph",
-    "WeightMatrix",
     "random_strongly_connected",
     "is_strongly_connected",
     "diameter",
@@ -30,8 +28,8 @@ class Digraph:
     ``n`` and ``links`` are given: the receiver and sender of every edge and
     self-loop, int32, read-only, by receiver then sender (the edge-list
     file's line order).  Weights, diameter, edge-list file and consensus
-    engine read ``links``; the engine also reads :attr:`send_order` and
-    :attr:`engine_maps`, each built on first use and kept for the digraph's
+    engine read ``links``; the engine keeps its column maps in
+    :attr:`engine_maps`, built on first use and kept for the digraph's
     lifetime, so every consensus instance on one digraph shares them.
     :attr:`edges` is a derived view for tests and edge counts.  The topology
     is never mutated, so instances are safe to share across threads (two
@@ -71,38 +69,9 @@ class Digraph:
         return frozenset(zip(receiver[edge].tolist(), sender[edge].tolist()))
 
     @cached_property
-    def send_order(self) -> np.ndarray:
-        """Positions in :attr:`links` of the edges (no self-loops), by sender, then receiver.
-
-        The order in which a tick draws its delays; int32 and read-only.
-        """
-        receiver, sender = self.links
-        order = np.argsort(sender.astype(np.int64) * self.n + receiver)
-        order = order[receiver[order] != sender[order]].astype(np.int32)
-        order.flags.writeable = False
-        return order
-
-    @cached_property
     def engine_maps(self) -> dict:
         """The consensus engine's column maps by ``(tau_bar, kinds)``, filled by the engine."""
         return {}
-
-
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
-    """Column-stochastic broadcast weights.
-
-    ``matrix[l, j]`` is the weight a message from sender ``j`` carries at
-    receiver ``l``; it is ``1 / (1 + d_j)``, ``d_j`` the out-degree of ``j``,
-    for each of those receivers and for the sender itself, zero elsewhere.
-    Every column therefore sums to one.  ``sender_weight[j]``, the scaling
-    sender ``j`` applies to everything it ships (and keeps), is exposed
-    separately because senders scale their own broadcasts: no node ever
-    needs the full matrix.
-    """
-
-    matrix: np.ndarray
-    sender_weight: np.ndarray
 
 
 def random_strongly_connected(n: int, extra_edge_prob: float, seed) -> Digraph:
@@ -198,13 +167,14 @@ def diameter(g: Digraph) -> int:
     return hops + 1
 
 
-def build_weights(g: Digraph) -> WeightMatrix:
-    """Weights ``1 / (1 + d_j)`` on each sender's out-edges and self-loop."""
-    receiver, sender = g.links
-    sender_weight = 1.0 / np.bincount(sender, minlength=g.n)  # d_j edges plus the self-loop
-    matrix = np.zeros((g.n, g.n))
-    matrix[receiver, sender] = sender_weight[sender]
-    return WeightMatrix(matrix=matrix, sender_weight=sender_weight)
+def build_weights(g: Digraph) -> np.ndarray:
+    """Broadcast weights: entry ``j`` is ``1 / (1 + d_j)``, ``d_j`` the out-degree of ``j``.
+
+    Sender ``j`` scales everything it ships (and keeps) by it, so the implied
+    matrix ``P``, that weight on ``j``'s out-edges and self-loop, is column
+    stochastic.  No node needs ``P``, so only this length-``n`` vector exists.
+    """
+    return 1.0 / np.bincount(g.links[1], minlength=g.n)  # d_j edges plus the self-loop
 
 
 def save_edge_list(g: Digraph, path) -> None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import WeightMatrix
+from .digraph import Digraph, build_weights
 from .problems import LeastSquaresInstance, _node_order_totals
 
 __all__ = [
@@ -72,22 +72,30 @@ def exact_average(vectors) -> np.ndarray:
     return sums.reshape(arr.shape[1:]) / arr.shape[0]
 
 
-def synchronous_ratio_oracle(weights: WeightMatrix, y0: np.ndarray, k: int) -> np.ndarray:
-    """Undelayed ratio estimate at step ``k`` by explicit matrix powering.
+def synchronous_ratio_oracle(g: Digraph, y0: np.ndarray, k: int) -> np.ndarray:
+    """Undelayed ratio estimate on ``g`` at step ``k`` by explicit matrix powering.
 
     Computes ``(P^k y0) / (P^k 1)`` entrywise, accumulating per receiver in
     ascending sender order with scale-then-sum, which is the exact operation
     order of the simulator's zero-delay path.  The two must agree bit for bit.
     """
-    return synchronous_ratio_trajectory(weights, y0, k)[k]
+    return synchronous_ratio_trajectory(g, y0, k)[k]
 
 
-def synchronous_ratio_trajectory(weights: WeightMatrix, y0: np.ndarray, k: int) -> list[np.ndarray]:
-    """All undelayed ratio estimates ``[z^0, ..., z^k]`` in one pass."""
+def synchronous_ratio_trajectory(g: Digraph, y0: np.ndarray, k: int) -> list[np.ndarray]:
+    """All undelayed ratio estimates ``[z^0, ..., z^k]`` in one pass.
+
+    The dense column-stochastic ``P`` is built here, from the link table and
+    :func:`~asyncadmm.digraph.build_weights`: ``P[l, j]`` is sender ``j``'s
+    weight for each receiver ``l`` of its out-edges and self-loop, zero
+    elsewhere.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    matrix = weights.matrix
-    n = matrix.shape[0]
+    n = g.n
+    receiver, sender = g.links
+    matrix = np.zeros((n, n))
+    matrix[receiver, sender] = build_weights(g)[sender]
     senders = [np.nonzero(matrix[j])[0] for j in range(n)]
     y = np.asarray(y0, dtype=float)
     if y.ndim == 1:

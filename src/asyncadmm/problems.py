@@ -54,10 +54,12 @@ class LeastSquaresInstance:
 
         One stacked solve of the p-by-p normal systems
         ``(A_i^T A_i + rho I) x_i = A_i^T b_i + rho * targets[i]``, each
-        positive definite for any rho > 0.
+        positive definite for any finite rho > 0.
         """
         if not rho > 0.0:  # NaN fails every comparison
             raise ValueError(f"rho must be > 0, got {rho}")
+        if rho == np.inf:  # inf * I is NaN off the diagonal
+            raise ValueError(f"rho must be finite, got {rho}")
         ata, atb = self.normal_blocks
         lhs = ata + rho * np.eye(self.p)
         rhs = atb + rho * np.asarray(targets, dtype=float)

@@ -152,7 +152,7 @@ def test_criterion_4_synchronous_equivalence():
         w = build_weights(g)
         y0 = np.random.default_rng(7100 + gi).standard_normal((g.n, 2))
         sim = ratio_trajectory(g, w, DelayModel.zero(), y0, 200)
-        ref = synchronous_ratio_trajectory(w, y0, 200)
+        ref = synchronous_ratio_trajectory(g, y0, 200)
         for k in range(201):
             assert np.abs(sim[k] - ref[k]).max() <= 1e-12, f"graph {gi}, step {k}"
 

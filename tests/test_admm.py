@@ -32,6 +32,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be >=? 0, got nan$"):
             SolverConfig(**{name: float("nan")})
 
+    def test_rejects_infinite_rho(self):
+        # inf passes "> 0"; the prox would then solve with NaN off the diagonal
+        with pytest.raises(ValueError, match=r"^rho must be finite, got inf$"):
+            SolverConfig(rho=float("inf"))
+
     def test_rejects_non_integer_tau_bar(self):
         # it would otherwise run at tau_bar=2
         with pytest.raises(ValueError, match="tau_bar must be an integer"):

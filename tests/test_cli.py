@@ -123,6 +123,23 @@ class TestRunOnce:
         assert f"error: {name} must be > 0, got nan" in capsys.readouterr().err
         assert not (tmp_path / "o" / "run.csv").exists()
 
+    def test_infinite_rho_exits_1_and_names_it(self, tmp_path, capsys):
+        # inf passes "> 0": it used to warn in the prox, then fail as a y0 error
+        code = run_cli(
+            "run", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+            "--seed", "4", "--rho", "inf", "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert "error: rho must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "run.csv").exists()
+
+    def test_sync_baseline_validates_tau_bar(self, tmp_path, capsys):
+        # exact averaging never draws a delay, but a bad tau_bar is still an error
+        code = run_cli("run", *FAST, "--mode", "sync_baseline", "--tau-bar", "-1", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "error: tau_bar must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "config.txt").exists()
+
     def test_trace_output(self, tmp_path):
         out = tmp_path / "out"
         run_cli("run", *FAST, "--trace", "--out", str(out))

@@ -56,7 +56,7 @@ class TestDigraph:
         repeated = [*pairs, *pairs[:7]]  # a repeated pair collapses to one edge
         for edges in (np.array(pairs), np.array(pairs, dtype=np.uint16), pairs, repeated):
             h = Digraph(g.n, edges)
-            for a, b in zip((*g.links, g.send_order), (*h.links, h.send_order)):
+            for a, b in zip(g.links, h.links):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert h.edges == frozenset(pairs)
 
@@ -143,27 +143,20 @@ class TestConnectivityAndDiameter:
 class TestWeights:
     def test_two_cycle_weights_are_half(self):
         w = build_weights(cycle(2))
-        nz = w.matrix[w.matrix > 0]
-        assert np.all(nz == 0.5)
+        assert w.shape == (2,) and np.all(w == 0.5)
 
     def test_out_degree_three_column(self):
         # node 0 sends to 1, 2, 3 in a complete 4-node digraph
         w = build_weights(complete(4))
-        assert np.allclose(w.matrix[:, 0], 0.25)
-        assert w.sender_weight[0] == 0.25
+        assert w[0] == 0.25
 
     @pytest.mark.parametrize("seed", range(6))
     def test_columns_sum_to_one(self, seed):
+        # column j of the implied matrix: j's weight on each of its links
         g = random_strongly_connected(5 + 2 * seed, 0.3, seed=seed)
         w = build_weights(g)
-        assert np.abs(w.matrix.sum(axis=0) - 1.0).max() < 1e-12
-
-    def test_support_matches_out_neighborhood(self):
-        g = random_strongly_connected(9, 0.3, seed=4)
-        w = build_weights(g)
-        for j in range(g.n):
-            expected = set(out_lists(g)[j]) | {j}
-            assert set(np.nonzero(w.matrix[:, j])[0]) == expected
+        sender = g.links[1]
+        assert np.abs(np.bincount(sender, weights=w[sender]) - 1.0).max() < 1e-12
 
 
 class TestEdgeListFormat:
@@ -228,23 +221,15 @@ def bfs_diameter(g):
 def loop_weights(g):
     """Reference: the per-sender weight loop."""
     outs = out_lists(g)
-    sender_weight = np.array([1.0 / (1.0 + len(outs[j])) for j in range(g.n)])
-    matrix = np.zeros((g.n, g.n))
-    for j in range(g.n):
-        matrix[j, j] = sender_weight[j]
-        for l in outs[j]:
-            matrix[l, j] = sender_weight[j]
-    return matrix, sender_weight
+    return np.array([1.0 / (1.0 + len(outs[j])) for j in range(g.n)])
 
 
 def assert_links_match_edges(g):
-    """Both orders of the link table against a loop over ``g.edges``."""
+    """The link table against a loop over ``g.edges``."""
     receiver, sender = g.links
     pairs = sorted([*g.edges, *((v, v) for v in range(g.n))])
     assert list(zip(receiver.tolist(), sender.tolist())) == pairs
-    send = [(sender[c], receiver[c]) for c in g.send_order.tolist()]
-    assert send == sorted((i, j) for j, i in g.edges)
-    for a in (receiver, sender, g.send_order):
+    for a in (receiver, sender):
         assert a.dtype == np.int32 and not a.flags.writeable
         with pytest.raises(ValueError):
             a[:1] = 0
@@ -253,10 +238,8 @@ def assert_links_match_edges(g):
 def assert_matches_references(g, d=None):
     assert_links_match_edges(g)
     assert diameter(g) == (bfs_diameter(g) if d is None else d)
-    matrix, sender_weight = loop_weights(g)
     w = build_weights(g)
-    assert w.matrix.tobytes() == matrix.tobytes()
-    assert w.sender_weight.tobytes() == sender_weight.tobytes()
+    assert w.dtype == np.float64 and w.tobytes() == loop_weights(g).tobytes()
 
 
 class TestMatchesReferenceLoops:

@@ -168,15 +168,13 @@ class TestExactAverageMatchesRowLoop:
 class TestSynchronousRatioOracle:
     def test_k_zero_is_initial_value(self):
         g = random_strongly_connected(6, 0.3, seed=6)
-        w = build_weights(g)
         y0 = np.random.default_rng(7).standard_normal((6, 2))
-        assert np.array_equal(synchronous_ratio_oracle(w, y0, 0), y0)
+        assert np.array_equal(synchronous_ratio_oracle(g, y0, 0), y0)
 
     def test_three_cycle_limit_is_average(self):
         g = Digraph(3, frozenset({(1, 0), (2, 1), (0, 2)}))
-        w = build_weights(g)
         y0 = np.array([[1.0], [2.0], [6.0]])
-        z = synchronous_ratio_oracle(w, y0, 400)
+        z = synchronous_ratio_oracle(g, y0, 400)
         assert np.abs(z - 3.0).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -186,9 +184,9 @@ class TestSynchronousRatioOracle:
         y0 = np.random.default_rng(seed).standard_normal((g.n, 2))
         traj = ratio_trajectory(g, w, DelayModel.zero(), y0, 60)
         for k in range(61):
-            assert np.array_equal(traj[k], synchronous_ratio_oracle(w, y0, k))
+            assert np.array_equal(traj[k], synchronous_ratio_oracle(g, y0, k))
 
     def test_rejects_negative_k(self):
         g = random_strongly_connected(4, 0.2, seed=0)
         with pytest.raises(ValueError):
-            synchronous_ratio_oracle(build_weights(g), np.zeros((4, 1)), -1)
+            synchronous_ratio_oracle(g, np.zeros((4, 1)), -1)

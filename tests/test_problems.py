@@ -39,6 +39,10 @@ class TestLsProx:
         with pytest.raises(ValueError, match="rho must be > 0, got nan"):
             single_node(np.eye(2), np.zeros(2)).prox(np.zeros((1, 2)), rho=float("nan"))
 
+    def test_rejects_infinite_rho(self):
+        with pytest.raises(ValueError, match="rho must be finite, got inf"):
+            single_node(np.eye(2), np.zeros(2)).prox(np.zeros((1, 2)), rho=float("inf"))
+
 
 class TestLeastSquaresCost:
     """One node's cost ``f(x) = 0.5 * ||A x - b||^2`` and its prox, via a one-node instance."""
