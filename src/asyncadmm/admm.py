@@ -161,9 +161,14 @@ def x_update(
 
     Row ``i`` minimizes ``f_i(x) + lam_i^T x + (rho/2) ||x - z_i||^2``;
     completing the square turns this into the prox at target
-    ``z_i - lam_i / rho``.
+    ``z_i - lam_i / rho``.  A rho small enough to overflow that target raises
+    ``ValueError`` naming it.
     """
-    return problem.prox(z - lam / rho, rho)
+    with np.errstate(over="ignore"):
+        targets = z - lam / rho
+    if not np.isfinite(targets).all():
+        raise ValueError(f"rho={rho!r} overflows the prox target z - lam / rho")
+    return problem.prox(targets, rho)
 
 
 def stopping_criterion(
@@ -241,7 +246,10 @@ def run(
                 g, weights, dm, y0, cfg.eps, cfg.step_cap, graph_diameter=d, trace=trace
             )
             z, steps, converged = res.z, res.steps, res.converged
-        lam = lam + cfg.rho * (x - z)
+        with np.errstate(over="ignore"):
+            lam = lam + cfg.rho * (x - z)
+        if not np.isfinite(lam).all():
+            raise ValueError(f"rho={cfg.rho!r} overflows the dual step lam + rho * (x - z)")
 
         sum_x += x
         sum_z += z

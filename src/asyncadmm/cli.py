@@ -158,12 +158,16 @@ def _write_summary(record: admm.RunRecord, path) -> None:
 
 
 def run_once(cfg: ExperimentConfig, out_dir) -> int:
-    """One solver run; writes run.csv, summary.csv, config.txt (and trace.txt)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """One solver run; writes run.csv, summary.csv, config.txt (and trace.txt).
+
+    The output directory is made only once the run has succeeded, so a
+    rejected run leaves nothing behind.
+    """
     started = time.perf_counter()
     record, g, trace = _execute(cfg)
     elapsed = time.perf_counter() - started
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     record.to_csv(out / "run.csv")
     _write_summary(record, out / "summary.csv")
     cfg.to_file(out / "config.txt")

@@ -28,6 +28,7 @@ mass conservation requires each one to be consumed.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +40,6 @@ __all__ = [
     "ProtocolError",
     "ConsensusResult",
     "ConsensusEngine",
-    "run_ratio_consensus",
-    "ratio_trajectory",
-    "run_minmax_consensus",
     "run_terminating_consensus",
 ]
 
@@ -102,23 +100,23 @@ class _ColumnMaps:
     start: np.ndarray
 
 
+# Each digraph's maps by (tau_bar, kinds), kept while the digraph lives: every
+# instance of a solver run shares them, and the maps hold no reference back.
+_maps_by_digraph: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...]) -> _ColumnMaps:
     """The maps of engines on ``g`` with ``tau_bar`` and ``kinds``, built on first use."""
-    maps = g.engine_maps.get((tau_bar, kinds))
+    by_key = _maps_by_digraph.setdefault(g, {})
+    maps = by_key.get((tau_bar, kinds))
     if maps is not None:
         return maps
     n, depth = g.n, tau_bar + 1
     receiver, sender = g.links
     cols = len(receiver)
-    # The ratio columns run by rank within each receiver's links, then by
-    # receiver: every receiver's arrivals keep their (sender, oldest send
-    # first) order, so each bincount sum adds the same terms in the same
-    # order, while consecutive updates hit different bins and need not wait
-    # for each other.  reduceat needs each receiver's extrema contiguous, so
-    # the min/max columns stay in link order.
-    rank = np.arange(cols) - np.searchsorted(receiver, receiver)
-    by_rank = np.argsort(rank, kind="stable").astype(np.int32)
-    links = tuple(by_rank if kind == RATIO else np.arange(cols, dtype=np.int32) for kind in kinds)
+    # the ratio columns in draw order, the min/max columns in link order
+    order = np.argsort(sender.astype(np.int64) * n + receiver).astype(np.int32)
+    links = tuple(order if kind == RATIO else np.arange(cols, dtype=np.int32) for kind in kinds)
     # up to three maps of cols * depth entries: payload offsets (below
     # depth * n) and receivers (below n), each in the smallest unsigned type
     # that holds them, uint16 at n=600
@@ -127,12 +125,10 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...]) -> _ColumnMap
     payload_of = tuple(np.add.outer(sender[link], lags).ravel().astype(offset) for link in links)
     receiver_of = np.repeat(receiver[links[0]], depth).astype(np.min_scalar_type(n)) if RATIO in kinds else None
     first_col = np.searchsorted(receiver, np.arange(n)) if MIN_MAX in kinds else None
-    # delay column -> batch position: draws go sender-major, then by kind,
-    # then receivers ascending, so order the edge links by sender, then
-    # receiver, and sort them kind-major stably by sender; self-term columns
-    # read the zero past the batch's end
-    order = np.argsort(sender.astype(np.int64) * n + receiver)
-    edge = order[receiver[order] != sender[order]].astype(np.int32)
+    # delay column -> batch position: sort the edge links in draw order
+    # kind-major stably by sender; self-term columns read the zero past the
+    # batch's end
+    edge = order[receiver[order] != sender[order]]
     edge_links = np.add.outer(np.arange(len(kinds), dtype=np.int32) * cols, edge).ravel()
     draw_link = edge_links[np.argsort(np.tile(sender[edge], len(kinds)), kind="stable")]
     draws = len(draw_link)
@@ -146,7 +142,7 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...]) -> _ColumnMap
         if a is not None:
             a.flags.writeable = False
     maps = _ColumnMaps(links, payload_of, receiver_of, first_col, col_draw, draws, start)
-    g.engine_maps[tau_bar, kinds] = maps
+    by_key[tau_bar, kinds] = maps
     return maps
 
 
@@ -171,22 +167,22 @@ class ConsensusEngine:
     present when ``extrema`` is.
 
     The engine steps in blocks: runs of ticks with a fixed ``epoch_start``
-    (``terminate`` runs one per round, ``advance`` one per span and
-    ``trajectory`` one per tick), each cut to at most ``BLOCK_ENTRIES``
-    arrival-table entries.  A block draws all its delays at once: edges are
-    numbered in draw order (sender-major, then kind with ratio before
-    min/max, then receivers ascending), so one batch consumes the delay
-    stream exactly as per-sender draws per tick would.  The delays land in a
-    per-tick history whose columns, per kind, are the digraph's links (the
-    edges and every node's self term, delay 0): the min/max kind's in link
-    order (receiver, then sender), the ratio kind's by each link's rank
-    among its receiver's links, then receiver.  One gather through a
-    column-to-draw map writes them, the self terms reading a zero appended
-    to the batch.  The send made ``lag`` ticks ago on a column is consumed
-    now iff its delay equals ``lag``, so one comparison per lag yields the
-    block's arrival table in column, oldest-send order.  Only the folds run
-    tick by tick, since each tick's sends carry the state the previous tick
-    produced.
+    (``terminate`` runs one per round, ``advance`` one per span), each cut
+    to at most ``BLOCK_ENTRIES`` arrival-table entries.  A block draws all
+    its delays at once, in draw order (sender-major, then kind with ratio
+    before min/max, then receivers ascending), so one batch consumes the
+    delay stream exactly as per-sender draws per tick would.  The delays
+    land in a per-tick history whose columns, per kind, are the digraph's
+    links (the edges and every node's self term, delay 0): the ratio kind's
+    in draw order (sender, then receiver, each self term in place), the
+    min/max kind's in link order (receiver, then sender), since
+    ``reduceat`` needs each receiver's extrema contiguous.  One gather
+    through a column-to-draw map writes them, the self terms reading a zero
+    appended to the batch.  The send made ``lag`` ticks ago on a column is
+    consumed now iff its delay equals ``lag``, so one comparison per lag
+    yields the block's arrival table in column, oldest-send order.  Only the
+    folds run tick by tick, since each tick's sends carry the state the
+    previous tick produced.
 
     The history is the engine's one time axis: each tick's sends sit on the
     row of its delays, per kind as ``[component, row * n + sender]``, written
@@ -198,16 +194,17 @@ class ConsensusEngine:
     table's (column, lag) offsets give each arrival's payload (past row
     ``t + 1``) and its receiver.  These maps, the column-to-draw map and the
     history's rows before time 0 depend only on the digraph, ``tau_bar`` and
-    the kinds, so they are built once per such triple and kept with the
-    digraph (``Digraph.engine_maps``): every instance of a solver run shares
-    them.  The block cap, which reads ``BLOCK_ENTRIES``, is set per engine.
+    the kinds, so they are built once per such triple and kept while the
+    digraph lives: every instance of a solver run shares them.  The block
+    cap, which reads ``BLOCK_ENTRIES``, is set per engine.
 
-    Ratio sums fold sequentially with ``bincount`` in that order: each
-    receiver's arrivals come by sender, oldest send first, whatever the rank
-    order interleaves between them, so results are reproducible bit for bit.
-    The interleaving only spares ``bincount`` back-to-back updates of one
+    Ratio sums fold sequentially with ``bincount`` in column order: each
+    receiver's arrivals come by sender, oldest send first, so results are
+    reproducible bit for bit.  Consecutive columns of one sender go to
+    distinct receivers, which spares ``bincount`` back-to-back updates of one
     bin, each of which waits for the last: one call over the 72,835 links of
-    an n=600 digraph takes 95 instead of 250 us (2-vCPU Xeon).
+    an n=600 digraph takes 110 instead of 290 us in link order (2-vCPU Xeon,
+    numpy 2.4).
 
     Extrema fold over each receiver's arrivals, which always include its own
     lag-0 term, and drop extrema sent before ``epoch_start``, the latest
@@ -475,14 +472,6 @@ class ConsensusEngine:
             self._block(block)
             steps -= block
 
-    def trajectory(self, steps: int) -> list[np.ndarray]:
-        """Ratio estimates ``[z^now, ..., z^(now + steps)]``."""
-        traj = [self.z]
-        for _ in range(steps):
-            self.advance(1)
-            traj.append(self.z)
-        return traj
-
     def terminate(self, eps: float, step_cap: int, round_len: int) -> ConsensusResult:
         """Step until the extrema spread drops below ``eps`` at a check boundary.
 
@@ -513,54 +502,6 @@ class ConsensusEngine:
                     extrema_folds=self.extrema_folds,
                 )
             self.advance(min(step_cap, (k // round_len + 1) * round_len) - k)
-
-
-def run_ratio_consensus(
-    g: Digraph,
-    weights: np.ndarray,
-    dm: DelayModel,
-    y0: np.ndarray,
-    steps: int,
-    trace: list[str] | None = None,
-) -> np.ndarray:
-    """Run the delayed ratio iteration for a fixed number of steps.
-
-    Returns the ``(n, p)`` array of per-node ratio estimates after ``steps``
-    updates.  No termination logic is involved.
-    """
-    engine = ConsensusEngine(g, dm, y0=y0, weights=weights, trace=trace)
-    engine.advance(steps)
-    return engine.z
-
-
-def ratio_trajectory(
-    g: Digraph,
-    weights: np.ndarray,
-    dm: DelayModel,
-    y0: np.ndarray,
-    steps: int,
-) -> list[np.ndarray]:
-    """Per-step ratio estimates ``[z^0, z^1, ..., z^steps]``."""
-    return ConsensusEngine(g, dm, y0=y0, weights=weights).trajectory(steps)
-
-
-def run_minmax_consensus(
-    g: Digraph,
-    dm: DelayModel,
-    hi0: np.ndarray,
-    lo0: np.ndarray,
-    steps: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standalone asynchronous max- and min-consensus for ``steps`` updates.
-
-    Starting from per-node rows ``hi0`` / ``lo0``, every node repeatedly folds
-    whatever extrema deliveries are due each tick into its own pair.  With
-    delays bounded by ``tau_bar``, every node holds the global extrema after
-    at most ``(1 + tau_bar) * D`` updates.
-    """
-    engine = ConsensusEngine(g, dm, extrema=(hi0, lo0))
-    engine.advance(steps)
-    return engine.hi, engine.lo
 
 
 def run_terminating_consensus(

@@ -27,14 +27,11 @@ class Digraph:
     never passed in.  ``n == 1`` is the degenerate single-node case.  Only
     ``n`` and ``links`` are given: the receiver and sender of every edge and
     self-loop, int32, read-only, by receiver then sender (the edge-list
-    file's line order).  Weights, diameter, edge-list file and consensus
-    engine read ``links``; the engine keeps its column maps in
-    :attr:`engine_maps`, built on first use and kept for the digraph's
-    lifetime, so every consensus instance on one digraph shares them.
+    file's line order), which everything that reads the topology reads.
     :attr:`edges` is a derived view for tests and edge counts.  The topology
     is never mutated, so instances are safe to share across threads (two
-    threads may each build a derived table once; they build equal ones), and
-    compare by identity: no caller compares or hashes digraphs.
+    threads may each build a derived view once; they build equal ones), and
+    compare and hash by identity.
     """
 
     def __init__(self, n: int, edges) -> None:
@@ -67,11 +64,6 @@ class Digraph:
         receiver, sender = self.links
         edge = receiver != sender
         return frozenset(zip(receiver[edge].tolist(), sender[edge].tolist()))
-
-    @cached_property
-    def engine_maps(self) -> dict:
-        """The consensus engine's column maps by ``(tau_bar, kinds)``, filled by the engine."""
-        return {}
 
 
 def random_strongly_connected(n: int, extra_edge_prob: float, seed) -> Digraph:

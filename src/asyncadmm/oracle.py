@@ -14,7 +14,6 @@ __all__ = [
     "GroundTruth",
     "centralized_solution",
     "exact_average",
-    "synchronous_ratio_oracle",
     "synchronous_ratio_trajectory",
 ]
 
@@ -72,23 +71,16 @@ def exact_average(vectors) -> np.ndarray:
     return sums.reshape(arr.shape[1:]) / arr.shape[0]
 
 
-def synchronous_ratio_oracle(g: Digraph, y0: np.ndarray, k: int) -> np.ndarray:
-    """Undelayed ratio estimate on ``g`` at step ``k`` by explicit matrix powering.
-
-    Computes ``(P^k y0) / (P^k 1)`` entrywise, accumulating per receiver in
-    ascending sender order with scale-then-sum, which is the exact operation
-    order of the simulator's zero-delay path.  The two must agree bit for bit.
-    """
-    return synchronous_ratio_trajectory(g, y0, k)[k]
-
-
 def synchronous_ratio_trajectory(g: Digraph, y0: np.ndarray, k: int) -> list[np.ndarray]:
     """All undelayed ratio estimates ``[z^0, ..., z^k]`` in one pass.
 
-    The dense column-stochastic ``P`` is built here, from the link table and
-    :func:`~asyncadmm.digraph.build_weights`: ``P[l, j]`` is sender ``j``'s
-    weight for each receiver ``l`` of its out-edges and self-loop, zero
-    elsewhere.
+    Entry ``j`` is ``(P^j y0) / (P^j 1)`` by explicit matrix powering,
+    accumulated per receiver in ascending sender order with scale-then-sum:
+    the exact operation order of the simulator's zero-delay path, which it
+    must match bit for bit.  The dense column-stochastic ``P`` is built here,
+    from the link table and :func:`~asyncadmm.digraph.build_weights`:
+    ``P[l, j]`` is sender ``j``'s weight for each receiver ``l`` of its
+    out-edges and self-loop, zero elsewhere.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")

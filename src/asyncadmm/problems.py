@@ -54,16 +54,27 @@ class LeastSquaresInstance:
 
         One stacked solve of the p-by-p normal systems
         ``(A_i^T A_i + rho I) x_i = A_i^T b_i + rho * targets[i]``, each
-        positive definite for any finite rho > 0.
+        positive definite for any finite rho > 0.  Finite targets and a rho
+        large enough to overflow either side, or the solution, raise
+        ``ValueError`` naming rho.
         """
         if not rho > 0.0:  # NaN fails every comparison
             raise ValueError(f"rho must be > 0, got {rho}")
         if rho == np.inf:  # inf * I is NaN off the diagonal
             raise ValueError(f"rho must be finite, got {rho}")
+        targets = np.asarray(targets, dtype=float)
+        if not np.isfinite(targets).all():
+            raise ValueError("prox targets must be finite")
         ata, atb = self.normal_blocks
-        lhs = ata + rho * np.eye(self.p)
-        rhs = atb + rho * np.asarray(targets, dtype=float)
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        with np.errstate(over="ignore"):
+            lhs = ata + rho * np.eye(self.p)
+            rhs = atb + rho * targets
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise ValueError(f"rho={rho!r} overflows the prox system")
+        x = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        if not np.isfinite(x).all():
+            raise ValueError(f"rho={rho!r} overflows the prox output")
+        return x
 
     def objective(self, x_rows: np.ndarray) -> float:
         """``F(X) = 0.5 * sum_i ||A_i x_i - b_i||^2`` for stacked rows ``x_rows``.

@@ -12,12 +12,7 @@ import pytest
 
 from asyncadmm.admm import SolverConfig, run
 from asyncadmm.cli import main as cli_main
-from asyncadmm.consensus import (
-    ratio_trajectory,
-    run_minmax_consensus,
-    run_ratio_consensus,
-    run_terminating_consensus,
-)
+from asyncadmm.consensus import ConsensusEngine, run_terminating_consensus
 from asyncadmm.digraph import build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import centralized_solution, exact_average, synchronous_ratio_trajectory
@@ -108,9 +103,9 @@ def test_criterion_1_ratio_consensus_correctness(trial_set):
     for t, g, w, _, tau in trial_set:
         rng = np.random.default_rng(2000 + t)
         y0 = rng.standard_normal((g.n, 2))
-        dm = delay_for(tau, seed=3000 + t)
-        z = run_ratio_consensus(g, w, dm, y0, 2000)
-        err = np.max(np.linalg.norm(z - exact_average(y0), axis=1))
+        engine = ConsensusEngine(g, delay_for(tau, seed=3000 + t), y0=y0, weights=w)
+        engine.advance(2000)
+        err = np.max(np.linalg.norm(engine.z - exact_average(y0), axis=1))
         assert err <= 1e-8, f"trial {t}: n={g.n} tau={tau} err={err}"
 
 
@@ -119,11 +114,10 @@ def test_criterion_2_minmax_finite_time_bound(trial_set):
     for t, g, _, d, tau in trial_set:
         rng = np.random.default_rng(4000 + t)
         vals = rng.standard_normal((g.n, 2))
-        dm = delay_for(tau, seed=5000 + t)
-        bound = (1 + tau) * d
-        hi, lo = run_minmax_consensus(g, dm, vals, vals, steps=bound)
-        assert np.array_equal(hi, np.tile(vals.max(axis=0), (g.n, 1))), f"trial {t}"
-        assert np.array_equal(lo, np.tile(vals.min(axis=0), (g.n, 1))), f"trial {t}"
+        engine = ConsensusEngine(g, delay_for(tau, seed=5000 + t), extrema=(vals, vals))
+        engine.advance((1 + tau) * d)
+        assert np.array_equal(engine.hi, np.tile(vals.max(axis=0), (g.n, 1))), f"trial {t}"
+        assert np.array_equal(engine.lo, np.tile(vals.min(axis=0), (g.n, 1))), f"trial {t}"
 
 
 @criterion(3, "terminating consensus halts with spread <= eps; checks on round boundaries")
@@ -151,10 +145,11 @@ def test_criterion_4_synchronous_equivalence():
         g = random_strongly_connected(5 + gi, 0.3, seed=7000 + gi)
         w = build_weights(g)
         y0 = np.random.default_rng(7100 + gi).standard_normal((g.n, 2))
-        sim = ratio_trajectory(g, w, DelayModel.zero(), y0, 200)
+        engine = ConsensusEngine(g, DelayModel.zero(), y0=y0, weights=w)
         ref = synchronous_ratio_trajectory(g, y0, 200)
         for k in range(201):
-            assert np.abs(sim[k] - ref[k]).max() <= 1e-12, f"graph {gi}, step {k}"
+            assert np.abs(engine.z - ref[k]).max() <= 1e-12, f"graph {gi}, step {k}"
+            engine.advance(1)
 
 
 @criterion(5, "desk-scale solver accuracy: rel objective <= 1e-2, node error <= 0.1")

@@ -74,6 +74,11 @@ class TestXUpdate:
         x = x_update(problem, lam, z, rho)
         assert np.allclose(x, 0.0, atol=1e-14)
 
+    def test_names_a_rho_that_overflows_the_target(self):
+        problem = replicated(np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match=r"^rho=1e-320 overflows the prox target z - lam / rho$"):
+            x_update(problem, np.ones((2, 3)), np.zeros((2, 3)), rho=1e-320)
+
 
 class TestZUpdate:
     """The z-update: one terminating-consensus instance seeded with ``x + lam / rho``."""

@@ -133,6 +133,25 @@ class TestRunOnce:
         assert "error: rho must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "o" / "run.csv").exists()
 
+    @pytest.mark.parametrize("rho,where", [("1e308", "the prox system"), ("1e-320", "the prox target")])
+    def test_extreme_finite_rho_exits_1_and_names_it(self, tmp_path, capsys, rho, where):
+        # rho * targets, or lam / rho, overflows; this suite turns the
+        # RuntimeWarning such an overflow used to print into an error
+        code = run_cli(
+            "run", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+            "--seed", "4", "--rho", rho, "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert f"error: rho={float(rho)!r} overflows {where}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--rho", "inf"], ["--mode", "sync_baseline", "--tau-bar", "-1"]], ids=["rho_inf", "sync_tau_bar"]
+    )
+    def test_rejected_run_makes_no_directory(self, tmp_path, flags):
+        assert run_cli("run", *FAST, *flags, "--out", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_sync_baseline_validates_tau_bar(self, tmp_path, capsys):
         # exact averaging never draws a delay, but a bad tau_bar is still an error
         code = run_cli("run", *FAST, "--mode", "sync_baseline", "--tau-bar", "-1", "--out", str(tmp_path / "o"))

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -14,14 +16,11 @@ from asyncadmm.consensus import (
     ConsensusEngine,
     ConsensusResult,
     ProtocolError,
-    ratio_trajectory,
-    run_minmax_consensus,
-    run_ratio_consensus,
     run_terminating_consensus,
 )
 from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
-from asyncadmm.oracle import exact_average, synchronous_ratio_oracle
+from asyncadmm.oracle import exact_average, synchronous_ratio_trajectory
 from reference import message_columns, out_lists
 
 # frozen once from the seeded run below; re-runs must reproduce it exactly
@@ -97,6 +96,18 @@ def pinned_delays(tau_bar):
     return DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=100 + tau_bar)
 
 
+class ScriptedDelays(DelayModel):
+    """Hands out a fixed sequence of delays, in draw order."""
+
+    def __init__(self, tau_bar, delays):
+        super().__init__(tau_bar)
+        self.script = list(delays)
+
+    def sample_many(self, count):
+        drawn, self.script = self.script[:count], self.script[count:]
+        return np.array(drawn)
+
+
 def two_cycle():
     return Digraph(2, frozenset({(0, 1), (1, 0)}))
 
@@ -117,9 +128,9 @@ class TestRatioStep:
         # symmetric half weights: one step lands both nodes on the average
         g = two_cycle()
         w = build_weights(g)
-        y0 = np.array([[0.0], [4.0]])
-        z = run_ratio_consensus(g, w, DelayModel.zero(), y0, 1)
-        assert z[0, 0] == 2.0 and z[1, 0] == 2.0
+        engine = ConsensusEngine(g, DelayModel.zero(), y0=np.array([[0.0], [4.0]]), weights=w)
+        engine.advance(1)
+        assert engine.z[0, 0] == 2.0 and engine.z[1, 0] == 2.0
 
     def test_fold_matches_manual_sum(self):
         # reference: a per-message loop that folds each receiver's deliveries
@@ -149,16 +160,43 @@ class TestRatioStep:
                 assert engine.w[r] == w_ref
             assert np.allclose(engine.z, engine.y / engine.w[:, None])
 
+    def test_sum_order_with_pinned_delays(self):
+        # receiver 2 hears from senders 0 and 1: their tick-0 sends with delay
+        # 1 and their tick-1 sends with delay 0 all arrive at tick 1, beside
+        # its own send; sums of 1e16-sized terms round differently per order
+        g = Digraph(3, [(2, 0), (2, 1)])
+        w = build_weights(g)
+        engine = ConsensusEngine(g, ScriptedDelays(1, [1, 1, 0, 0]), y0=np.array([[3.0], [4e16], [-4e16]]), weights=w)
+        sent = []
+        for _ in range(2):
+            sent.append((w * engine.y[:, 0]).tolist())
+            engine.advance(1)
+        by_sender = [sent[0][0], sent[1][0], sent[0][1], sent[1][1], sent[1][2]]
+        newest_first = [sent[1][0], sent[0][0], sent[1][1], sent[0][1], sent[1][2]]
+        senders_descending = [sent[1][2], sent[0][1], sent[1][1], sent[0][0], sent[1][0]]
+        folds = []
+        for terms in (by_sender, newest_first, senders_descending):
+            total = 0.0
+            for term in terms:
+                total += term
+            folds.append(total)
+        assert folds[0] not in folds[1:]
+        assert engine.y[2, 0].hex() == folds[0].hex()
+
     def test_consensus_fixed_point(self):
         g, w, _ = seeded_setup()
         y0 = np.tile([2.5, -1.0], (g.n, 1))
         for dm in (DelayModel.zero(), DelayModel.uniform(3, seed=4)):
-            z = run_ratio_consensus(g, w, dm, y0, 40)
-            assert np.allclose(z, y0, rtol=1e-12, atol=1e-12)
+            engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+            engine.advance(40)
+            assert np.allclose(engine.z, y0, rtol=1e-12, atol=1e-12)
 
     def test_nonpositive_mass_raises(self):
+        engine = ConsensusEngine(
+            two_cycle(), DelayModel.zero(), y0=np.array([[1.0], [2.0]]), weights=np.array([-0.5, -0.5])
+        )
         with pytest.raises(ProtocolError):
-            run_ratio_consensus(two_cycle(), np.array([-0.5, -0.5]), DelayModel.zero(), np.array([[1.0], [2.0]]), 1)
+            engine.advance(1)
 
 
 class TestMassConservation:
@@ -192,16 +230,19 @@ class TestAsymptoticAverage:
     def test_converges_to_exact_average(self, tau_bar):
         g, w, y0 = seeded_setup(n=12, seed=2)
         dm = DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=3)
-        z = run_ratio_consensus(g, w, dm, y0, 800)
-        assert np.abs(z - exact_average(y0)).max() < 1e-10
+        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        engine.advance(800)
+        assert np.abs(engine.z - exact_average(y0)).max() < 1e-10
 
 
 class TestSynchronousEquivalence:
     def test_bit_for_bit_against_power_iteration(self):
         g, w, y0 = seeded_setup(n=9, seed=7, p=3)
-        traj = ratio_trajectory(g, w, DelayModel.zero(), y0, 80)
+        engine = ConsensusEngine(g, DelayModel.zero(), y0=y0, weights=w)
+        ref = synchronous_ratio_trajectory(g, y0, 80)
         for k in (0, 1, 2, 5, 20, 80):
-            assert np.array_equal(traj[k], synchronous_ratio_oracle(g, y0, k))
+            engine.advance(k - engine.time)
+            assert np.array_equal(engine.z, ref[k])
 
 
 class TestMinMax:
@@ -209,24 +250,26 @@ class TestMinMax:
         # one undelayed exchange folds each neighbor's pair into the node's own
         hi0 = np.array([[1.0, 5.0], [3.0, 2.0]])
         lo0 = np.array([[1.0, 5.0], [0.0, 4.0]])
-        hi, lo = run_minmax_consensus(two_cycle(), DelayModel.zero(), hi0, lo0, steps=1)
-        assert np.array_equal(hi, [[3.0, 5.0], [3.0, 5.0]])
-        assert np.array_equal(lo, [[0.0, 4.0], [0.0, 4.0]])
+        engine = ConsensusEngine(two_cycle(), DelayModel.zero(), extrema=(hi0, lo0))
+        engine.advance(1)
+        assert np.array_equal(engine.hi, [[3.0, 5.0], [3.0, 5.0]])
+        assert np.array_equal(engine.lo, [[0.0, 4.0], [0.0, 4.0]])
 
     def test_max_consensus_on_three_cycle(self):
         g = three_cycle()
         vals = np.array([[5.0], [1.0], [3.0]])
-        hi, lo = run_minmax_consensus(g, DelayModel.zero(), vals, vals, steps=diameter(g))
-        assert np.all(hi == 5.0)
-        assert np.all(lo == 1.0)
+        engine = ConsensusEngine(g, DelayModel.zero(), extrema=(vals, vals))
+        engine.advance(diameter(g))
+        assert np.all(engine.hi == 5.0)
+        assert np.all(engine.lo == 1.0)
 
     def test_delayed_three_cycle_within_bound(self):
         # tau_bar=2, D=2: both extrema settle within (1+2)*2 = 6 steps
         g = three_cycle()
         vals = np.array([[5.0], [1.0], [3.0]])
-        dm = DelayModel.uniform(2, seed=0)
-        hi, lo = run_minmax_consensus(g, dm, vals, vals, steps=6)
-        assert np.all(hi == 5.0) and np.all(lo == 1.0)
+        engine = ConsensusEngine(g, DelayModel.uniform(2, seed=0), extrema=(vals, vals))
+        engine.advance(6)
+        assert np.all(engine.hi == 5.0) and np.all(engine.lo == 1.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_graphs_within_bound(self, seed):
@@ -234,10 +277,10 @@ class TestMinMax:
         tau_bar = (seed % 3) + 1
         dm = DelayModel.uniform(tau_bar, seed=seed + 100)
         vals = np.random.default_rng(seed).standard_normal((g.n, 2))
-        bound = (1 + tau_bar) * diameter(g)
-        hi, lo = run_minmax_consensus(g, dm, vals, vals, steps=bound)
-        assert np.array_equal(hi, np.tile(vals.max(axis=0), (g.n, 1)))
-        assert np.array_equal(lo, np.tile(vals.min(axis=0), (g.n, 1)))
+        engine = ConsensusEngine(g, dm, extrema=(vals, vals))
+        engine.advance((1 + tau_bar) * diameter(g))
+        assert np.array_equal(engine.hi, np.tile(vals.max(axis=0), (g.n, 1)))
+        assert np.array_equal(engine.lo, np.tile(vals.min(axis=0), (g.n, 1)))
 
 
 class TestTerminatingConsensus:
@@ -377,17 +420,22 @@ class TestGoldenPins:
     def test_minmax(self, n, tau_bar, steps):
         g = pinned_graph(n)
         vals = np.random.default_rng(n + 1).standard_normal((n, 2))
-        hi, lo = run_minmax_consensus(g, pinned_delays(tau_bar), vals, vals + 0.5, steps)
-        assert digest(hi, lo) == GOLDEN_MINMAX[n, tau_bar, steps]
+        engine = ConsensusEngine(g, pinned_delays(tau_bar), extrema=(vals, vals + 0.5))
+        engine.advance(steps)
+        assert digest(engine.hi, engine.lo) == GOLDEN_MINMAX[n, tau_bar, steps]
 
     @pytest.mark.parametrize("n,tau_bar", sorted(GOLDEN_RATIO))
     def test_ratio(self, n, tau_bar):
         g = pinned_graph(n)
         w = build_weights(g)
         y0 = np.random.default_rng(n + 2).standard_normal((n, 2))
-        z = run_ratio_consensus(g, w, pinned_delays(tau_bar), y0, 30)
-        traj = ratio_trajectory(g, w, pinned_delays(tau_bar), y0, 30)
-        assert (digest(z), digest(*traj)) == GOLDEN_RATIO[n, tau_bar]
+        spans, ticks = (ConsensusEngine(g, pinned_delays(tau_bar), y0=y0, weights=w) for _ in range(2))
+        spans.advance(30)
+        traj = [ticks.z]
+        for _ in range(30):
+            ticks.advance(1)
+            traj.append(ticks.z)
+        assert (digest(spans.z), digest(*traj)) == GOLDEN_RATIO[n, tau_bar]
 
 
 class TestPaperScale:
@@ -522,13 +570,6 @@ class PerTickEngine:
         for _ in range(steps):
             self.step()
 
-    def trajectory(self, steps):
-        traj = [self.z]
-        for _ in range(steps):
-            self.step()
-            traj.append(self.z)
-        return traj
-
     def terminate(self, eps, step_cap, round_len):
         check_steps = []
         while True:
@@ -629,8 +670,10 @@ class TestBlockMatchesPerTick:
             ref.advance(span)
             assert block.z.tobytes() == ref.z.tobytes()
             assert block.time == ref.time
-        got, want = block.trajectory(spans[0]), ref.trajectory(spans[0])
-        assert [z.tobytes() for z in got] == [z.tobytes() for z in want]
+        for _ in range(spans[0]):
+            block.advance(1)
+            ref.advance(1)
+            assert block.z.tobytes() == ref.z.tobytes()
         assert block.trace == ref.trace
         assert block.delivered == ref.delivered == len(block.trace)
 
@@ -825,14 +868,12 @@ class TestFixedExtrema:
         steps = bound + 5
         folds = []
         for hi0, lo0 in ((constant, constant), (vals, vals + 0.5)):
-            hi, lo = run_minmax_consensus(g, delays_for(tau_bar, 10), hi0, lo0, steps)
             block, ref = (
                 cls(g, delays_for(tau_bar, 10), extrema=(hi0, lo0), trace=[]) for cls in (ConsensusEngine, PerTickEngine)
             )
             block.advance(steps)
             ref.advance(steps)
-            assert hi.tobytes() == ref.hi.tobytes() and lo.tobytes() == ref.lo.tobytes()
-            assert block.hi.tobytes() == hi.tobytes() and block.lo.tobytes() == lo.tobytes()
+            assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
             assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
             assert block.trace == ref.trace
             folds.append(block.extrema_folds)
@@ -945,10 +986,12 @@ class TestRankFold:
         g = random_strongly_connected(n, 0.02, seed=9)
         vals = np.random.default_rng(9).standard_normal((n, 2))
         for steps in (1, 3, (1 + tau_bar) * diameter(g)):
-            hi, lo = run_minmax_consensus(g, delays_for(tau_bar, 10), vals, vals + 0.5, steps)
-            ref = PerTickEngine(g, delays_for(tau_bar, 10), extrema=(vals, vals + 0.5))
+            block, ref = (
+                cls(g, delays_for(tau_bar, 10), extrema=(vals, vals + 0.5)) for cls in (ConsensusEngine, PerTickEngine)
+            )
+            block.advance(steps)
             ref.advance(steps)
-            assert hi.tobytes() == ref.hi.tobytes() and lo.tobytes() == ref.lo.tobytes()
+            assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
 
     def test_reseeds_swap_the_rank_table(self):
         # tau_bar=10: extrema sent before each re-seed are still in flight after it
@@ -1012,24 +1055,30 @@ class TestSharedLinkTable:
                 states.append(state)
             runs.append(states)
         assert runs[0] == runs[1]
-        assert sorted(g.engine_maps) == sorted(
+        assert sorted(consensus._maps_by_digraph[g]) == sorted(
             (tau_bar, kinds) for tau_bar in (0, 3, 10) for kinds in ((RATIO,), (MIN_MAX,), (RATIO, MIN_MAX))
         )
 
-    def test_ratio_columns_by_rank_within_receiver(self):
+    def test_ratio_columns_in_draw_order(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         engine = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w, extrema=(y0, y0))
-        receiver, _ = g.links
-        by_receiver = [[] for _ in range(g.n)]
-        for c, r in enumerate(receiver.tolist()):
-            by_receiver[r].append(c)
-        # every receiver's first link, then every receiver's second, ...
-        ranked = [links[k] for k in range(max(map(len, by_receiver))) for links in by_receiver if k < len(links)]
+        column = {pair: c for c, pair in enumerate(message_columns(g))}
+        # sender by sender, receivers ascending, each self term in place
+        drawn = [column[r, s] for s, outs in enumerate(out_lists(g)) for r in sorted([*outs, s])]
         ratio, minmax = engine._maps.links
-        assert ratio.tolist() == ranked
-        assert minmax.tolist() == list(range(len(receiver)))
+        assert ratio.tolist() == drawn
+        assert minmax.tolist() == list(range(len(column)))
         for a in (ratio, minmax):
             assert a.dtype == np.int32 and not a.flags.writeable
+
+    def test_dropping_a_digraph_drops_its_maps(self):
+        g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
+        engine = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w)
+        assert consensus._maps_by_digraph[g][3, (RATIO,)] is engine._maps
+        graph, maps = weakref.ref(g), weakref.ref(engine._maps)
+        del g, engine
+        gc.collect()
+        assert graph() is None and maps() is None
 
     def test_block_entries_patched_after_the_maps_exist(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
@@ -1054,7 +1103,7 @@ class TestRejectsBadInput:
         with pytest.raises(ValueError, match="y0 must be finite"):
             run_terminating_consensus(g, w, dm, y0, 0.1, 100_000)
         with pytest.raises(ValueError, match="y0 must be finite"):
-            run_ratio_consensus(g, w, dm, y0, 5)
+            ConsensusEngine(g, dm, y0=y0, weights=w)
         # no tick ran: the delay stream is untouched
         assert np.array_equal(dm.sample_many(50), DelayModel.uniform(3, seed=11).sample_many(50))
 
@@ -1071,14 +1120,14 @@ class TestRejectsBadInput:
         hi0, lo0 = (bad, vals) if which == "hi" else (vals, bad)
         dm = DelayModel.uniform(2, seed=0)
         with pytest.raises(ValueError, match="extrema must not contain NaN"):
-            run_minmax_consensus(g, dm, hi0, lo0, steps=6)
+            ConsensusEngine(g, dm, extrema=(hi0, lo0))
         assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
 
     def test_extrema_of_different_shapes(self):
         vals = np.array([[5.0, 1.0], [1.0, 2.0], [3.0, 0.0]])
         dm = DelayModel.uniform(2, seed=0)
         with pytest.raises(ValueError, match=r"extrema hi and lo differ in shape: \(3, 2\) and \(3, 1\)"):
-            run_minmax_consensus(three_cycle(), dm, vals, vals[:, :1], steps=6)
+            ConsensusEngine(three_cycle(), dm, extrema=(vals, vals[:, :1]))
         assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
 
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 3)], ids=["2", "4", "3x3"])
@@ -1087,5 +1136,5 @@ class TestRejectsBadInput:
         weights = np.full(shape, 0.5)
         dm = DelayModel.uniform(2, seed=0)
         with pytest.raises(ValueError, match=rf"weights has shape {re.escape(str(shape))} for a 3-node digraph"):
-            run_ratio_consensus(three_cycle(), weights, dm, np.ones((3, 1)), steps=6)
+            ConsensusEngine(three_cycle(), dm, y0=np.ones((3, 1)), weights=weights)
         assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from asyncadmm.consensus import ratio_trajectory
+from asyncadmm.consensus import ConsensusEngine
 from asyncadmm.digraph import Digraph, build_weights, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import (
@@ -9,7 +9,7 @@ from asyncadmm.oracle import (
     SingularProblemError,
     centralized_solution,
     exact_average,
-    synchronous_ratio_oracle,
+    synchronous_ratio_trajectory,
 )
 from asyncadmm.problems import LeastSquaresInstance, generate_ls
 
@@ -169,12 +169,12 @@ class TestSynchronousRatioOracle:
     def test_k_zero_is_initial_value(self):
         g = random_strongly_connected(6, 0.3, seed=6)
         y0 = np.random.default_rng(7).standard_normal((6, 2))
-        assert np.array_equal(synchronous_ratio_oracle(g, y0, 0), y0)
+        assert np.array_equal(synchronous_ratio_trajectory(g, y0, 0)[0], y0)
 
     def test_three_cycle_limit_is_average(self):
         g = Digraph(3, frozenset({(1, 0), (2, 1), (0, 2)}))
         y0 = np.array([[1.0], [2.0], [6.0]])
-        z = synchronous_ratio_oracle(g, y0, 400)
+        z = synchronous_ratio_trajectory(g, y0, 400)[400]
         assert np.abs(z - 3.0).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
@@ -182,11 +182,13 @@ class TestSynchronousRatioOracle:
         g = random_strongly_connected(7 + seed, 0.3, seed=seed)
         w = build_weights(g)
         y0 = np.random.default_rng(seed).standard_normal((g.n, 2))
-        traj = ratio_trajectory(g, w, DelayModel.zero(), y0, 60)
+        engine = ConsensusEngine(g, DelayModel.zero(), y0=y0, weights=w)
+        ref = synchronous_ratio_trajectory(g, y0, 60)
         for k in range(61):
-            assert np.array_equal(traj[k], synchronous_ratio_oracle(g, y0, k))
+            assert np.array_equal(engine.z, ref[k])
+            engine.advance(1)
 
     def test_rejects_negative_k(self):
         g = random_strongly_connected(4, 0.2, seed=0)
         with pytest.raises(ValueError):
-            synchronous_ratio_oracle(g, np.zeros((4, 1)), -1)
+            synchronous_ratio_trajectory(g, np.zeros((4, 1)), -1)

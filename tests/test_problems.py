@@ -43,6 +43,16 @@ class TestLsProx:
         with pytest.raises(ValueError, match="rho must be finite, got inf"):
             single_node(np.eye(2), np.zeros(2)).prox(np.zeros((1, 2)), rho=float("inf"))
 
+    def test_names_a_rho_that_overflows(self):
+        # finite, but rho * targets is not: named here, not later as a bad consensus input
+        with pytest.raises(ValueError, match=r"^rho=1e\+308 overflows the prox system$"):
+            single_node(np.eye(2), np.zeros(2)).prox(np.full((1, 2), 10.0), rho=1e308)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_targets(self, bad):
+        with pytest.raises(ValueError, match="^prox targets must be finite$"):
+            single_node(np.eye(2), np.zeros(2)).prox(np.array([[0.0, bad]]), rho=1.0)
+
 
 class TestLeastSquaresCost:
     """One node's cost ``f(x) = 0.5 * ||A x - b||^2`` and its prox, via a one-node instance."""
