@@ -21,7 +21,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from .consensus import run_terminating_consensus
 from .digraph import Digraph, build_weights, diameter
-from .netsim import DelayModel
+from .netsim import DelayModel, _integer
 from .problems import LeastSquaresInstance
 
 __all__ = ["SolverConfig", "RunRecord", "x_update", "stopping_criterion", "run"]
@@ -59,11 +59,10 @@ class SolverConfig:
             raise ValueError(f"rho must be finite, got {self.rho}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        for name in ("k_max", "step_cap"):
+            if _integer(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         DelayModel(self.tau_bar)  # rejects a negative or non-integer tau_bar
-        if self.step_cap < 1:
-            raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
         for name in ("eps_abs", "eps_rel"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

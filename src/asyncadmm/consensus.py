@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import Digraph, diameter
-from .netsim import DelayModel
+from .netsim import DelayModel, _integer
 
 __all__ = [
     "ProtocolError",
@@ -88,7 +88,7 @@ class _ColumnMaps:
     offset, ``first_col`` each receiver's first min/max column (where its
     extrema segment starts).  ``col_draw`` maps every history column to its
     delay's batch position, ``draws`` for a self term (the zero past the
-    batch's end), and ``start`` is the history row of a tick before time 0.
+    batch's end).
     """
 
     links: tuple[np.ndarray, ...]
@@ -97,7 +97,6 @@ class _ColumnMaps:
     first_col: np.ndarray | None
     col_draw: np.ndarray
     draws: int
-    start: np.ndarray
 
 
 # Each digraph's maps by (tau_bar, kinds), kept while the digraph lives: every
@@ -137,11 +136,10 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...]) -> _ColumnMap
     col_draw = np.empty_like(link_draw)
     for q, link in enumerate(links):
         col_draw[q * cols : (q + 1) * cols] = link_draw[q * cols + link]
-    start = np.where(col_draw == draws, 0, -1).astype(np.min_scalar_type(-1 - tau_bar))
-    for a in (*links, *payload_of, receiver_of, first_col, col_draw, start):
+    for a in (*links, *payload_of, receiver_of, first_col, col_draw):
         if a is not None:
             a.flags.writeable = False
-    maps = _ColumnMaps(links, payload_of, receiver_of, first_col, col_draw, draws, start)
+    maps = _ColumnMaps(links, payload_of, receiver_of, first_col, col_draw, draws)
     by_key[tau_bar, kinds] = maps
     return maps
 
@@ -178,25 +176,32 @@ class ConsensusEngine:
     min/max kind's in link order (receiver, then sender), since
     ``reduceat`` needs each receiver's extrema contiguous.  One gather
     through a column-to-draw map writes them, the self terms reading a zero
-    appended to the batch.  The send made ``lag`` ticks ago on a column is
-    consumed now iff its delay equals ``lag``, so one comparison per lag
-    yields the block's arrival table in column, oldest-send order.  Only the
-    folds run tick by tick, since each tick's sends carry the state the
-    previous tick produced.
+    appended to the batch.
+
+    Each block decides its arrivals once per kind: the send made ``lag``
+    ticks ago on a column is consumed now iff its delay equals ``lag``, one
+    comparison per lag (a lag slab over the block's ticks and the kind's
+    columns).  ``delivered``, ``stale_discarded`` (extrema sent before
+    ``epoch_start``) and the trace all read those slabs.  Only for a fold
+    that will run are they stacked into an arrival table (tick, column,
+    oldest send first), cleared of stale extrema and turned into fold
+    inputs.  Only the folds run tick by tick, since each tick's sends carry
+    the state the previous tick produced.
 
     The history is the engine's one time axis: each tick's sends sit on the
     row of its delays, per kind as ``[component, row * n + sender]``, written
     once when the tick folds.  Between blocks rows ``0 .. depth - 1`` hold
-    the last ``depth`` ticks; a block writes its ticks behind them, and one
-    shift at the block's end moves the newest ``depth`` rows, delays and
-    sends together, back to the front.  Tick ``t`` of a block consumes sends
-    from rows ``t + 1 .. t + depth``, so unsigned maps over the arrival
-    table's (column, lag) offsets give each arrival's payload (past row
-    ``t + 1``) and its receiver.  These maps, the column-to-draw map and the
-    history's rows before time 0 depend only on the digraph, ``tau_bar`` and
-    the kinds, so they are built once per such triple and kept while the
-    digraph lives: every instance of a solver run shares them.  The block
-    cap, which reads ``BLOCK_ENTRIES``, is set per engine.
+    the last ``depth`` ticks (-1 before time 0, which no lag matches); a
+    block writes its ticks behind them, and one shift at the block's end
+    moves the newest ``depth`` rows, delays and sends together, back to the
+    front.  Tick ``t`` of a block consumes sends from rows
+    ``t + 1 .. t + depth``, so unsigned maps over the arrival table's
+    (column, lag) offsets give each arrival's payload (past row ``t + 1``)
+    and its receiver.  These maps and the column-to-draw map depend only on
+    the digraph, ``tau_bar`` and the kinds, so they are built once per such
+    triple and kept while the digraph lives: every instance of a solver run
+    shares them.  The block cap, which reads ``BLOCK_ENTRIES``, is set per
+    engine.
 
     Ratio sums fold sequentially with ``bincount`` in column order: each
     receiver's arrivals come by sender, oldest send first, so results are
@@ -225,11 +230,10 @@ class ConsensusEngine:
     start, a constant re-seed) decodes the same whatever its ranks, and a
     round in which every node holds every row's top rank (tested on ranks,
     so a ``0.0`` / ``-0.0`` tie is not taken for agreement) keeps it.  From
-    then to the round's end the ticks skip the fold and its sends, and the
-    schedule only counts and traces the extrema arrivals (it counts each
-    lag's without the arrival table, which it builds only for the trace):
-    every later reader of those sends is a skipped fold or is cut by the
-    epoch filter.
+    then to the round's end the ticks skip the fold and its sends, and a
+    block that starts so builds no fold inputs for the extrema: their slabs
+    are only counted and traced.  Every later reader of those sends is a
+    skipped fold or is cut by the epoch filter.
     ``extrema_folds`` counts the folds that ran.
     """
 
@@ -281,15 +285,15 @@ class ConsensusEngine:
         self._cols = len(g.links[0])
 
         # The history, one row per tick: its delays (-1 marks ticks before
-        # time 0; self-term columns hold 0) and, per kind, its sends as
+        # time 0, which no lag matches) and, per kind, its sends as
         # [component, row * n + sender] (the scaled ratio pairs, the extrema
-        # ranks), in kind order.
+        # ranks), in kind order.  A self term is compared only at lag 0, on
+        # a row its block drew, so no pre-start value of it is ever read.
         width = len(maps.col_draw)
         self._depth = depth
         self._block_cap = max(1, BLOCK_ENTRIES // max(1, depth * width))
         rows = depth + self._block_cap
-        self._hist = np.zeros((rows, width), dtype=maps.start.dtype)
-        self._hist[:depth] = maps.start
+        self._hist = np.full((rows, width), -1, dtype=np.min_scalar_type(-depth))
         states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
         self._sent = [np.zeros((len(s), rows * n), dtype=s.dtype) for s in states]
 
@@ -347,46 +351,37 @@ class ConsensusEngine:
         self._encode_extrema(self.z, self.z)
         self.epoch_start = self.time
 
-    def _schedule(self, q: int, kind: int, steps: int, traced: list[np.ndarray]):
-        """Kind ``q``'s arrivals over the next ``steps`` ticks, as fold inputs.
+    def _arrivals(self, q: int, steps: int, cut: int) -> list[np.ndarray]:
+        """Kind ``q``'s lag slabs over the next ``steps`` ticks, counted.
+
+        Slab ``j`` is ``[tick t, column]``: the send on history row ``1 + t + j``,
+        made ``lag = depth - 1 - j`` ticks before tick ``t``, arrives then iff
+        its delay equals ``lag``; an extrema send is stale iff ``t + j < cut``.
+        """
+        cols, hist, depth = self._cols, self._hist, self._depth
+        columns = slice(q * cols, (q + 1) * cols)
+        slabs = [hist[1 + j : 1 + j + steps, columns] == depth - 1 - j for j in range(depth)]
+        self.delivered += sum(np.count_nonzero(slab) for slab in slabs)
+        if self.kinds[q] == MIN_MAX:
+            self.stale_discarded += sum(np.count_nonzero(slab[: max(cut - j, 0)]) for j, slab in enumerate(slabs))
+        return slabs
+
+    def _fold_inputs(self, q: int, slabs: list[np.ndarray], cut: int):
+        """Kind ``q``'s fresh arrivals as fold inputs.
 
         Returns each arrival's payload offset (history row times ``n`` plus
         sender), per-tick bounds into them, and the receivers (ratio) or each
-        tick's per-receiver segment starts (min/max); None for fixed extrema,
-        whose arrivals are only counted.
+        tick's per-receiver segment starts (min/max).
         """
-        n, k0, cols, hist, depth, maps = self.n, self.time, self._cols, self._hist, self._depth, self._maps
-        columns = slice(q * cols, (q + 1) * cols)
-        cut = self.epoch_start - k0 + depth - 1  # sent before the re-seed iff t + j < cut
-        fixed = kind == MIN_MAX and self._ext_fixed
-        if fixed:
-            # no fold will run: only count, per lag slab, the arrivals
-            # before the cut (stale) and after it
-            for j in range(depth):
-                slab = hist[1 + j : 1 + j + steps, columns] == depth - 1 - j
-                stale = np.count_nonzero(slab[: max(cut - j, 0)])
-                self.stale_discarded += stale
-                self.delivered += stale + np.count_nonzero(slab[max(cut - j, 0) :])
-            if self.trace is None:
-                return None
-        # [tick, column, oldest send first]: the send from tick k0 + t - lag,
-        # on row 1 + t + j with j = depth - 1 - lag, arrives at k0 + t iff
-        # its delay equals lag
-        table = np.stack([hist[1 + j : 1 + j + steps, columns] == depth - 1 - j for j in range(depth)], axis=-1)
-        if self.trace is not None:  # by tick, then link
-            t, c = np.divmod(np.flatnonzero(table) // depth, cols)
-            traced.append(t * cols + maps.links[q][c])
-        if fixed:
-            return None
-        arrived = np.count_nonzero(table)
-        self.delivered += arrived
+        n, cols, depth, maps, kind = self.n, self._cols, self._depth, self._maps, self.kinds[q]
+        steps = len(slabs[0])
+        table = np.stack(slabs, axis=-1)  # [tick, column, oldest send first]
         if kind == MIN_MAX:
-            # one lag slab at a time, so numpy's inner loop runs along the
-            # columns rather than along the short lag axis
+            # drop the stale one lag slab at a time, so numpy's inner loop
+            # runs along the columns rather than along the short lag axis
             for j in range(min(cut, depth)):
                 table[: cut - j, :, j] = False
         flat = np.flatnonzero(table)
-        self.stale_discarded += arrived - len(flat)
         ticks = np.arange(steps)
         bounds = np.searchsorted(flat, np.arange(steps + 1) * cols * depth)
         if kind == MIN_MAX:
@@ -405,15 +400,21 @@ class ConsensusEngine:
         return source, bounds, segments
 
     def _block(self, steps: int) -> None:
-        """``steps`` ticks: delays and arrival tables once, then the per-tick folds."""
+        """``steps`` ticks: delays and arrivals once, then the per-tick folds."""
         n, k0, hist, depth, draws = self.n, self.time, self._hist, self._depth, self._maps.draws
         drawn = np.zeros((steps, draws + 1), dtype=hist.dtype)  # the last column stays 0
         drawn[:, :draws] = self.dm.sample_many(steps * draws).reshape(steps, draws)
         np.take(drawn, self._maps.col_draw, axis=1, out=hist[depth : depth + steps])
-        traced: list[np.ndarray] = []
-        folds = [self._schedule(q, kind, steps, traced) for q, kind in enumerate(self.kinds)]
+        cut = self.epoch_start - k0 + depth - 1  # sent before the re-seed iff t + j < cut
+        arrivals = [self._arrivals(q, steps, cut) for q in range(len(self.kinds))]
+        # fixed extrema fold nothing: their arrivals are only counted and traced
+        folds = [
+            None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, slabs, cut)
+            for q, (kind, slabs) in enumerate(zip(self.kinds, arrivals))
+        ]
+        traced = self.trace is not None and bool(self.kinds)
         if traced:
-            lines, line_bounds = self._trace_lines(k0, steps, traced)
+            lines, line_bounds = self._trace_lines(k0, steps, arrivals)
 
         for t in range(steps):
             self.time = k0 + t
@@ -452,19 +453,19 @@ class ConsensusEngine:
         # back in from itself on each later tick of this epoch
         self._ext_fixed = bool((self._ext == self.n - 1).all())
 
-    def _trace_lines(self, k0: int, steps: int, traced: list[np.ndarray]):
+    def _trace_lines(self, k0: int, steps: int, arrivals: list[list[np.ndarray]]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
-        t, link = np.divmod(np.concatenate(traced), self._cols)
-        kind = np.concatenate([np.full(len(keys), q) for q, keys in zip(self.kinds, traced)])
+        hits = [
+            (t, link[c], np.full(len(t), kind))
+            for kind, link, slabs in zip(self.kinds, self._maps.links, arrivals)
+            for t, c in map(np.nonzero, slabs)
+        ]
+        t, link, kind = (np.concatenate(a) for a in zip(*hits))
         receiver, sender = (a[link] for a in self._links)
         order = np.lexsort((kind, sender, receiver, t))
-        lines = [
-            f"{k0 + tt},{s},{r},{KIND_NAMES[q]}"
-            for tt, s, r, q in zip(
-                t[order].tolist(), sender[order].tolist(), receiver[order].tolist(), kind[order].tolist()
-            )
-        ]
-        return lines, np.searchsorted(t[order], np.arange(steps + 1))
+        bounds = np.searchsorted(t[order], np.arange(steps + 1))
+        t, sender, receiver, kind = (a[order].tolist() for a in (t, sender, receiver, kind))
+        return [f"{k0 + tt},{s},{r},{KIND_NAMES[q]}" for tt, s, r, q in zip(t, sender, receiver, kind)], bounds
 
     def advance(self, steps: int) -> None:
         while steps > 0:
@@ -542,11 +543,11 @@ def run_terminating_consensus(
     """
     if not eps > 0.0:  # NaN fails every comparison
         raise ValueError(f"eps must be > 0, got {eps}")
-    if step_cap < 1:
+    if _integer(step_cap, "step_cap") < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     d = diameter(g) if graph_diameter is None else graph_diameter
     round_len = (1 + dm.tau_bar) * max(d, 1)
-    y0 = _rows(y0, g.n, "y0")
-    extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+    shape = np.shape(y0)  # the engine converts and checks y0
+    extrema = (np.full(shape, np.inf), np.full(shape, -np.inf))
     engine = ConsensusEngine(g, dm, y0=y0, weights=weights, extrema=extrema, trace=trace)
     return engine.terminate(eps, step_cap, round_len)

@@ -26,10 +26,7 @@ class DelayModel:
     """
 
     def __init__(self, tau_bar: int, seed=0):
-        try:
-            tau_bar = operator.index(tau_bar)  # a cast would truncate 2.5 to 2 silently
-        except TypeError:
-            raise ValueError(f"tau_bar must be an integer, got {tau_bar!r}") from None
+        tau_bar = _integer(tau_bar, "tau_bar")
         if tau_bar < 0:
             raise ValueError(f"tau_bar must be >= 0, got {tau_bar}")
         self.tau_bar = tau_bar
@@ -49,6 +46,13 @@ class DelayModel:
         A batch yields the same values as the same number of draws split
         over several calls.
         """
-        if self.tau_bar == 0:
-            return np.zeros(count, dtype=np.int64)
+        # at tau_bar == 0 this is int64 zeros and draws nothing from the stream
         return self._rng.integers(0, self.tau_bar + 1, size=count)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int (numpy integers pass); anything else raises ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)  # a cast would truncate 2.5 to 2 silently
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -74,35 +74,29 @@ def exact_average(vectors) -> np.ndarray:
 def synchronous_ratio_trajectory(g: Digraph, y0: np.ndarray, k: int) -> list[np.ndarray]:
     """All undelayed ratio estimates ``[z^0, ..., z^k]`` in one pass.
 
-    Entry ``j`` is ``(P^j y0) / (P^j 1)`` by explicit matrix powering,
+    Entry ``j`` is ``(P^j y0) / (P^j 1)`` for the column-stochastic ``P``
+    whose entry ``P[r, s]`` is sender ``s``'s weight
+    (:func:`~asyncadmm.digraph.build_weights`) on each link ``(r, s)``,
     accumulated per receiver in ascending sender order with scale-then-sum:
     the exact operation order of the simulator's zero-delay path, which it
-    must match bit for bit.  The dense column-stochastic ``P`` is built here,
-    from the link table and :func:`~asyncadmm.digraph.build_weights`:
-    ``P[l, j]`` is sender ``j``'s weight for each receiver ``l`` of its
-    out-edges and self-loop, zero elsewhere.
+    must match bit for bit.  That is the link table's order, so the loop
+    walks its links and never forms ``P``: the reachability matrices of
+    :func:`~asyncadmm.digraph.diameter` are the package's only n x n arrays.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n = g.n
     receiver, sender = g.links
-    matrix = np.zeros((n, n))
-    matrix[receiver, sender] = build_weights(g)[sender]
-    senders = [np.nonzero(matrix[j])[0] for j in range(n)]
-    y = np.asarray(y0, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    y = y.copy()
+    links = list(zip(receiver.tolist(), sender.tolist(), build_weights(g)[sender]))
+    y = np.array(y0, dtype=float).reshape(n, -1)  # a copy; a vector becomes one column
     w = np.ones(n)
     traj = [y / w[:, None]]
     for _ in range(k):
         y_next = np.zeros_like(y)
         w_next = np.zeros(n)
-        for j in range(n):
-            for l in senders[j]:
-                plj = matrix[j, l]
-                y_next[j] += plj * y[l]
-                w_next[j] += plj * w[l]
+        for r, s, weight in links:
+            y_next[r] += weight * y[s]
+            w_next[r] += weight * w[s]
         y, w = y_next, w_next
         traj.append(y / w[:, None])
     return traj

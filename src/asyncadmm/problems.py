@@ -14,14 +14,13 @@ __all__ = ["LeastSquaresInstance", "generate_ls"]
 class LeastSquaresInstance:
     """Per-node data ``(A_i, b_i)`` with local costs ``f_i(x) = 0.5 * ||A_i x - b_i||^2``.
 
-    ``a`` has shape ``(n, q, p)`` and ``b`` shape ``(n, q)``.  The generation
-    seed is carried along for reproducibility.  Every method works on all
-    nodes at once and gives the same bits as the per-node computation.
+    ``a`` has shape ``(n, q, p)`` and ``b`` shape ``(n, q)``.  Every method
+    works on all nodes at once and gives the same bits as the per-node
+    computation.
     """
 
     a: np.ndarray
     b: np.ndarray
-    seed: object = None
 
     def __post_init__(self) -> None:
         if self.a.ndim != 3 or self.b.ndim != 2:
@@ -103,4 +102,4 @@ def generate_ls(n: int, p: int, q: int, seed) -> LeastSquaresInstance:
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, q, p))
     b = rng.standard_normal((n, q))
-    return LeastSquaresInstance(a=a, b=b, seed=seed)
+    return LeastSquaresInstance(a=a, b=b)

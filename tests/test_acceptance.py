@@ -38,10 +38,6 @@ def criterion(num, desc):
     return deco
 
 
-def delay_for(tau_bar, seed):
-    return DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=seed)
-
-
 def pairwise_spread(rows):
     n = rows.shape[0]
     return max(
@@ -103,7 +99,7 @@ def test_criterion_1_ratio_consensus_correctness(trial_set):
     for t, g, w, _, tau in trial_set:
         rng = np.random.default_rng(2000 + t)
         y0 = rng.standard_normal((g.n, 2))
-        engine = ConsensusEngine(g, delay_for(tau, seed=3000 + t), y0=y0, weights=w)
+        engine = ConsensusEngine(g, DelayModel(tau, seed=3000 + t), y0=y0, weights=w)
         engine.advance(2000)
         err = np.max(np.linalg.norm(engine.z - exact_average(y0), axis=1))
         assert err <= 1e-8, f"trial {t}: n={g.n} tau={tau} err={err}"
@@ -114,7 +110,7 @@ def test_criterion_2_minmax_finite_time_bound(trial_set):
     for t, g, _, d, tau in trial_set:
         rng = np.random.default_rng(4000 + t)
         vals = rng.standard_normal((g.n, 2))
-        engine = ConsensusEngine(g, delay_for(tau, seed=5000 + t), extrema=(vals, vals))
+        engine = ConsensusEngine(g, DelayModel(tau, seed=5000 + t), extrema=(vals, vals))
         engine.advance((1 + tau) * d)
         assert np.array_equal(engine.hi, np.tile(vals.max(axis=0), (g.n, 1))), f"trial {t}"
         assert np.array_equal(engine.lo, np.tile(vals.min(axis=0), (g.n, 1))), f"trial {t}"
@@ -129,7 +125,7 @@ def test_criterion_3_termination_guarantee():
         rng = np.random.default_rng(6100 + gi)
         y0 = rng.standard_normal((n, 3))
         for tau in (0, 3):
-            dm = delay_for(tau, seed=6200 + gi)
+            dm = DelayModel(tau, seed=6200 + gi)
             round_len = (1 + tau) * max(d, 1)
             for eps in (0.1, 0.01, 0.001):
                 res = run_terminating_consensus(g, w, dm, y0, eps, step_cap=100_000)

@@ -43,6 +43,13 @@ class TestConfig:
             SolverConfig(tau_bar=2.5)
         assert SolverConfig(tau_bar=np.int32(2)).delay_model().tau_bar == 2
 
+    @pytest.mark.parametrize("name", ["k_max", "step_cap"])
+    def test_rejects_non_integer_counts(self, name):
+        # run would otherwise fail later with a bare TypeError from range()
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.5$"):
+            SolverConfig(**{name: 2.5})
+        assert getattr(SolverConfig(**{name: np.int32(2)}), name) == 2
+
     def test_delay_model_is_zero_for_tau_zero(self):
         assert np.all(SolverConfig(tau_bar=0).delay_model().sample_many(1000) == 0)
         draws = SolverConfig(tau_bar=4).delay_model().sample_many(1000)

@@ -93,7 +93,7 @@ def pinned_graph(n):
 
 
 def pinned_delays(tau_bar):
-    return DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=100 + tau_bar)
+    return DelayModel(tau_bar, seed=100 + tau_bar)
 
 
 class ScriptedDelays(DelayModel):
@@ -203,7 +203,7 @@ class TestMassConservation:
     @pytest.mark.parametrize("tau_bar", [0, 2, 5])
     def test_state_plus_in_flight_is_constant(self, tau_bar):
         g, w, y0 = seeded_setup(n=8, seed=5)
-        dm = DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=6)
+        dm = DelayModel(tau_bar, seed=6)
         engine = ConsensusEngine(g, dm, y0=y0, weights=w)
         depth = tau_bar + 1
         col_sender = np.array([s for _, s in message_columns(g)])
@@ -229,7 +229,7 @@ class TestAsymptoticAverage:
     @pytest.mark.parametrize("tau_bar", [0, 1, 3])
     def test_converges_to_exact_average(self, tau_bar):
         g, w, y0 = seeded_setup(n=12, seed=2)
-        dm = DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=3)
+        dm = DelayModel(tau_bar, seed=3)
         engine = ConsensusEngine(g, dm, y0=y0, weights=w)
         engine.advance(800)
         assert np.abs(engine.z - exact_average(y0)).max() < 1e-10
@@ -359,7 +359,7 @@ class TestTerminatingConsensus:
         g, w, y0 = seeded_setup(n=12, edge_prob=0.25, seed=20, p=3)
         steps = []
         for tau in (0, 1, 3, 5):
-            dm = DelayModel.zero() if tau == 0 else DelayModel.uniform(tau, seed=21)
+            dm = DelayModel(tau, seed=21)
             steps.append(run_terminating_consensus(g, w, dm, y0, 0.1, 100_000).steps)
         assert steps == sorted(steps)
 
@@ -600,10 +600,6 @@ def graph_for(n, edge_prob, seed):
     return Digraph(1, frozenset()) if n == 1 else random_strongly_connected(n, edge_prob, seed=seed)
 
 
-def delays_for(tau_bar, seed):
-    return DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=seed)
-
-
 networks = st.tuples(
     st.integers(1, 30),  # n
     st.floats(0.0, 0.5),  # edge probability
@@ -621,7 +617,7 @@ def both_engines(
     y0 = np.random.default_rng(seed).standard_normal((n, p)) if ratio else None
     w = (weights or build_weights)(g) if ratio else None
     engines = [
-        cls(g, delays_for(tau_bar, seed + 1), y0=y0, weights=w, extrema=extrema, trace=[] if traced else None)
+        cls(g, DelayModel(tau_bar, seed=seed + 1), y0=y0, weights=w, extrema=extrema, trace=[] if traced else None)
         for cls in classes
     ]
     return g, engines
@@ -869,7 +865,7 @@ class TestFixedExtrema:
         folds = []
         for hi0, lo0 in ((constant, constant), (vals, vals + 0.5)):
             block, ref = (
-                cls(g, delays_for(tau_bar, 10), extrema=(hi0, lo0), trace=[]) for cls in (ConsensusEngine, PerTickEngine)
+                cls(g, DelayModel(tau_bar, seed=10), extrema=(hi0, lo0), trace=[]) for cls in (ConsensusEngine, PerTickEngine)
             )
             block.advance(steps)
             ref.advance(steps)
@@ -958,6 +954,18 @@ class TestCounters:
         engine.advance(9)
         assert (engine.time, engine.delivered, engine.delays.shape) == (9, 0, (4, 0))
 
+    @pytest.mark.parametrize("tau_bar", [0, 3])
+    @pytest.mark.parametrize("kinds", ["ratio", "extrema", "both"])
+    def test_delays_before_the_first_tick_are_minus_one(self, tau_bar, kinds):
+        # self-term columns included: every column of every pre-start row
+        g, w, y0 = seeded_setup(n=12, seed=30)
+        extrema = None if kinds == "ratio" else (y0, y0)
+        y0, w = (None, None) if kinds == "extrema" else (y0, w)
+        engine = ConsensusEngine(g, DelayModel(tau_bar, seed=31), y0=y0, weights=w, extrema=extrema)
+        width = len(engine.kinds) * (len(g.edges) + g.n)
+        assert engine.delays.shape == (tau_bar + 1, width)
+        assert (engine.delays == -1).all()
+
 
 class TestRankFold:
     """The rank-encoded extrema fold against the per-tick ``ufunc.at`` fold of values."""
@@ -987,7 +995,7 @@ class TestRankFold:
         vals = np.random.default_rng(9).standard_normal((n, 2))
         for steps in (1, 3, (1 + tau_bar) * diameter(g)):
             block, ref = (
-                cls(g, delays_for(tau_bar, 10), extrema=(vals, vals + 0.5)) for cls in (ConsensusEngine, PerTickEngine)
+                cls(g, DelayModel(tau_bar, seed=10), extrema=(vals, vals + 0.5)) for cls in (ConsensusEngine, PerTickEngine)
             )
             block.advance(steps)
             ref.advance(steps)
@@ -1019,7 +1027,7 @@ class TestSharedLinkTable:
         y0s = np.random.default_rng(8).standard_normal((4, g.n, 3))
         runs = []
         for fresh in (False, True):
-            dm = delays_for(tau_bar, 11)  # one delay stream across the instances
+            dm = DelayModel(tau_bar, seed=11)  # one delay stream across the instances
             results = []
             for y0 in y0s:
                 h = Digraph(g.n, g.edges) if fresh else g
@@ -1039,7 +1047,7 @@ class TestSharedLinkTable:
         plan = [(tau_bar, kinds) for _ in range(2) for tau_bar in (0, 3, 10) for kinds in ("ratio", "extrema", "both")]
         runs = []
         for fresh in (False, True):
-            streams = {tau_bar: delays_for(tau_bar, 12) for tau_bar in (0, 3, 10)}  # one per bound
+            streams = {tau_bar: DelayModel(tau_bar, seed=12) for tau_bar in (0, 3, 10)}  # one per bound
             states = []
             for steps, (tau_bar, kinds) in enumerate(plan, start=5):
                 h = Digraph(g.n, g.edges) if fresh else g
@@ -1061,7 +1069,7 @@ class TestSharedLinkTable:
 
     def test_ratio_columns_in_draw_order(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
-        engine = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w, extrema=(y0, y0))
+        engine = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, extrema=(y0, y0))
         column = {pair: c for c, pair in enumerate(message_columns(g))}
         # sender by sender, receivers ascending, each self term in place
         drawn = [column[r, s] for s, outs in enumerate(out_lists(g)) for r in sorted([*outs, s])]
@@ -1073,7 +1081,7 @@ class TestSharedLinkTable:
 
     def test_dropping_a_digraph_drops_its_maps(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
-        engine = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w)
+        engine = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w)
         assert consensus._maps_by_digraph[g][3, (RATIO,)] is engine._maps
         graph, maps = weakref.ref(g), weakref.ref(engine._maps)
         del g, engine
@@ -1082,9 +1090,9 @@ class TestSharedLinkTable:
 
     def test_block_entries_patched_after_the_maps_exist(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
-        multi = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w, trace=[])
+        multi = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", 0)
-        single = ConsensusEngine(g, delays_for(3, 5), y0=y0, weights=w, trace=[])
+        single = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
         assert single._maps is multi._maps
         assert multi._block_cap > 1 and single._block_cap == 1
         multi.advance(40)
@@ -1110,6 +1118,16 @@ class TestRejectsBadInput:
     def test_y0_without_weights(self):
         with pytest.raises(ValueError, match="y0 needs weights"):
             ConsensusEngine(three_cycle(), DelayModel.uniform(2, seed=0), y0=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("step_cap", [30.5, 30.0, "30"])
+    def test_non_integer_step_cap(self, step_cap):
+        # unchecked, a float cap passes unnoticed when the run converges
+        # before it, and fails mid-run with a bare TypeError when it does not
+        g, w, y0 = seeded_setup(n=8, seed=5)
+        with pytest.raises(ValueError, match=rf"^step_cap must be an integer, got {re.escape(repr(step_cap))}$"):
+            run_terminating_consensus(g, w, DelayModel(3, seed=11), y0, 1e-12, step_cap)
+        res = run_terminating_consensus(g, w, DelayModel(3, seed=11), y0, 1e-12, np.int64(30))
+        assert (res.steps, res.converged) == (30, False)
 
     @pytest.mark.parametrize("which", ["hi", "lo"])
     def test_nan_extrema(self, which):

@@ -63,7 +63,10 @@ def is_self(line):
 class TestDelayModel:
     def test_zero_model(self):
         dm = DelayModel.zero()
-        assert np.all(dm.sample_many(20) == 0)
+        draws = dm.sample_many(1000)
+        assert draws.dtype == np.int64 and np.all(draws == 0)
+        # the zeros consume nothing from the model's stream
+        assert np.array_equal(dm._rng.integers(0, 4, size=20), np.random.default_rng(0).integers(0, 4, size=20))
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
@@ -189,7 +192,7 @@ class TestBroadcast:
         for seed in range(4):
             g = random_strongly_connected(6 + seed, 0.3, seed=seed)
             for tau_bar in (0, 1, 4):
-                dm = DelayModel.zero() if tau_bar == 0 else DelayModel.uniform(tau_bar, seed=3 + seed)
+                dm = DelayModel(tau_bar, seed=3 + seed)
                 _, trace, sends = run_logged(g, dm, 20)
                 assert Counter(trace) == expected_lines(g, sends, 20)
 
