@@ -73,15 +73,18 @@ class SolverConfig:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced: per-iteration metrics plus trajectories.
+    """Everything one run produced: per-iteration metrics plus the z trajectory.
 
     ``gap[k-1]`` is the saddle-point gap at the ergodic averages of the first
     ``k`` iterates; :attr:`theta` is the constant of its O(1/k) bound.
+    ``z_hist[k]`` is ``z_k`` (``z_hist[0]`` is ``z0``).  The iterates ``x_k``
+    and ``lam_k`` are not kept: they follow from ``lam0`` and ``z_hist`` as
+    ``x_k = x_update(problem, lam_{k-1}, z_{k-1}, rho)`` and
+    ``lam_k = lam_{k-1} + rho * (x_k - z_k)``.
     """
 
     config: SolverConfig
     truth: oracle_mod.GroundTruth
-    x0: np.ndarray
     z0: np.ndarray
     lam0: np.ndarray
     k: list[int] = field(default_factory=list)
@@ -92,9 +95,7 @@ class RunRecord:
     gap: list[float] = field(default_factory=list)
     max_node_err: list[float] = field(default_factory=list)
     capped: list[bool] = field(default_factory=list)
-    x_hist: list[np.ndarray] = field(default_factory=list)
     z_hist: list[np.ndarray] = field(default_factory=list)
-    lam_hist: list[np.ndarray] = field(default_factory=list)
     stopped_early: bool = False
 
     @property
@@ -173,16 +174,18 @@ def x_update(
 def stopping_criterion(
     x_rows: np.ndarray,
     z_rows: np.ndarray,
-    z_prev_rows: np.ndarray,
     lam_rows: np.ndarray,
+    primal: float,
+    dual: float,
     eps_abs: float,
     eps_rel: float,
-    rho: float,
 ) -> bool:
-    """Mixed absolute/relative primal and dual residual test (both inclusive)."""
+    """Mixed absolute/relative primal and dual residual test (both inclusive).
+
+    ``primal`` is ``||x - z||`` and ``dual`` is ``rho * ||z - z_prev||``, as
+    :func:`run` records them.
+    """
     total_dim = np.sqrt(x_rows.size)
-    primal = float(np.linalg.norm(x_rows - z_rows))
-    dual = rho * float(np.linalg.norm(z_rows - z_prev_rows))
     primal_thr = total_dim * eps_abs + eps_rel * max(
         float(np.linalg.norm(x_rows)), float(np.linalg.norm(z_rows))
     )
@@ -219,15 +222,14 @@ def run(
         truth = oracle_mod.centralized_solution(problem)
 
     rng = np.random.default_rng((cfg.seed, _INIT_STREAM))
-    x = rng.standard_normal((n, p))
+    # x_1 never reads this draw; it only moves the stream on to z0 and lam0
+    rng.standard_normal((n, p))
     z = rng.standard_normal((n, p))
     lam = rng.standard_normal((n, p))
 
-    # x, z and lam are never written in place (each iteration makes new ones)
-    record = RunRecord(config=cfg, truth=truth, x0=x, z0=z, lam0=lam)
-    record.x_hist.append(x)
+    # z is never written in place (each iteration makes a new one)
+    record = RunRecord(config=cfg, truth=truth, z0=z, lam0=lam)
     record.z_hist.append(z)
-    record.lam_hist.append(lam)
 
     sum_x = np.zeros((n, p))
     sum_z = np.zeros((n, p))
@@ -260,19 +262,19 @@ def run(
             - truth.f_star
         )
 
+        primal = float(np.linalg.norm(x - z))
+        dual = cfg.rho * float(np.linalg.norm(z - z_prev))
         record.k.append(k)
         record.objective.append(problem.objective(x))
-        record.primal_res.append(float(np.linalg.norm(x - z)))
-        record.dual_res.append(cfg.rho * float(np.linalg.norm(z - z_prev)))
+        record.primal_res.append(primal)
+        record.dual_res.append(dual)
         record.consensus_steps.append(steps)
         record.gap.append(gap)
         record.max_node_err.append(float(np.max(np.linalg.norm(x - truth.x_star, axis=1))))
         record.capped.append(not converged)
-        record.x_hist.append(x)
         record.z_hist.append(z)
-        record.lam_hist.append(lam)
 
-        if stopping_criterion(x, z, z_prev, lam, cfg.eps_abs, cfg.eps_rel, cfg.rho):
+        if stopping_criterion(x, z, lam, primal, dual, cfg.eps_abs, cfg.eps_rel):
             record.stopped_early = True
             break
 

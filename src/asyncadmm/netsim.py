@@ -22,7 +22,8 @@ class DelayModel:
 
     ``tau_bar == 0`` is the synchronous case: every delay is 0 and no
     randomness is consumed.  Sampling is reproducible for a fixed seed.
-    ``zero()`` and ``uniform(tau_bar, seed)`` are the two usual spellings.
+    ``uniform(tau_bar, seed)`` is another spelling of the constructor, kept
+    because ``benchmarks/workloads.py`` calls it.
     """
 
     def __init__(self, tau_bar: int, seed=0):
@@ -31,10 +32,6 @@ class DelayModel:
             raise ValueError(f"tau_bar must be >= 0, got {tau_bar}")
         self.tau_bar = tau_bar
         self._rng = np.random.default_rng(seed)
-
-    @classmethod
-    def zero(cls) -> "DelayModel":
-        return cls(0)
 
     @classmethod
     def uniform(cls, tau_bar: int, seed=0) -> "DelayModel":
@@ -46,8 +43,10 @@ class DelayModel:
         A batch yields the same values as the same number of draws split
         over several calls.
         """
-        # at tau_bar == 0 this is int64 zeros and draws nothing from the stream
-        return self._rng.integers(0, self.tau_bar + 1, size=count)
+        # int32 and int64 draws take the same 32-bit path, so the values and
+        # the stream are those of an int64 draw; at tau_bar == 0 this is
+        # zeros and draws nothing from the stream
+        return self._rng.integers(0, self.tau_bar + 1, size=count, dtype=np.int32)
 
 
 def _integer(value, name: str) -> int:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import centralized_solution, exact_average
 from asyncadmm.problems import LeastSquaresInstance, generate_ls
+from reference import replay
 
 
 def seeded_problem(n=10, p=3, graph_seed=1, inst_seed=2, edge_prob=0.3):
@@ -122,21 +125,23 @@ class TestStoppingCriterion:
     def test_feasible_and_stationary(self):
         x = np.ones((3, 2))
         lam = np.ones((3, 2))
-        assert stopping_criterion(x, x, x, lam, eps_abs=1e-4, eps_rel=1e-2, rho=1.0)
+        assert stopping_criterion(x, x, lam, 0.0, 0.0, eps_abs=1e-4, eps_rel=1e-2)
 
     def test_large_primal_residual_fails(self):
         x = np.ones((3, 2)) * 100
         z = np.zeros((3, 2))
-        assert not stopping_criterion(x, z, z, z, eps_abs=1e-4, eps_rel=1e-2, rho=1.0)
+        primal = float(np.linalg.norm(x - z))
+        assert not stopping_criterion(x, z, z, primal, 0.0, eps_abs=1e-4, eps_rel=1e-2)
 
     def test_boundary_is_inclusive(self):
         # ||x - z|| exactly equals sqrt(total) * eps_abs with eps_rel = 0
         x = np.zeros((2, 2))
         z = np.zeros((2, 2))
         x[0, 0] = 0.5  # norm = 0.5 = sqrt(4) * 0.25
-        assert stopping_criterion(x, z, z, np.zeros((2, 2)), eps_abs=0.25, eps_rel=0.0, rho=1.0)
+        lam = np.zeros((2, 2))
+        assert stopping_criterion(x, z, lam, float(np.linalg.norm(x - z)), 0.0, eps_abs=0.25, eps_rel=0.0)
         x[0, 0] = np.nextafter(0.5, 1.0)
-        assert not stopping_criterion(x, z, z, np.zeros((2, 2)), eps_abs=0.25, eps_rel=0.0, rho=1.0)
+        assert not stopping_criterion(x, z, lam, float(np.linalg.norm(x - z)), 0.0, eps_abs=0.25, eps_rel=0.0)
 
 
 class TestRun:
@@ -146,7 +151,8 @@ class TestRun:
         truth = centralized_solution(inst)
         cfg = SolverConfig(rho=1.0, eps=1e-8, tau_bar=0, k_max=300, seed=9, eps_abs=0, eps_rel=0)
         rec = run(inst, g, cfg)
-        assert np.linalg.norm(rec.x_hist[-1][0] - truth.x_star) <= 1e-6
+        x, _ = replay(inst, rec)
+        assert np.linalg.norm(x[-1][0] - truth.x_star) <= 1e-6
 
     def test_synchronous_tight_eps_reaches_oracle_optimum(self):
         g, inst = seeded_problem(n=10, graph_seed=10, inst_seed=11)
@@ -166,17 +172,16 @@ class TestRun:
         assert rel <= 1e-2
 
     def test_dual_update_identity_bitwise(self):
+        # the replay applies the identity; its x then reproduces the record bit for bit
         g, inst = seeded_problem(n=8, graph_seed=16, inst_seed=17)
         cfg = SolverConfig(rho=1.3, eps=0.05, tau_bar=2, k_max=25, seed=18)
-        rec = run(inst, g, cfg)
-        for k in range(1, rec.iterations + 1):
-            expected = rec.lam_hist[k - 1] + cfg.rho * (rec.x_hist[k] - rec.z_hist[k])
-            assert np.array_equal(rec.lam_hist[k], expected)
+        replay(inst, run(inst, g, cfg))
 
     def test_z_feasibility_each_iteration(self):
         g, inst = seeded_problem(n=10, graph_seed=19, inst_seed=20)
         cfg = SolverConfig(rho=1.0, eps=0.02, tau_bar=3, k_max=40, seed=21)
         rec = run(inst, g, cfg)
+        replay(inst, rec)
         for k in range(1, rec.iterations + 1):
             if rec.capped[k - 1]:
                 continue
@@ -195,7 +200,31 @@ class TestRun:
         b = run(inst, g, cfg)
         assert a.objective == b.objective
         assert a.consensus_steps == b.consensus_steps
-        assert np.array_equal(a.x_hist[-1], b.x_hist[-1])
+        assert np.array_equal(replay(inst, a)[0][-1], replay(inst, b)[0][-1])
+
+    @pytest.mark.parametrize("exact_averaging", [False, True])
+    def test_record_keeps_no_x_or_lam_iterates(self, exact_averaging):
+        # z_0 .. z_K, lam0 and the truth's lam_star, each n x p, and its x_star (p)
+        g, inst = seeded_problem(n=8, graph_seed=38, inst_seed=39)
+        cfg = SolverConfig(rho=1.0, eps=0.05, tau_bar=2, k_max=30, seed=40, eps_abs=0, eps_rel=0)
+        rec = run(inst, g, cfg, exact_averaging=exact_averaging)
+        arrays = {}
+
+        def collect(value):
+            if isinstance(value, np.ndarray):
+                arrays[id(value)] = value
+            elif isinstance(value, list):
+                for item in value:
+                    collect(item)
+            elif dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    collect(getattr(value, f.name))
+
+        collect(rec)
+        assert rec.iterations == 30
+        floats = sum(a.size for a in arrays.values())
+        assert floats <= (rec.iterations + 3) * g.n * inst.p + inst.p
+        replay(inst, rec)  # the record still holds what x and lam are rebuilt from
 
     def test_cap_events_recorded_but_run_continues(self):
         g, inst = seeded_problem(n=10, graph_seed=25, inst_seed=26)
@@ -245,7 +274,7 @@ class TestRateDiagnostics:
         self.rec = run(self.inst, self.g, self.cfg, truth=self.truth)
 
     def test_first_gap_uses_first_iterate(self):
-        x1, z1 = self.rec.x_hist[1], self.rec.z_hist[1]
+        x1, z1 = replay(self.inst, self.rec)[0][1], self.rec.z_hist[1]
         manual = (
             self.inst.objective(x1)
             + float(np.sum(self.truth.lam_star * (x1 - z1)))
@@ -254,9 +283,9 @@ class TestRateDiagnostics:
         assert np.isclose(self.rec.gap[0], manual, rtol=1e-12)
 
     def test_gap_matches_online_record(self):
-        # the ergodic averages rebuilt from the stored iterates
+        # the ergodic averages rebuilt from the replayed iterates
         ks = np.arange(1, self.rec.iterations + 1)[:, None, None]
-        x_bar = np.cumsum(self.rec.x_hist[1:], axis=0) / ks
+        x_bar = np.cumsum(replay(self.inst, self.rec)[0][1:], axis=0) / ks
         z_bar = np.cumsum(self.rec.z_hist[1:], axis=0) / ks
         rebuilt = [
             self.inst.objective(xb) + float(np.sum(self.truth.lam_star * (xb - zb))) - self.truth.f_star

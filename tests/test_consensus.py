@@ -128,7 +128,7 @@ class TestRatioStep:
         # symmetric half weights: one step lands both nodes on the average
         g = two_cycle()
         w = build_weights(g)
-        engine = ConsensusEngine(g, DelayModel.zero(), y0=np.array([[0.0], [4.0]]), weights=w)
+        engine = ConsensusEngine(g, DelayModel(0), y0=np.array([[0.0], [4.0]]), weights=w)
         engine.advance(1)
         assert engine.z[0, 0] == 2.0 and engine.z[1, 0] == 2.0
 
@@ -186,14 +186,14 @@ class TestRatioStep:
     def test_consensus_fixed_point(self):
         g, w, _ = seeded_setup()
         y0 = np.tile([2.5, -1.0], (g.n, 1))
-        for dm in (DelayModel.zero(), DelayModel.uniform(3, seed=4)):
+        for dm in (DelayModel(0), DelayModel.uniform(3, seed=4)):
             engine = ConsensusEngine(g, dm, y0=y0, weights=w)
             engine.advance(40)
             assert np.allclose(engine.z, y0, rtol=1e-12, atol=1e-12)
 
     def test_nonpositive_mass_raises(self):
         engine = ConsensusEngine(
-            two_cycle(), DelayModel.zero(), y0=np.array([[1.0], [2.0]]), weights=np.array([-0.5, -0.5])
+            two_cycle(), DelayModel(0), y0=np.array([[1.0], [2.0]]), weights=np.array([-0.5, -0.5])
         )
         with pytest.raises(ProtocolError):
             engine.advance(1)
@@ -238,7 +238,7 @@ class TestAsymptoticAverage:
 class TestSynchronousEquivalence:
     def test_bit_for_bit_against_power_iteration(self):
         g, w, y0 = seeded_setup(n=9, seed=7, p=3)
-        engine = ConsensusEngine(g, DelayModel.zero(), y0=y0, weights=w)
+        engine = ConsensusEngine(g, DelayModel(0), y0=y0, weights=w)
         ref = synchronous_ratio_trajectory(g, y0, 80)
         for k in (0, 1, 2, 5, 20, 80):
             engine.advance(k - engine.time)
@@ -250,7 +250,7 @@ class TestMinMax:
         # one undelayed exchange folds each neighbor's pair into the node's own
         hi0 = np.array([[1.0, 5.0], [3.0, 2.0]])
         lo0 = np.array([[1.0, 5.0], [0.0, 4.0]])
-        engine = ConsensusEngine(two_cycle(), DelayModel.zero(), extrema=(hi0, lo0))
+        engine = ConsensusEngine(two_cycle(), DelayModel(0), extrema=(hi0, lo0))
         engine.advance(1)
         assert np.array_equal(engine.hi, [[3.0, 5.0], [3.0, 5.0]])
         assert np.array_equal(engine.lo, [[0.0, 4.0], [0.0, 4.0]])
@@ -258,7 +258,7 @@ class TestMinMax:
     def test_max_consensus_on_three_cycle(self):
         g = three_cycle()
         vals = np.array([[5.0], [1.0], [3.0]])
-        engine = ConsensusEngine(g, DelayModel.zero(), extrema=(vals, vals))
+        engine = ConsensusEngine(g, DelayModel(0), extrema=(vals, vals))
         engine.advance(diameter(g))
         assert np.all(engine.hi == 5.0)
         assert np.all(engine.lo == 1.0)
@@ -384,7 +384,7 @@ class TestTerminatingConsensus:
 
     def test_rejects_bad_args(self):
         g, w, y0 = seeded_setup(n=4, seed=26)
-        dm = DelayModel.zero()
+        dm = DelayModel(0)
         with pytest.raises(ValueError):
             run_terminating_consensus(g, w, dm, y0, eps=0.0, step_cap=10)
         with pytest.raises(ValueError):
@@ -397,7 +397,7 @@ class TestTerminatingConsensus:
         g = Digraph(1, frozenset())
         w = build_weights(g)
         y0 = np.array([[3.0, -1.0]])
-        res = run_terminating_consensus(g, w, DelayModel.zero(), y0, eps=0.1, step_cap=100)
+        res = run_terminating_consensus(g, w, DelayModel(0), y0, eps=0.1, step_cap=100)
         assert res.converged
         assert np.allclose(res.z, y0)
 
@@ -943,7 +943,7 @@ class TestCounters:
 
     def test_nothing_stale_without_delays(self):
         g, w, y0 = seeded_setup(n=12, seed=30)
-        res = run_terminating_consensus(g, w, DelayModel.zero(), y0, 1e-3, 10_000)
+        res = run_terminating_consensus(g, w, DelayModel(0), y0, 1e-3, 10_000)
         # every node folds one message of each kind from itself and each in-neighbor per tick
         assert res.delivered == 2 * res.steps * (len(g.edges) + g.n)
         assert res.stale_discarded == 0

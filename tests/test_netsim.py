@@ -62,11 +62,21 @@ def is_self(line):
 
 class TestDelayModel:
     def test_zero_model(self):
-        dm = DelayModel.zero()
+        dm = DelayModel(0)
         draws = dm.sample_many(1000)
-        assert draws.dtype == np.int64 and np.all(draws == 0)
+        assert draws.dtype == np.int32 and np.all(draws == 0)
         # the zeros consume nothing from the model's stream
         assert np.array_equal(dm._rng.integers(0, 4, size=20), np.random.default_rng(0).integers(0, 4, size=20))
+
+    @pytest.mark.parametrize("tau_bar", [1, 2, 3, 5, 10, 255])
+    def test_int32_draws_are_the_int64_stream(self, tau_bar):
+        # the values and the generator's later state of a default (int64) draw
+        dm = DelayModel(tau_bar, seed=(7, 1))
+        reference = np.random.default_rng((7, 1))
+        draws = dm.sample_many(5000)
+        assert draws.dtype == np.int32
+        assert np.array_equal(draws, reference.integers(0, tau_bar + 1, size=5000))
+        assert dm._rng.bit_generator.state == reference.bit_generator.state
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
@@ -124,7 +134,7 @@ class TestEventQueue:
 
     def test_zero_delay_is_synchronous(self):
         trace = []
-        engine_for(self.g, DelayModel.zero(), trace).advance(1)
+        engine_for(self.g, DelayModel(0), trace).advance(1)
         assert len(trace) == 2 * (len(self.g.edges) + self.g.n)
 
     def test_empty_advance_returns_empty(self):
@@ -153,7 +163,7 @@ class TestBroadcast:
 
     def test_enqueues_out_neighbors_plus_self(self):
         trace = []
-        engine_for(self.g, DelayModel.zero(), trace).advance(1)
+        engine_for(self.g, DelayModel(0), trace).advance(1)
         outs = out_lists(self.g)
         for j in range(self.g.n):
             from_j = [line.split(",") for line in trace if line.startswith(f"0,{j},")]
@@ -169,7 +179,7 @@ class TestBroadcast:
             assert Counter(selfs) == Counter(expected)
 
     def test_synchronous_when_tau_zero(self):
-        _, trace, sends = run_logged(self.g, DelayModel.zero(), 5)
+        _, trace, sends = run_logged(self.g, DelayModel(0), 5)
         assert all(d == 0 for *_, d in sends)
         assert Counter(trace) == expected_lines(self.g, sends, 5)
 
@@ -204,7 +214,7 @@ class TestBroadcast:
 
     def test_trace_lines(self):
         trace = []
-        engine_for(self.g, DelayModel.zero(), trace).advance(1)
+        engine_for(self.g, DelayModel(0), trace).advance(1)
         assert trace and all(line.startswith("0,") for line in trace)
         fields = trace[0].split(",")
         assert len(fields) == 4 and fields[3] == "RATIO_PAIR"

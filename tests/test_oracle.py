@@ -182,7 +182,7 @@ class TestSynchronousRatioOracle:
         g = random_strongly_connected(7 + seed, 0.3, seed=seed)
         w = build_weights(g)
         y0 = np.random.default_rng(seed).standard_normal((g.n, 2))
-        engine = ConsensusEngine(g, DelayModel.zero(), y0=y0, weights=w)
+        engine = ConsensusEngine(g, DelayModel(0), y0=y0, weights=w)
         ref = synchronous_ratio_trajectory(g, y0, 60)
         for k in range(61):
             assert np.array_equal(engine.z, ref[k])
