@@ -62,6 +62,8 @@ class SolverConfig:
         for name in ("k_max", "step_cap"):
             if _integer(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if _integer(self.seed, "seed") < 0:  # numpy would reject it only at the first draw
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         DelayModel(self.tau_bar)  # rejects a negative or non-integer tau_bar
         for name in ("eps_abs", "eps_rel"):
             if not getattr(self, name) >= 0.0:

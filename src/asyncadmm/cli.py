@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from . import admm, consensus, oracle
+from . import admm, consensus
 from .digraph import Digraph, load_edge_list, random_strongly_connected, save_edge_list
 from .problems import generate_ls
 
@@ -110,10 +110,12 @@ class ExperimentConfig:
             if f.name not in values:
                 continue
             raw_val = values.pop(f.name)
-            if f.type in ("int", int):
-                kwargs[f.name] = int(raw_val)
-            elif f.type in ("float", float):
-                kwargs[f.name] = float(raw_val)
+            if f.type in ("int", int, "float", float):
+                number, what = (int, "an integer") if f.type in ("int", int) else (float, "a number")
+                try:
+                    kwargs[f.name] = number(raw_val)
+                except ValueError:
+                    raise ValueError(f"config {f.name} must be {what}, got {raw_val!r}") from None
             elif f.type in ("bool", bool):
                 if raw_val.lower() not in _BOOL_WORDS:
                     raise ValueError(f"config {f.name} must be 1/true/yes or 0/false/no, got {raw_val!r}")
@@ -186,7 +188,7 @@ def _sweep_cell(cfg: ExperimentConfig, eps: float, tau: int):
     cell = replace(cfg, epsilon=eps, tau_bar=tau)  # a non-integer tau_bar fails as a cell error
     try:
         record, _, _ = _execute(cell)
-    except (ValueError, oracle.SingularProblemError, consensus.ProtocolError) as exc:
+    except (ValueError, consensus.ProtocolError) as exc:
         # an invalid cell or a failed protocol run must not kill the sweep
         return ("error: " + str(exc).replace(",", ";"), "", "", "")
     rel_err, mean_steps = record.relative_error, record.mean_consensus_steps
@@ -289,7 +291,7 @@ def main(argv=None) -> int:
     except TopologyFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, oracle.SingularProblemError) as exc:
+    except ValueError as exc:  # a singular problem (oracle.SingularProblemError) among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -81,22 +81,21 @@ class _ColumnMaps:
     """The engine's maps that depend only on the digraph, ``tau_bar`` and the kinds.
 
     Built by :func:`_column_maps` once per digraph and key, all read-only.
-    Per kind ``q`` (in kind order), ``links[q]`` maps its history columns to
-    link-table positions, and ``payload_of[q]`` maps its arrival-table
-    offsets (column, lag position) to the payload's offset past the tick's
-    oldest history row.  ``receiver_of`` gives the ratio kind's receiver per
-    offset, ``first_col`` each receiver's first min/max column (where its
-    extrema segment starts).  ``col_draw`` maps every history column to its
-    delay's batch position, ``draws`` for a self term (the zero past the
-    batch's end).
+    ``links`` maps every kind's history columns, all in one order (the delay
+    draw order), to link-table positions.  ``payload_of`` and ``receiver_of``
+    cover the arrival tables of a block of ``ticks`` ticks: offset
+    ``(t * cols + c) * depth + j`` maps to the payload's history offset
+    ``(1 + t + j) * n + sender`` and to the receiver.  ``col_draw`` maps every
+    history column to its delay's batch position, ``draws`` for a self term
+    (the zero past the batch's end).
     """
 
-    links: tuple[np.ndarray, ...]
-    payload_of: tuple[np.ndarray, ...]
-    receiver_of: np.ndarray | None
-    first_col: np.ndarray | None
+    links: np.ndarray
+    payload_of: np.ndarray
+    receiver_of: np.ndarray
     col_draw: np.ndarray
     draws: int
+    ticks: int
 
 
 # Each digraph's maps by (tau_bar, kinds), kept while the digraph lives: every
@@ -104,42 +103,38 @@ class _ColumnMaps:
 _maps_by_digraph: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...]) -> _ColumnMaps:
-    """The maps of engines on ``g`` with ``tau_bar`` and ``kinds``, built on first use."""
+def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...], ticks: int) -> _ColumnMaps:
+    """The maps of engines on ``g`` with ``tau_bar`` and ``kinds`` for blocks of ``ticks`` ticks.
+
+    Built on first use; rebuilt when an engine's blocks outgrow the kept maps.
+    """
     by_key = _maps_by_digraph.setdefault(g, {})
     maps = by_key.get((tau_bar, kinds))
-    if maps is not None:
+    if maps is not None and maps.ticks >= ticks:
         return maps
     n, depth = g.n, tau_bar + 1
     receiver, sender = g.links
     cols = len(receiver)
-    # the ratio columns in draw order, the min/max columns in link order
-    order = np.argsort(sender.astype(np.int64) * n + receiver).astype(np.int32)
-    links = tuple(order if kind == RATIO else np.arange(cols, dtype=np.int32) for kind in kinds)
-    # up to three maps of cols * depth entries: payload offsets (below
-    # depth * n) and receivers (below n), each in the smallest unsigned type
-    # that holds them, uint16 at n=600
-    lags = np.arange(depth, dtype=np.int32) * n
-    offset = np.min_scalar_type(depth * n)
-    payload_of = tuple(np.add.outer(sender[link], lags).ravel().astype(offset) for link in links)
-    receiver_of = np.repeat(receiver[links[0]], depth).astype(np.min_scalar_type(n)) if RATIO in kinds else None
-    first_col = np.searchsorted(receiver, np.arange(n)) if MIN_MAX in kinds else None
-    # delay column -> batch position: sort the edge links in draw order
-    # kind-major stably by sender; self-term columns read the zero past the
-    # batch's end
-    edge = order[receiver[order] != sender[order]]
-    edge_links = np.add.outer(np.arange(len(kinds), dtype=np.int32) * cols, edge).ravel()
-    draw_link = edge_links[np.argsort(np.tile(sender[edge], len(kinds)), kind="stable")]
-    draws = len(draw_link)
-    link_draw = np.full(len(kinds) * cols, draws, dtype=np.int32)
-    link_draw[draw_link] = np.arange(draws, dtype=np.int32)
-    col_draw = np.empty_like(link_draw)
-    for q, link in enumerate(links):
-        col_draw[q * cols : (q + 1) * cols] = link_draw[q * cols + link]
-    for a in (*links, *payload_of, receiver_of, first_col, col_draw):
-        if a is not None:
-            a.flags.writeable = False
-    maps = _ColumnMaps(links, payload_of, receiver_of, first_col, col_draw, draws)
+    # draw order: sender-major, receivers ascending, each self term in place
+    links = np.argsort(sender.astype(np.int64) * n + receiver).astype(np.int32)
+    receiver, sender = receiver[links], sender[links]
+    # two maps of ticks * cols * depth entries, payload offsets (below
+    # (ticks + depth) * n) and receivers (below n), each in the smallest
+    # unsigned type that holds them, uint16 at n=600
+    rows = (1 + np.add.outer(np.arange(ticks), np.arange(depth))) * n  # [tick, lag]
+    payload_of = (rows[:, None, :] + sender[:, None]).astype(np.min_scalar_type((ticks + depth) * n)).ravel()
+    receiver_of = np.tile(np.repeat(receiver.astype(np.min_scalar_type(n)), depth), ticks)
+    # delay column -> batch position: the edge columns kind-major, sorted
+    # stably by sender; self-term columns read the zero past the batch's end
+    edge = np.flatnonzero(receiver != sender)
+    edge_cols = np.add.outer(np.arange(len(kinds), dtype=np.int32) * cols, edge).ravel()
+    draw_col = edge_cols[np.argsort(np.tile(sender[edge], len(kinds)), kind="stable")]
+    draws = len(draw_col)
+    col_draw = np.full(len(kinds) * cols, draws, dtype=np.int32)
+    col_draw[draw_col] = np.arange(draws, dtype=np.int32)
+    for a in (links, payload_of, receiver_of, col_draw):
+        a.flags.writeable = False
+    maps = _ColumnMaps(links, payload_of, receiver_of, col_draw, draws, ticks)
     by_key[tau_bar, kinds] = maps
     return maps
 
@@ -171,22 +166,21 @@ class ConsensusEngine:
     before min/max, then receivers ascending), so one batch consumes the
     delay stream exactly as per-sender draws per tick would.  The delays
     land in a per-tick history whose columns, per kind, are the digraph's
-    links (the edges and every node's self term, delay 0): the ratio kind's
-    in draw order (sender, then receiver, each self term in place), the
-    min/max kind's in link order (receiver, then sender), since
-    ``reduceat`` needs each receiver's extrema contiguous.  One gather
+    links (the edges and every node's self term, delay 0), in one order for
+    every kind: the draw order (sender, then receiver, each self term in
+    place), as the protocol sends both kinds on one schedule.  One gather
     through a column-to-draw map writes them, the self terms reading a zero
     appended to the batch.
 
-    Each block decides its arrivals once per kind: the send made ``lag``
-    ticks ago on a column is consumed now iff its delay equals ``lag``, one
-    comparison per lag (a lag slab over the block's ticks and the kind's
-    columns).  ``delivered``, ``stale_discarded`` (extrema sent before
-    ``epoch_start``) and the trace all read those slabs.  Only for a fold
-    that will run are they stacked into an arrival table (tick, column,
-    oldest send first), cleared of stale extrema and turned into fold
-    inputs.  Only the folds run tick by tick, since each tick's sends carry
-    the state the previous tick produced.
+    Each block decides its arrivals once: the send made ``lag`` ticks ago on
+    a column is consumed now iff its delay equals ``lag``, one comparison
+    per lag over every kind's columns (a lag slab over the block's ticks).
+    ``delivered``, ``stale_discarded`` (extrema sent before ``epoch_start``)
+    and the trace all read those slabs.  Only for a fold that will run is a
+    kind's share of them stacked into an arrival table (tick, column, oldest
+    send first), cleared of stale extrema and turned into fold inputs.  Only
+    the folds run tick by tick, since each tick's sends carry the state the
+    previous tick produced.
 
     The history is the engine's one time axis: each tick's sends sit on the
     row of its delays, per kind as ``[component, row * n + sender]``, written
@@ -195,13 +189,15 @@ class ConsensusEngine:
     block writes its ticks behind them, and one shift at the block's end
     moves the newest ``depth`` rows, delays and sends together, back to the
     front.  Tick ``t`` of a block consumes sends from rows
-    ``t + 1 .. t + depth``, so unsigned maps over the arrival table's
-    (column, lag) offsets give each arrival's payload (past row ``t + 1``)
+    ``t + 1 .. t + depth``, so two unsigned maps over a whole block's
+    arrival-table offsets ``(t * cols + c) * depth + j``, shared by the
+    kinds, give each arrival's payload offset ``(1 + t + j) * n + sender``
     and its receiver.  These maps and the column-to-draw map depend only on
     the digraph, ``tau_bar`` and the kinds, so they are built once per such
     triple and kept while the digraph lives: every instance of a solver run
     shares them.  The block cap, which reads ``BLOCK_ENTRIES``, is set per
-    engine.
+    engine; one whose cap exceeds the ticks the kept maps cover rebuilds
+    them.
 
     Ratio sums fold sequentially with ``bincount`` in column order: each
     receiver's arrivals come by sender, oldest send first, so results are
@@ -224,6 +220,10 @@ class ConsensusEngine:
     zero, may differ from a fold over values (``max(0.0, -0.0)`` returns its
     first argument); the ``==`` agreement check and the spread norm both
     ignore that.  A NaN, which has no rank, is rejected up front.
+    ``reduceat`` needs each receiver's arrivals contiguous, so one stable
+    sort of a block's arrivals by ``tick * n + receiver``, in the smallest
+    unsigned type that holds it (a radix sort up to 16 bits), groups them;
+    a maximum of ranks does not depend on the order within a group.
 
     An extrema fold runs only while it can change the extrema.  A round
     whose every row starts with one bit pattern (the ``+inf`` / ``-inf``
@@ -280,20 +280,20 @@ class ConsensusEngine:
             self._encode_extrema(hi, lo)
             self.kinds.append(MIN_MAX)
 
-        self._maps = maps = _column_maps(g, dm.tau_bar, tuple(self.kinds))
         self._links = g.links
-        self._cols = len(g.links[0])
+        self._cols = cols = len(g.links[0])
+        self._depth = depth
+        # an engine without kinds is capped as a one-kind engine is
+        self._block_cap = max(1, BLOCK_ENTRIES // (depth * cols * max(1, len(self.kinds))))
+        self._maps = _column_maps(g, dm.tau_bar, tuple(self.kinds), self._block_cap)
 
         # The history, one row per tick: its delays (-1 marks ticks before
         # time 0, which no lag matches) and, per kind, its sends as
         # [component, row * n + sender] (the scaled ratio pairs, the extrema
         # ranks), in kind order.  A self term is compared only at lag 0, on
         # a row its block drew, so no pre-start value of it is ever read.
-        width = len(maps.col_draw)
-        self._depth = depth
-        self._block_cap = max(1, BLOCK_ENTRIES // max(1, depth * width))
         rows = depth + self._block_cap
-        self._hist = np.full((rows, width), -1, dtype=np.min_scalar_type(-depth))
+        self._hist = np.full((rows, len(self.kinds) * cols), -1, dtype=np.min_scalar_type(-depth))
         states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
         self._sent = [np.zeros((len(s), rows * n), dtype=s.dtype) for s in states]
 
@@ -318,10 +318,9 @@ class ConsensusEngine:
         ``time - 1 - age``; -1 marks ticks before time 0.  Columns run by
         kind, then in link-table order.
         """
+        shape = (self._depth, len(self.kinds), self._cols)
         delays = np.empty_like(self._hist[: self._depth])
-        for q, link in enumerate(self._maps.links):
-            at = slice(q * self._cols, (q + 1) * self._cols)
-            delays[:, at][:, link] = self._hist[: self._depth, at]
+        delays.reshape(shape)[:, :, self._maps.links] = self._hist[: self._depth].reshape(shape)
         return delays
 
     @property
@@ -351,19 +350,18 @@ class ConsensusEngine:
         self._encode_extrema(self.z, self.z)
         self.epoch_start = self.time
 
-    def _arrivals(self, q: int, steps: int, cut: int) -> list[np.ndarray]:
-        """Kind ``q``'s lag slabs over the next ``steps`` ticks, counted.
+    def _arrivals(self, steps: int, cut: int) -> list[np.ndarray]:
+        """The lag slabs over the next ``steps`` ticks and every kind's columns, counted.
 
         Slab ``j`` is ``[tick t, column]``: the send on history row ``1 + t + j``,
         made ``lag = depth - 1 - j`` ticks before tick ``t``, arrives then iff
         its delay equals ``lag``; an extrema send is stale iff ``t + j < cut``.
         """
         cols, hist, depth = self._cols, self._hist, self._depth
-        columns = slice(q * cols, (q + 1) * cols)
-        slabs = [hist[1 + j : 1 + j + steps, columns] == depth - 1 - j for j in range(depth)]
+        slabs = [hist[1 + j : 1 + j + steps] == depth - 1 - j for j in range(depth)]
         self.delivered += sum(np.count_nonzero(slab) for slab in slabs)
-        if self.kinds[q] == MIN_MAX:
-            self.stale_discarded += sum(np.count_nonzero(slab[: max(cut - j, 0)]) for j, slab in enumerate(slabs))
+        if MIN_MAX in self.kinds:  # the last kind's columns
+            self.stale_discarded += sum(np.count_nonzero(slab[: max(cut - j, 0), -cols:]) for j, slab in enumerate(slabs))
         return slabs
 
     def _fold_inputs(self, q: int, slabs: list[np.ndarray], cut: int):
@@ -375,29 +373,29 @@ class ConsensusEngine:
         """
         n, cols, depth, maps, kind = self.n, self._cols, self._depth, self._maps, self.kinds[q]
         steps = len(slabs[0])
-        table = np.stack(slabs, axis=-1)  # [tick, column, oldest send first]
+        # [tick, column, oldest send first]
+        table = np.stack([slab[:, q * cols : (q + 1) * cols] for slab in slabs], axis=-1)
         if kind == MIN_MAX:
             # drop the stale one lag slab at a time, so numpy's inner loop
             # runs along the columns rather than along the short lag axis
             for j in range(min(cut, depth)):
                 table[: cut - j, :, j] = False
+        # (t * cols + c) * depth + j: the block maps' offsets.  Tick k0 + t
+        # reads the sends of ticks k0 + t - (depth - 1) .. k0 + t, history
+        # rows t + 1 .. t + depth.
         flat = np.flatnonzero(table)
-        ticks = np.arange(steps)
         bounds = np.searchsorted(flat, np.arange(steps + 1) * cols * depth)
-        if kind == MIN_MAX:
-            starts = np.add.outer(ticks * cols, maps.first_col) * depth
-            segments = np.searchsorted(flat, starts) - bounds[:-1, None]
-        # flat = t * cols * depth + (c * depth + j); keep the offset in tick t's table
-        counts = np.diff(bounds)
-        flat -= np.repeat(ticks * (cols * depth), counts)
-        # Tick k0 + t reads the sends of ticks k0 + t - (depth - 1) .. k0 + t,
-        # history rows t + 1 .. t + depth.
-        source = maps.payload_of[q][flat].astype(np.intp)  # each fold gathers with it
-        source += np.repeat((1 + ticks) * n, counts)
+        source = maps.payload_of[flat].astype(np.intp)  # each fold gathers with it
+        receiver = maps.receiver_of[flat]
         if kind == RATIO:
             # bincount wants intp: cast once here, not once per component
-            segments = maps.receiver_of[flat].astype(np.intp)
-        return source, bounds, segments
+            return source, bounds, receiver.astype(np.intp)
+        # each tick's arrivals grouped by receiver: one stable (radix) sort
+        key_type = np.min_scalar_type(steps * n)
+        key = (flat // (cols * depth)).astype(key_type) * n + receiver
+        by_receiver = np.argsort(key, kind="stable")
+        starts = np.searchsorted(key[by_receiver], np.arange(steps * n, dtype=key_type))
+        return source[by_receiver], bounds, starts.reshape(steps, n) - bounds[:-1, None]
 
     def _block(self, steps: int) -> None:
         """``steps`` ticks: delays and arrivals once, then the per-tick folds."""
@@ -406,11 +404,11 @@ class ConsensusEngine:
         drawn[:, :draws] = self.dm.sample_many(steps * draws).reshape(steps, draws)
         np.take(drawn, self._maps.col_draw, axis=1, out=hist[depth : depth + steps])
         cut = self.epoch_start - k0 + depth - 1  # sent before the re-seed iff t + j < cut
-        arrivals = [self._arrivals(q, steps, cut) for q in range(len(self.kinds))]
+        arrivals = self._arrivals(steps, cut)
         # fixed extrema fold nothing: their arrivals are only counted and traced
         folds = [
-            None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, slabs, cut)
-            for q, (kind, slabs) in enumerate(zip(self.kinds, arrivals))
+            None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, arrivals, cut)
+            for q, kind in enumerate(self.kinds)
         ]
         traced = self.trace is not None and bool(self.kinds)
         if traced:
@@ -453,15 +451,11 @@ class ConsensusEngine:
         # back in from itself on each later tick of this epoch
         self._ext_fixed = bool((self._ext == self.n - 1).all())
 
-    def _trace_lines(self, k0: int, steps: int, arrivals: list[list[np.ndarray]]):
+    def _trace_lines(self, k0: int, steps: int, arrivals: list[np.ndarray]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
-        hits = [
-            (t, link[c], np.full(len(t), kind))
-            for kind, link, slabs in zip(self.kinds, self._maps.links, arrivals)
-            for t, c in map(np.nonzero, slabs)
-        ]
-        t, link, kind = (np.concatenate(a) for a in zip(*hits))
-        receiver, sender = (a[link] for a in self._links)
+        t, c = (np.concatenate(a) for a in zip(*map(np.nonzero, arrivals)))
+        kind = np.asarray(self.kinds)[c // self._cols]
+        receiver, sender = (a[self._maps.links[c % self._cols]] for a in self._links)
         order = np.lexsort((kind, sender, receiver, t))
         bounds = np.searchsorted(t[order], np.arange(steps + 1))
         t, sender, receiver, kind = (a[order].tolist() for a in (t, sender, receiver, kind))
@@ -539,13 +533,16 @@ def run_terminating_consensus(
         Upper bound on ratio updates before giving up.
     graph_diameter : int, optional
         Pass a precomputed diameter to skip the reachability computation
-        (repeated squaring of ``I + A``, see :func:`~asyncadmm.digraph.diameter`).
+        (repeated squaring of ``I + A``, see :func:`~asyncadmm.digraph.diameter`);
+        an integer, at least 1 unless the digraph has one node (else ``ValueError``).
     """
     if not eps > 0.0:  # NaN fails every comparison
         raise ValueError(f"eps must be > 0, got {eps}")
     if _integer(step_cap, "step_cap") < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-    d = diameter(g) if graph_diameter is None else graph_diameter
+    d = diameter(g) if graph_diameter is None else _integer(graph_diameter, "graph_diameter")
+    if d < min(g.n - 1, 1):  # checked before any delay is drawn
+        raise ValueError(f"graph_diameter must be >= {min(g.n - 1, 1)} on {g.n} nodes, got {d}")
     round_len = (1 + dm.tau_bar) * max(d, 1)
     shape = np.shape(y0)  # the engine converts and checks y0
     extrema = (np.full(shape, np.inf), np.full(shape, -np.inf))

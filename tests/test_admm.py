@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.5$"):
             SolverConfig(**{name: 2.5})
         assert getattr(SolverConfig(**{name: np.int32(2)}), name) == 2
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [(-1, "must be >= 0, got -1"), (2.5, "must be an integer, got 2.5"), ("3", "must be an integer, got '3'")],
+    )
+    def test_rejects_bad_seed(self, seed, message):
+        # numpy would reject -1 only at the first draw, 2.5 with a TypeError, and run "3"
+        with pytest.raises(ValueError, match=rf"^seed {re.escape(message)}$"):
+            SolverConfig(seed=seed)
+        assert SolverConfig(seed=np.int64(3)).seed == 3
 
     def test_delay_model_is_zero_for_tau_zero(self):
         assert np.all(SolverConfig(tau_bar=0).delay_model().sample_many(1000) == 0)

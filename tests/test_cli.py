@@ -55,6 +55,21 @@ class TestConfigFile:
             with pytest.raises(ValueError):
                 ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("kmax=abc", "config kmax must be an integer, got 'abc'"),
+            ("edge_prob=abc", "config edge_prob must be a number, got 'abc'"),
+        ],
+    )
+    def test_unparsable_value_names_its_key(self, tmp_path, capsys, line, message):
+        # int() and float() alone name neither the key nor the file's line
+        config = tmp_path / "config.txt"
+        config.write_text(f"nodes=8\n{line}\n")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="turbo").validate()

@@ -1067,17 +1067,21 @@ class TestSharedLinkTable:
             (tau_bar, kinds) for tau_bar in (0, 3, 10) for kinds in ((RATIO,), (MIN_MAX,), (RATIO, MIN_MAX))
         )
 
-    def test_ratio_columns_in_draw_order(self):
+    def test_every_kind_columns_in_draw_order(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         engine = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, extrema=(y0, y0))
         column = {pair: c for c, pair in enumerate(message_columns(g))}
         # sender by sender, receivers ascending, each self term in place
         drawn = [column[r, s] for s, outs in enumerate(out_lists(g)) for r in sorted([*outs, s])]
-        ratio, minmax = engine._maps.links
-        assert ratio.tolist() == drawn
-        assert minmax.tolist() == list(range(len(column)))
-        for a in (ratio, minmax):
-            assert a.dtype == np.int32 and not a.flags.writeable
+        links = engine._maps.links
+        assert links.tolist() == drawn
+        assert links.dtype == np.int32 and not links.flags.writeable
+        # each kind's history columns, read back in link order by delays
+        engine.advance(5)
+        cols = len(column)
+        for q in range(2):
+            at = slice(q * cols, (q + 1) * cols)
+            assert np.array_equal(engine._hist[: engine._depth, at], engine.delays[:, at][:, drawn])
 
     def test_dropping_a_digraph_drops_its_maps(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
@@ -1099,6 +1103,29 @@ class TestSharedLinkTable:
         single.advance(40)
         assert single.z.tobytes() == multi.z.tobytes() and single.trace == multi.trace
 
+    def test_a_larger_block_cap_rebuilds_the_maps(self, monkeypatch):
+        g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
+        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+        engines = []
+        for entries in (consensus.BLOCK_ENTRIES, 5 * consensus.BLOCK_ENTRIES, 0):
+            monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
+            engines.append(ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, extrema=extrema, trace=[]))
+        short, long, single = engines
+        round_len = 4 * diameter(g)
+        assert single._block_cap == 1 < short._block_cap < long._block_cap
+        # the longer blocks outgrew the kept maps; the one-tick engine reuses the rebuilt ones
+        assert long._maps is not short._maps and long._maps.ticks == long._block_cap
+        assert single._maps is long._maps is consensus._maps_by_digraph[g][3, (RATIO, MIN_MAX)]
+        for engine in engines:
+            engine.terminate(1e-3, 10 * round_len, round_len)
+            # then one span longer than a long block, from extrema that still spread
+            engine.reseed_extrema()
+            engine.advance(long._block_cap + round_len + 1)
+        for engine in (short, long):
+            assert_same_state(engine, single)
+            assert engine.extrema_folds == single.extrema_folds
+        assert single.stale_discarded > 0 and single.extrema_folds > round_len
+
 
 class TestRejectsBadInput:
     """Inputs that no fold can handle fail before the first tick."""
@@ -1118,6 +1145,19 @@ class TestRejectsBadInput:
     def test_y0_without_weights(self):
         with pytest.raises(ValueError, match="y0 needs weights"):
             ConsensusEngine(three_cycle(), DelayModel.uniform(2, seed=0), y0=np.ones((3, 1)))
+
+    @pytest.mark.parametrize("n,d", [(8, 2.5), (8, "2"), (8, -1), (8, 0), (1, -1)])
+    def test_bad_graph_diameter(self, n, d):
+        # unchecked, 2.5 and "2" fail with a bare TypeError, and -1 or 0 on an
+        # 8-node digraph as extrema that disagree at a check boundary
+        g = graph_for(n, 0.3, 5)
+        w, y0 = build_weights(g), np.random.default_rng(5).standard_normal((n, 2))
+        dm = DelayModel(3, seed=11)
+        with pytest.raises(ValueError, match=r"^graph_diameter must be "):
+            run_terminating_consensus(g, w, dm, y0, 0.1, 100_000, graph_diameter=d)
+        # no tick ran: the delay stream is untouched
+        assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=11).sample_many(50))
+        assert run_terminating_consensus(g, w, dm, y0, 0.1, 100_000, graph_diameter=diameter(g)).converged
 
     @pytest.mark.parametrize("step_cap", [30.5, 30.0, "30"])
     def test_non_integer_step_cap(self, step_cap):
