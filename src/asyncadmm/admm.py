@@ -89,7 +89,6 @@ class RunRecord:
     truth: oracle_mod.GroundTruth
     z0: np.ndarray
     lam0: np.ndarray
-    k: list[int] = field(default_factory=list)
     objective: list[float] = field(default_factory=list)
     primal_res: list[float] = field(default_factory=list)
     dual_res: list[float] = field(default_factory=list)
@@ -102,7 +101,7 @@ class RunRecord:
 
     @property
     def iterations(self) -> int:
-        return len(self.k)
+        return len(self.objective)
 
     @property
     def final_objective(self) -> float:
@@ -134,7 +133,7 @@ class RunRecord:
     def rows(self):
         for i in range(self.iterations):
             yield (
-                self.k[i],
+                i + 1,
                 self.objective[i],
                 self.primal_res[i],
                 self.dual_res[i],
@@ -266,7 +265,6 @@ def run(
 
         primal = float(np.linalg.norm(x - z))
         dual = cfg.rho * float(np.linalg.norm(z - z_prev))
-        record.k.append(k)
         record.objective.append(problem.objective(x))
         record.primal_res.append(primal)
         record.dual_res.append(dual)

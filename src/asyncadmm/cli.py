@@ -6,7 +6,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import admm, consensus
@@ -38,44 +38,39 @@ SWEEP_COLUMNS = (
 )
 
 REFERENCE_TREND = (
-    "# paper's reference (600-node digraph): eps=0.1 -> mean steps 9/13/23 for "
-    "tau_bar=3/5/10, i.e. (1+tau_bar)*D+1 at D=2; eps=0.01 -> capped at 1000\n"
-    "# this implementation exits no earlier than 2*(1+tau_bar)*D steps: 16/24/44 at D=2"
+    "# paper's reference (600-node digraph): eps=0.1 -> mean steps 9/13/23 for tau_bar=3/5/10, "
+    "the first check boundary (1+tau_bar)*D plus one at D=2; eps=0.01 -> capped at 1000\n"
+    "# a correct check cannot exit at the first boundary: by then nodes can agree only on "
+    "extrema of the tick-0 snapshot y0 (spread 9.6-31.1 at n=600)\n"
+    "# so this implementation exits no earlier than 2*(1+tau_bar)*D steps: 16/24/44 at D=2, "
+    "and no tested mode caps at eps=0.01: the spread at the second boundary is at most 2.5e-4"
 )
-
-
-class TopologyFileError(FileNotFoundError):
-    """A file: topology was requested but could not be read."""
 
 
 @dataclass
 class ExperimentConfig:
     """Flat run configuration; every field maps to one CLI flag / config key."""
 
-    topology: str = "random"
-    nodes: int = 20
-    edge_prob: float = 0.2
-    dim: int = 3
-    epsilon: float = 0.1
-    tau_bar: int = 3
-    rho: float = 1.0
-    kmax: int = 200
-    eps_abs: float = 1e-4
-    eps_rel: float = 1e-2
-    step_cap: int = 1000
-    seed: int = 0
-    mode: str = "asyadmm"
-    trace: bool = False
+    topology: str = field(default="random", metadata={"help": "'random' or 'file:<path>'"})
+    nodes: int = field(default=20, metadata={"help": "node count for random topologies"})
+    edge_prob: float = field(default=0.2, metadata={"help": "extra edge probability"})
+    dim: int = field(default=3, metadata={"help": "decision dimension p (= q)"})
+    epsilon: float = field(default=0.1, metadata={"help": "consensus tolerance"})
+    tau_bar: int = field(default=3, metadata={"help": "max message delay"})
+    rho: float = field(default=1.0, metadata={"help": "penalty parameter"})
+    kmax: int = field(default=200, metadata={"help": "max ADMM iterations"})
+    eps_abs: float = field(default=1e-4, metadata={"help": "absolute stop tolerance"})
+    eps_rel: float = field(default=1e-2, metadata={"help": "relative stop tolerance"})
+    step_cap: int = field(default=1000, metadata={"help": "consensus step cap"})
+    seed: int = field(default=0, metadata={"help": "run seed"})
+    mode: str = field(default="asyadmm", metadata={"help": f"solver mode: {' or '.join(MODES)}"})
+    trace: bool = field(default=False, metadata={"help": "dump delivery trace (run only)"})
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.topology != "random" and not self.topology.startswith("file:"):
             raise ValueError(f"topology must be 'random' or 'file:<path>', got {self.topology!r}")
-        if self.nodes < 1:
-            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
         self.solver_config()  # delegates numeric range checks
 
     def solver_config(self) -> admm.SolverConfig:
@@ -105,34 +100,34 @@ class ExperimentConfig:
                 raise ValueError(f"malformed config line in {path}: {line!r}")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in values:
-                continue
-            raw_val = values.pop(f.name)
-            if f.type in ("int", int, "float", float):
-                number, what = (int, "an integer") if f.type in ("int", int) else (float, "a number")
-                try:
-                    kwargs[f.name] = number(raw_val)
-                except ValueError:
-                    raise ValueError(f"config {f.name} must be {what}, got {raw_val!r}") from None
-            elif f.type in ("bool", bool):
-                if raw_val.lower() not in _BOOL_WORDS:
-                    raise ValueError(f"config {f.name} must be 1/true/yes or 0/false/no, got {raw_val!r}")
-                kwargs[f.name] = _BOOL_WORDS[raw_val.lower()]
-            else:
-                kwargs[f.name] = raw_val
+        known = [f for f in fields(cls) if f.name in values]
+        kwargs = {f.name: _parse(f, values.pop(f.name), f"config {f.name}") for f in known}
         if values:
             raise ValueError(f"unknown config keys in {path}: {sorted(values)}")
         return cls(**kwargs)
 
 
+def _parse(f: Field, raw: str, name: str):
+    """``raw`` as field ``f``'s type; a value that does not parse is a ValueError naming ``name``.
+
+    ``f.type`` is the annotation's text, as this module defers annotations.
+    """
+    if f.type == "bool":
+        if raw.lower() not in _BOOL_WORDS:
+            raise ValueError(f"{name} must be 1/true/yes or 0/false/no, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
+    if f.type in ("int", "float"):
+        number, what = (int, "an integer") if f.type == "int" else (float, "a number")
+        try:
+            return number(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be {what}, got {raw!r}") from None
+    return raw
+
+
 def build_graph(cfg: ExperimentConfig) -> Digraph:
     if cfg.topology.startswith("file:"):
-        path = cfg.topology[len("file:"):]
-        if not Path(path).is_file():
-            raise TopologyFileError(f"topology file not found: {path}")
-        return load_edge_list(path)
+        return load_edge_list(cfg.topology[len("file:"):])
     return random_strongly_connected(cfg.nodes, cfg.edge_prob, seed=(cfg.seed, _GRAPH_STREAM))
 
 
@@ -240,32 +235,23 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
     return 0
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field; the values stay strings until ``_parse``."""
     parser.add_argument("--config", help="flat key=value config file; flags override it")
-    parser.add_argument("--topology", help="'random' or 'file:<path>'")
-    parser.add_argument("--nodes", type=int, help="node count for random topologies")
-    parser.add_argument("--edge-prob", type=float, dest="edge_prob", help="extra edge probability")
-    parser.add_argument("--dim", type=int, help="decision dimension p (= q)")
-    parser.add_argument("--epsilon", type=float, help="consensus tolerance")
-    parser.add_argument("--tau-bar", type=int, dest="tau_bar", help="max message delay")
-    parser.add_argument("--rho", type=float, help="penalty parameter")
-    parser.add_argument("--kmax", type=int, help="max ADMM iterations")
-    parser.add_argument("--eps-abs", type=float, dest="eps_abs", help="absolute stop tolerance")
-    parser.add_argument("--eps-rel", type=float, dest="eps_rel", help="relative stop tolerance")
-    parser.add_argument("--step-cap", type=int, dest="step_cap", help="consensus step cap")
-    parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--mode", choices=MODES, help="solver mode")
+    for f in fields(ExperimentConfig):
+        switch = {"action": "store_const", "const": "true"} if f.type == "bool" else {}
+        parser.add_argument(_flag(f.name), help=f.metadata["help"], **switch)
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--trace", action="store_true", default=None, help="dump delivery trace (run only)")
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    for f in fields(ExperimentConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            cfg = replace(cfg, **{f.name: val})
-    return cfg
+    given = [(f, getattr(args, f.name)) for f in fields(cfg)]
+    return replace(cfg, **{f.name: _parse(f, raw, _flag(f.name)) for f, raw in given if raw is not None})
 
 
 def main(argv=None) -> int:
@@ -285,10 +271,11 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if args.command == "run":
             return run_once(cfg, args.out)
-        eps_list = [float(v) for v in args.epsilons.split(",") if v.strip()]
-        tau_list = [int(v) for v in args.tau_bars.split(",") if v.strip()]
+        table = {f.name: f for f in fields(ExperimentConfig)}
+        eps_list = [_parse(table["epsilon"], v, "--epsilons") for v in args.epsilons.split(",") if v.strip()]
+        tau_list = [_parse(table["tau_bar"], v, "--tau-bars") for v in args.tau_bars.split(",") if v.strip()]
         return sweep(cfg, eps_list, tau_list, args.out)
-    except TopologyFileError as exc:
+    except OSError as exc:  # a topology, config or --out path the user named
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # a singular problem (oracle.SingularProblemError) among them

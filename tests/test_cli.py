@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,14 @@ GOLDEN_SHA256 = {
     "sync_baseline run.csv": "65e2a027bfce2d4aa9847f6a80dfb1b43911449d94b8dc6c86319c8f560bf65c",
     "sweep.csv": "700e3269d8b7ef2607987460877d230ac99de41caa4deeb5db628b2f4688d73f",
 }
+
+
+# every flag `run` takes; `sweep` adds --epsilons and --tau-bars
+FLAGS = {
+    "--config", "--topology", "--nodes", "--edge-prob", "--dim", "--epsilon", "--tau-bar", "--rho",
+    "--kmax", "--eps-abs", "--eps-rel", "--step-cap", "--seed", "--mode", "--trace", "--out",
+}
+NUMERIC_FIELDS = [f for f in fields(ExperimentConfig) if f.type in ("int", "float")]
 
 
 def run_cli(*args):
@@ -75,6 +86,83 @@ class TestConfigFile:
             ExperimentConfig(mode="turbo").validate()
         with pytest.raises(ValueError):
             ExperimentConfig(topology="ring").validate()
+
+
+class TestSettings:
+    @pytest.mark.parametrize("f", NUMERIC_FIELDS, ids=lambda f: f.name)
+    def test_unparsable_value_exits_1_naming_the_flag_or_key(self, tmp_path, capsys, f):
+        what = "an integer" if f.type == "int" else "a number"
+        flag = "--" + f.name.replace("_", "-")
+        assert run_cli("run", flag, "abc", "--out", str(tmp_path / "o")) == 1
+        assert f"error: {flag} must be {what}, got 'abc'" in capsys.readouterr().err
+        config = tmp_path / "config.txt"
+        config.write_text(f"{f.name}=abc\n")
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "o")) == 1
+        assert f"error: config {f.name} must be {what}, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--tau-bars", "abc", "--tau-bars must be an integer, got 'abc'"),
+            ("--tau-bars", "1,2.5", "--tau-bars must be an integer, got '2.5'"),
+            ("--epsilons", "0.1,x", "--epsilons must be a number, got 'x'"),
+        ],
+        ids=["tau_bars_abc", "tau_bars_2.5", "epsilons_x"],
+    )
+    def test_unparsable_sweep_list_item_exits_1_naming_the_flag(self, tmp_path, capsys, flag, value, message):
+        lists = {"--epsilons": "0.1", "--tau-bars": "1", flag: value}
+        args = [item for pair in lists.items() for item in pair]
+        assert run_cli("sweep", "--nodes", "6", "--kmax", "2", *args, "--out", str(tmp_path / "o")) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_mode_exits_1_naming_it(self, tmp_path, capsys):
+        assert run_cli("run", "--mode", "bogus", "--out", str(tmp_path / "o")) == 1
+        assert "error: mode must be one of ('asyadmm', 'sync_baseline'), got 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["--config", "{tmp}/missing.txt", "--out", "{tmp}/o"], "{tmp}/missing.txt"),
+            (["--topology", "file:{tmp}", "--out", "{tmp}/o"], "{tmp}"),
+            (["--out", "{tmp}/file/o"], "{tmp}/file"),
+        ],
+        ids=["missing_config", "directory_topology", "out_below_a_file"],
+    )
+    def test_unusable_path_exits_2_naming_it(self, tmp_path, capsys, args, named):
+        (tmp_path / "file").write_text("")
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert run_cli("run", *FAST, "--kmax", "2", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named.format(tmp=tmp_path) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_flag_and_config_key_build_equal_configs(self, tmp_path):
+        values = {
+            "topology": "file:topo.txt", "nodes": "7", "edge_prob": "0.5", "dim": "4", "epsilon": "0.05",
+            "tau_bar": "2", "rho": "2.5", "kmax": "9", "eps_abs": "1e-06", "eps_rel": "0.001",
+            "step_cap": "50", "seed": "11", "mode": "sync_baseline", "trace": "true",
+        }
+        assert list(values) == [f.name for f in fields(ExperimentConfig)]
+        parser = argparse.ArgumentParser()
+        cli._add_common_flags(parser)
+        config = tmp_path / "config.txt"
+        for name, raw in values.items():
+            flag = ["--" + name.replace("_", "-")] + ([] if name == "trace" else [raw])
+            from_flag = cli._config_from_args(parser.parse_args([*flag, "--out", "o"]))
+            config.write_text(f"{name}={raw}\n")
+            from_key = ExperimentConfig.from_file(config)
+            assert from_flag == from_key != ExperimentConfig()
+
+    @pytest.mark.parametrize("command,extra", [("run", set()), ("sweep", {"--epsilons", "--tau-bars"})])
+    def test_help_lists_every_flag(self, capsys, command, extra):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        listed = set(re.findall(r"^ +(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE))
+        assert listed == FLAGS | extra
 
 
 class TestRunOnce:
