@@ -14,7 +14,6 @@ coarse per-round synchronization of the underlying protocol guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from .netsim import DelayModel, _integer
 from .problems import LeastSquaresInstance
 
 __all__ = ["SolverConfig", "RunRecord", "x_update", "stopping_criterion", "run"]
-
-CSV_COLUMNS = ("k", "objective", "primal_res", "dual_res", "consensus_steps", "gap", "max_node_err")
 
 _INIT_STREAM = 0
 _DELAY_STREAM = 1
@@ -131,6 +128,7 @@ class RunRecord:
         return theta + 0.5 * rho * float(np.linalg.norm(self.truth.x_star - self.z0)) ** 2
 
     def rows(self):
+        """Per iteration: k, objective, primal_res, dual_res, consensus_steps, gap, max_node_err."""
         for i in range(self.iterations):
             yield (
                 i + 1,
@@ -141,18 +139,6 @@ class RunRecord:
                 self.gap[i],
                 self.max_node_err[i],
             )
-
-    def to_csv(self, path) -> None:
-        lines = [",".join(CSV_COLUMNS)]
-        for k, obj, primal, dual, steps, gap, node_err in self.rows():
-            lines.append(
-                f"{k},{_fmt(obj)},{_fmt(primal)},{_fmt(dual)},{steps},{_fmt(gap)},{_fmt(node_err)}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def x_update(

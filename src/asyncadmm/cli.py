@@ -9,9 +9,9 @@ import time
 from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
-from . import admm, consensus
+from . import admm, consensus, oracle
 from .digraph import Digraph, load_edge_list, random_strongly_connected, save_edge_list
-from .problems import generate_ls
+from .problems import LeastSquaresInstance, generate_ls
 
 __all__ = ["ExperimentConfig", "run_once", "sweep", "main"]
 
@@ -21,6 +21,7 @@ _GRAPH_STREAM = 2
 _INSTANCE_STREAM = 3
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
+RUN_COLUMNS = ("k", "objective", "primal_res", "dual_res", "consensus_steps", "gap", "max_node_err")
 SUMMARY_COLUMNS = (
     "final_objective",
     "oracle_objective",
@@ -67,11 +68,11 @@ class ExperimentConfig:
     trace: bool = field(default=False, metadata={"help": "dump delivery trace (run only)"})
 
     def validate(self) -> None:
+        """Checks mode and topology; the generators and ``solver_config`` check the rest."""
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.topology != "random" and not self.topology.startswith("file:"):
             raise ValueError(f"topology must be 'random' or 'file:<path>', got {self.topology!r}")
-        self.solver_config()  # delegates numeric range checks
 
     def solver_config(self) -> admm.SolverConfig:
         return admm.SolverConfig(
@@ -125,33 +126,23 @@ def _parse(f: Field, raw: str, name: str):
     return raw
 
 
-def build_graph(cfg: ExperimentConfig) -> Digraph:
-    if cfg.topology.startswith("file:"):
-        return load_edge_list(cfg.topology[len("file:"):])
-    return random_strongly_connected(cfg.nodes, cfg.edge_prob, seed=(cfg.seed, _GRAPH_STREAM))
-
-
-def _execute(cfg: ExperimentConfig):
-    """Build graph + instance, run the solver, return (record, graph, trace)."""
+def build_problem(cfg: ExperimentConfig) -> tuple[Digraph, LeastSquaresInstance]:
+    """The digraph and least-squares instance every run of ``cfg`` solves; checks mode and topology first."""
     cfg.validate()
-    g = build_graph(cfg)
-    instance = generate_ls(g.n, cfg.dim, cfg.dim, seed=(cfg.seed, _INSTANCE_STREAM))
-    trace: list[str] | None = [] if cfg.trace else None
-    record = admm.run(
-        instance, g, cfg.solver_config(), exact_averaging=(cfg.mode == "sync_baseline"), trace=trace
-    )
-    return record, g, trace
+    if cfg.topology.startswith("file:"):
+        g = load_edge_list(cfg.topology[len("file:"):])
+    else:
+        g = random_strongly_connected(cfg.nodes, cfg.edge_prob, seed=(cfg.seed, _GRAPH_STREAM))
+    return g, generate_ls(g.n, cfg.dim, cfg.dim, seed=(cfg.seed, _INSTANCE_STREAM))
 
 
-def _write_summary(record: admm.RunRecord, path) -> None:
-    row = [
-        repr(float(record.final_objective)),
-        repr(float(record.truth.f_star)),
-        repr(float(record.relative_error)),
-        str(sum(record.consensus_steps)),
-        repr(float(record.mean_consensus_steps)),
-    ]
-    Path(path).write_text(",".join(SUMMARY_COLUMNS) + "\n" + ",".join(row) + "\n")
+def _write_csv(path, columns, rows) -> None:
+    """A header line, then one line per row: a float as its repr, None as empty, anything else by str."""
+    def text(v) -> str:
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+
+    lines = [",".join(columns)] + [",".join(map(text, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def run_once(cfg: ExperimentConfig, out_dir) -> int:
@@ -161,12 +152,18 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     rejected run leaves nothing behind.
     """
     started = time.perf_counter()
-    record, g, trace = _execute(cfg)
+    g, instance = build_problem(cfg)
+    trace: list[str] | None = [] if cfg.trace else None
+    record = admm.run(
+        instance, g, cfg.solver_config(), exact_averaging=(cfg.mode == "sync_baseline"), trace=trace
+    )
     elapsed = time.perf_counter() - started
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    record.to_csv(out / "run.csv")
-    _write_summary(record, out / "summary.csv")
+    _write_csv(out / "run.csv", RUN_COLUMNS, record.rows())
+    totals = (record.final_objective, record.truth.f_star, record.relative_error)
+    steps = (sum(record.consensus_steps), record.mean_consensus_steps)
+    _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [totals + steps])
     cfg.to_file(out / "config.txt")
     save_edge_list(g, out / "topology.txt")
     if trace is not None:
@@ -179,26 +176,35 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     return 0
 
 
-def _sweep_cell(cfg: ExperimentConfig, eps: float, tau: int):
-    cell = replace(cfg, epsilon=eps, tau_bar=tau)  # a non-integer tau_bar fails as a cell error
+def _sweep_cell(shared, eps: float, tau: int):
+    """One cell's status, relative error, mean steps and capped iterations.
+
+    ``shared`` is the sweep's ``(cfg, digraph, instance, truth)``; only the
+    solver settings vary by cell.
+    """
+    cfg, g, instance, truth = shared
     try:
-        record, _, _ = _execute(cell)
+        # a non-integer tau_bar fails here, as a cell error
+        solver = replace(cfg, epsilon=eps, tau_bar=tau).solver_config()
+        record = admm.run(instance, g, solver, exact_averaging=(cfg.mode == "sync_baseline"), truth=truth)
     except (ValueError, consensus.ProtocolError) as exc:
         # an invalid cell or a failed protocol run must not kill the sweep
-        return ("error: " + str(exc).replace(",", ";"), "", "", "")
-    rel_err, mean_steps = record.relative_error, record.mean_consensus_steps
-    return ("ok", repr(float(rel_err)), repr(float(mean_steps)), str(record.capped_iterations))
+        return ("error: " + str(exc).replace(",", ";"), None, None, None)
+    return ("ok", record.relative_error, record.mean_consensus_steps, record.capped_iterations)
 
 
 def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
     """Grid of runs over (epsilon, tau_bar); one CSV row per cell, in key order.
 
-    Every cell is an independent seeded run, so the cells run in worker
-    processes forked from this one, one per available CPU at most.  They are
-    submitted longest first: a consensus round lasts ``(1 + tau_bar) * D``
-    ticks, so the largest ``tau_bar`` goes first.  Rows are collected in key
-    order, so ``sweep.csv`` is the same for any number of workers.  Where the
-    platform cannot fork, the cells run in this process.
+    Every cell solves one problem, built here with its centralized optimum
+    before ``out_dir`` is made, so a problem setting that fails fails the
+    whole sweep; a solver setting that fails is a cell error.  Each cell is
+    an independent seeded run, so the cells run in worker processes forked
+    from this one, one per available CPU at most.  They are submitted
+    longest first: a consensus round lasts ``(1 + tau_bar) * D`` ticks, so
+    the largest ``tau_bar`` goes first.  Rows are collected in key order, so
+    ``sweep.csv`` is the same for any number of workers.  Where the platform
+    cannot fork, the cells run in this process.
     """
     if not eps_list or not tau_list:
         raise ValueError("sweep needs nonempty epsilon and tau_bar lists")
@@ -208,6 +214,8 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    g, instance = build_problem(cfg)
+    shared = (cfg, g, instance, oracle.centralized_solution(instance))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = [(eps, tau) for eps in eps_list for tau in tau_list]
@@ -220,16 +228,13 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
         )
         try:
             longest_first = sorted(range(len(cells)), key=lambda i: -cells[i][1])
-            futures = {i: pool.submit(_sweep_cell, cfg, *cells[i]) for i in longest_first}
+            futures = {i: pool.submit(_sweep_cell, shared, *cells[i]) for i in longest_first}
             results = [futures[i].result() for i in range(len(cells))]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        results = [_sweep_cell(cfg, *cell) for cell in cells]
-    lines = [",".join(SWEEP_COLUMNS)]
-    for (eps, tau), (status, rel, mean_steps, capped) in zip(cells, results):
-        lines.append(f"{eps!r},{tau},{status},{rel},{mean_steps},{capped}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        results = [_sweep_cell(shared, *cell) for cell in cells]
+    _write_csv(out / "sweep.csv", SWEEP_COLUMNS, [cell + row for cell, row in zip(cells, results)])
     cfg.to_file(out / "config.txt")
     print(REFERENCE_TREND)
     return 0

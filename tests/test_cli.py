@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asyncadmm import admm, cli
+from asyncadmm import admm, cli, oracle
 from asyncadmm.cli import ExperimentConfig, main
 from asyncadmm.digraph import random_strongly_connected, save_edge_list
 
@@ -420,13 +421,12 @@ class TestSweep:
             "--seed", "2", "--epsilons", "0.1,-1,0.05", "--tau-bars", "1,3,2", "--out", str(out),
         ) == 0
         cfg = ExperimentConfig(nodes=8, edge_prob=0.3, dim=2, kmax=5, seed=2)
-        want = [
-            ",".join([repr(eps), str(tau), *cli._sweep_cell(cfg, eps, tau)])
-            for eps in eps_list
-            for tau in tau_list
-        ]
+        g, instance = cli.build_problem(cfg)
+        shared = (cfg, g, instance, oracle.centralized_solution(instance))
+        want = [(eps, tau, *cli._sweep_cell(shared, eps, tau)) for eps in eps_list for tau in tau_list]
+        cli._write_csv(tmp_path / "want.csv", cli.SWEEP_COLUMNS, want)
+        assert (out / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
-        assert rows == want
         assert [row.split(",")[2].startswith("error") for row in rows] == [False] * 3 + [True] * 3 + [False] * 3
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="cells run in-process without fork")
@@ -440,9 +440,84 @@ class TestSweep:
         assert pids and str(os.getpid()) not in pids
 
 
-def _cell_pid(cfg, eps, tau):
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--mode", "bogus"], "mode must be one of ('asyadmm', 'sync_baseline'), got 'bogus'"),
+            (["--topology", "ring"], "topology must be 'random' or 'file:<path>', got 'ring'"),
+        ],
+        ids=["mode", "topology"],
+    )
+    def test_shared_setting_error_fails_the_sweep_before_any_fork(self, tmp_path, capsys, monkeypatch, flags, message):
+        def fork():
+            pytest.fail("the sweep forked a worker")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        code = run_cli(
+            "sweep", "--nodes", "8", "--kmax", "3", *flags, "--epsilons", "0.1,0.01", "--tau-bars", "1,2",
+            "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("epsilons,tau_bars", [("0.1", "1"), ("0.1,0.01", "1,2,3")], ids=["1_cell", "6_cells"])
+    def test_problem_and_optimum_are_built_once_in_the_parent(self, tmp_path, monkeypatch, epsilons, tau_bars):
+        # each call appends this process's id to a file, so calls made in a forked worker count too
+        calls = tmp_path / "calls"
+        calls.mkdir()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                with open(calls / name, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        targets = [(cli, "random_strongly_connected"), (cli, "generate_ls"), (oracle, "centralized_solution")]
+        for module, name in targets:
+            counted(module, name)
+        assert run_cli(
+            "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "3", "--seed", "2",
+            "--epsilons", epsilons, "--tau-bars", tau_bars, "--out", str(tmp_path / "o"),
+        ) == 0
+        for _, name in targets:
+            assert (calls / name).read_text() == f"{os.getpid()}\n", name
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="cells run in-process without fork")
+    def test_workers_fork_while_one_thread_runs(self, tmp_path, monkeypatch):
+        # Python 3.12 warns about a fork made while other threads run; this checks that condition
+        real_fork, threads = os.fork, []
+
+        def fork():
+            threads.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_cli(
+            "sweep", "--nodes", "8", "--kmax", "3", "--epsilons", "0.1,0.01", "--tau-bars", "1,2",
+            "--out", str(tmp_path / "o"),
+        ) == 0
+        assert threads and set(threads) == {1}
+
+
+def _cell_pid(shared, eps, tau):
     """Stands in for a sweep cell: reports the process that ran it."""
     return (str(os.getpid()), "", "", "")
+
+
+def test_csv_writer_cell_rules(tmp_path):
+    path = tmp_path / "t.csv"
+    row = (0.1, np.float64(1 / 3), 7, np.int64(-2), None, "error: eps must be > 0; got nan")
+    cli._write_csv(path, ("a", "b", "c", "d", "e", "f"), [row, (1e-320, 2.0, 0, 0, None, "ok")])
+    assert path.read_text() == (
+        "a,b,c,d,e,f\n"
+        "0.1,0.3333333333333333,7,-2,,error: eps must be > 0; got nan\n"
+        "1e-320,2.0,0,0,,ok\n"
+    )
 
 
 def test_importing_the_cli_loads_no_process_pool():
