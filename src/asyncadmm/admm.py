@@ -56,12 +56,9 @@ class SolverConfig:
             raise ValueError(f"rho must be finite, got {self.rho}")
         if not self.eps > 0.0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
-        for name in ("k_max", "step_cap"):
-            if _integer(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if _integer(self.seed, "seed") < 0:  # numpy would reject it only at the first draw
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        DelayModel(self.tau_bar)  # rejects a negative or non-integer tau_bar
+        # numpy would reject a negative seed only at the first draw
+        for name, low in (("k_max", 1), ("step_cap", 1), ("seed", 0), ("tau_bar", 0)):
+            _integer(getattr(self, name), name, low)
         for name in ("eps_abs", "eps_rel"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -76,15 +73,14 @@ class RunRecord:
 
     ``gap[k-1]`` is the saddle-point gap at the ergodic averages of the first
     ``k`` iterates; :attr:`theta` is the constant of its O(1/k) bound.
-    ``z_hist[k]`` is ``z_k`` (``z_hist[0]`` is ``z0``).  The iterates ``x_k``
-    and ``lam_k`` are not kept: they follow from ``lam0`` and ``z_hist`` as
-    ``x_k = x_update(problem, lam_{k-1}, z_{k-1}, rho)`` and
-    ``lam_k = lam_{k-1} + rho * (x_k - z_k)``.
+    ``z_hist[k]`` is ``z_k``, ``z_hist[0]`` the random start ``z0``.  The
+    iterates ``x_k`` and ``lam_k`` are not kept: they follow from ``lam0``
+    and ``z_hist`` as ``x_k = x_update(problem, lam_{k-1}, z_{k-1}, rho)``
+    and ``lam_k = lam_{k-1} + rho * (x_k - z_k)``.
     """
 
     config: SolverConfig
     truth: oracle_mod.GroundTruth
-    z0: np.ndarray
     lam0: np.ndarray
     objective: list[float] = field(default_factory=list)
     primal_res: list[float] = field(default_factory=list)
@@ -125,7 +121,7 @@ class RunRecord:
         """
         rho = self.config.rho
         theta = float(np.linalg.norm(self.truth.lam_star - self.lam0)) ** 2 / (2.0 * rho)
-        return theta + 0.5 * rho * float(np.linalg.norm(self.truth.x_star - self.z0)) ** 2
+        return theta + 0.5 * rho * float(np.linalg.norm(self.truth.x_star - self.z_hist[0])) ** 2
 
     def rows(self):
         """Per iteration: k, objective, primal_res, dual_res, consensus_steps, gap, max_node_err."""
@@ -215,7 +211,7 @@ def run(
     lam = rng.standard_normal((n, p))
 
     # z is never written in place (each iteration makes a new one)
-    record = RunRecord(config=cfg, truth=truth, z0=z, lam0=lam)
+    record = RunRecord(config=cfg, truth=truth, lam0=lam)
     record.z_hist.append(z)
 
     sum_x = np.zeros((n, p))

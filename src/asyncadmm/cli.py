@@ -10,7 +10,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import admm, consensus, oracle
-from .digraph import Digraph, load_edge_list, random_strongly_connected, save_edge_list
+from .digraph import Digraph, is_strongly_connected, load_edge_list, random_strongly_connected, save_edge_list
 from .problems import LeastSquaresInstance, generate_ls
 
 __all__ = ["ExperimentConfig", "run_once", "sweep", "main"]
@@ -67,13 +67,6 @@ class ExperimentConfig:
     mode: str = field(default="asyadmm", metadata={"help": f"solver mode: {' or '.join(MODES)}"})
     trace: bool = field(default=False, metadata={"help": "dump delivery trace (run only)"})
 
-    def validate(self) -> None:
-        """Checks mode and topology; the generators and ``solver_config`` check the rest."""
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.topology != "random" and not self.topology.startswith("file:"):
-            raise ValueError(f"topology must be 'random' or 'file:<path>', got {self.topology!r}")
-
     def solver_config(self) -> admm.SolverConfig:
         return admm.SolverConfig(
             rho=self.rho,
@@ -126,14 +119,26 @@ def _parse(f: Field, raw: str, name: str):
     return raw
 
 
-def build_problem(cfg: ExperimentConfig) -> tuple[Digraph, LeastSquaresInstance]:
-    """The digraph and least-squares instance every run of ``cfg`` solves; checks mode and topology first."""
-    cfg.validate()
+def build_problem(cfg: ExperimentConfig) -> tuple[admm.SolverConfig, Digraph, LeastSquaresInstance]:
+    """The solver settings, digraph and least-squares instance every run of ``cfg`` shares.
+
+    The one check of the settings a command's runs share, made in this order:
+    mode, topology string, solver settings (before any draw), the digraph as
+    loaded or drawn, its strong connectivity (the termination rule needs it,
+    in every mode), then the instance.
+    """
+    if cfg.mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+    if cfg.topology != "random" and not cfg.topology.startswith("file:"):
+        raise ValueError(f"topology must be 'random' or 'file:<path>', got {cfg.topology!r}")
+    solver = cfg.solver_config()
     if cfg.topology.startswith("file:"):
         g = load_edge_list(cfg.topology[len("file:"):])
     else:
         g = random_strongly_connected(cfg.nodes, cfg.edge_prob, seed=(cfg.seed, _GRAPH_STREAM))
-    return g, generate_ls(g.n, cfg.dim, cfg.dim, seed=(cfg.seed, _INSTANCE_STREAM))
+    if not is_strongly_connected(g):
+        raise ValueError(f"topology {cfg.topology} is not strongly connected")
+    return solver, g, generate_ls(g.n, cfg.dim, cfg.dim, seed=(cfg.seed, _INSTANCE_STREAM))
 
 
 def _write_csv(path, columns, rows) -> None:
@@ -152,11 +157,9 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     rejected run leaves nothing behind.
     """
     started = time.perf_counter()
-    g, instance = build_problem(cfg)
+    solver, g, instance = build_problem(cfg)
     trace: list[str] | None = [] if cfg.trace else None
-    record = admm.run(
-        instance, g, cfg.solver_config(), exact_averaging=(cfg.mode == "sync_baseline"), trace=trace
-    )
+    record = admm.run(instance, g, solver, exact_averaging=(cfg.mode == "sync_baseline"), trace=trace)
     elapsed = time.perf_counter() - started
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -179,16 +182,16 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
 def _sweep_cell(shared, eps: float, tau: int):
     """One cell's status, relative error, mean steps and capped iterations.
 
-    ``shared`` is the sweep's ``(cfg, digraph, instance, truth)``; only the
-    solver settings vary by cell.
+    ``shared`` is the sweep's ``(solver, exact_averaging, digraph, instance,
+    truth)``; a cell sets only the solver's ``eps`` and ``tau_bar``.
     """
-    cfg, g, instance, truth = shared
+    solver, exact_averaging, g, instance, truth = shared
     try:
-        # a non-integer tau_bar fails here, as a cell error
-        solver = replace(cfg, epsilon=eps, tau_bar=tau).solver_config()
-        record = admm.run(instance, g, solver, exact_averaging=(cfg.mode == "sync_baseline"), truth=truth)
+        # replace re-validates: a bad list item (eps -1, tau_bar 2.5) fails here, as a cell error
+        cell = replace(solver, eps=eps, tau_bar=tau)
+        record = admm.run(instance, g, cell, exact_averaging=exact_averaging, truth=truth)
     except (ValueError, consensus.ProtocolError) as exc:
-        # an invalid cell or a failed protocol run must not kill the sweep
+        # a bad list item or a failed protocol run must not kill the sweep
         return ("error: " + str(exc).replace(",", ";"), None, None, None)
     return ("ok", record.relative_error, record.mean_consensus_steps, record.capped_iterations)
 
@@ -197,14 +200,15 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
     """Grid of runs over (epsilon, tau_bar); one CSV row per cell, in key order.
 
     Every cell solves one problem, built here with its centralized optimum
-    before ``out_dir`` is made, so a problem setting that fails fails the
-    whole sweep; a solver setting that fails is a cell error.  Each cell is
-    an independent seeded run, so the cells run in worker processes forked
-    from this one, one per available CPU at most.  They are submitted
-    longest first: a consensus round lasts ``(1 + tau_bar) * D`` ticks, so
-    the largest ``tau_bar`` goes first.  Rows are collected in key order, so
-    ``sweep.csv`` is the same for any number of workers.  Where the platform
-    cannot fork, the cells run in this process.
+    before ``out_dir`` is made, so a setting the cells share that fails
+    fails the whole sweep; only a bad list item or a failed run is a cell
+    error.  Each cell is an independent seeded run, so the cells run in
+    worker processes forked from this one, one per available CPU at most.
+    They are submitted longest first: a consensus round lasts
+    ``(1 + tau_bar) * D`` ticks, so the largest ``tau_bar`` goes first.  Rows
+    are collected in key order, so ``sweep.csv`` is the same for any number
+    of workers.  Where the platform cannot fork, the cells run in this
+    process.
     """
     if not eps_list or not tau_list:
         raise ValueError("sweep needs nonempty epsilon and tau_bar lists")
@@ -214,8 +218,8 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    g, instance = build_problem(cfg)
-    shared = (cfg, g, instance, oracle.centralized_solution(instance))
+    solver, g, instance = build_problem(cfg)
+    shared = (solver, cfg.mode == "sync_baseline", g, instance, oracle.centralized_solution(instance))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cells = [(eps, tau) for eps in eps_list for tau in tau_list]

@@ -157,7 +157,7 @@ class ConsensusEngine:
     Each receiver then folds whatever is due.  The ratio kind is present when
     ``y0`` is given, with ``weights`` the ``(n,)`` vector of per-sender
     weights (:func:`~asyncadmm.digraph.build_weights`); the min/max kind is
-    present when ``extrema`` is.
+    present when ``extrema`` is.  An engine without either is a ``ValueError``.
 
     The engine steps in blocks: runs of ticks with a fixed ``epoch_start``
     (``terminate`` runs one per round, ``advance`` one per span), each cut
@@ -257,6 +257,8 @@ class ConsensusEngine:
         self.extrema_folds = 0
         self.kinds = []
         depth = dm.tau_bar + 1
+        if y0 is None and extrema is None:
+            raise ValueError("an engine needs y0, extrema or both")
         if y0 is not None:
             if weights is None:
                 raise ValueError("y0 needs weights")
@@ -283,8 +285,7 @@ class ConsensusEngine:
         self._links = g.links
         self._cols = cols = len(g.links[0])
         self._depth = depth
-        # an engine without kinds is capped as a one-kind engine is
-        self._block_cap = max(1, BLOCK_ENTRIES // (depth * cols * max(1, len(self.kinds))))
+        self._block_cap = max(1, BLOCK_ENTRIES // (depth * cols * len(self.kinds)))
         self._maps = _column_maps(g, dm.tau_bar, tuple(self.kinds), self._block_cap)
 
         # The history, one row per tick: its delays (-1 marks ticks before
@@ -410,7 +411,7 @@ class ConsensusEngine:
             None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, arrivals, cut)
             for q, kind in enumerate(self.kinds)
         ]
-        traced = self.trace is not None and bool(self.kinds)
+        traced = self.trace is not None
         if traced:
             lines, line_bounds = self._trace_lines(k0, steps, arrivals)
 
@@ -538,11 +539,9 @@ def run_terminating_consensus(
     """
     if not eps > 0.0:  # NaN fails every comparison
         raise ValueError(f"eps must be > 0, got {eps}")
-    if _integer(step_cap, "step_cap") < 1:
-        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-    d = diameter(g) if graph_diameter is None else _integer(graph_diameter, "graph_diameter")
-    if d < min(g.n - 1, 1):  # checked before any delay is drawn
-        raise ValueError(f"graph_diameter must be >= {min(g.n - 1, 1)} on {g.n} nodes, got {d}")
+    _integer(step_cap, "step_cap", low=1)
+    # checked before any delay is drawn
+    d = diameter(g) if graph_diameter is None else _integer(graph_diameter, "graph_diameter", min(g.n - 1, 1))
     round_len = (1 + dm.tau_bar) * max(d, 1)
     shape = np.shape(y0)  # the engine converts and checks y0
     extrema = (np.full(shape, np.inf), np.full(shape, -np.inf))

@@ -27,10 +27,7 @@ class DelayModel:
     """
 
     def __init__(self, tau_bar: int, seed=0):
-        tau_bar = _integer(tau_bar, "tau_bar")
-        if tau_bar < 0:
-            raise ValueError(f"tau_bar must be >= 0, got {tau_bar}")
-        self.tau_bar = tau_bar
+        self.tau_bar = _integer(tau_bar, "tau_bar", low=0)
         self._rng = np.random.default_rng(seed)
 
     @classmethod
@@ -49,9 +46,16 @@ class DelayModel:
         return self._rng.integers(0, self.tau_bar + 1, size=count, dtype=np.int32)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int (numpy integers pass); anything else raises ``ValueError`` naming ``name``."""
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int (numpy integers pass), at least ``low`` if given.
+
+    Anything else raises ``ValueError`` naming ``name``: the one integer check
+    of the package.
+    """
     try:
-        return operator.index(value)  # a cast would truncate 2.5 to 2 silently
+        value = operator.index(value)  # a cast would truncate 2.5 to 2 silently
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph, build_weights
+from .netsim import _integer
 from .problems import LeastSquaresInstance, _node_order_totals
 
 __all__ = [
@@ -83,8 +84,7 @@ def synchronous_ratio_trajectory(g: Digraph, y0: np.ndarray, k: int) -> list[np.
     walks its links and never forms ``P``: the reachability matrices of
     :func:`~asyncadmm.digraph.diameter` are the package's only n x n arrays.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _integer(k, "k", low=0)
     n = g.n
     receiver, sender = g.links
     links = list(zip(receiver.tolist(), sender.tolist(), build_weights(g)[sender]))

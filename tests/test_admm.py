@@ -108,7 +108,7 @@ class TestZUpdate:
     def test_identical_inputs_terminate_at_second_boundary(self):
         g, _ = seeded_problem(n=6)
         w = build_weights(g)
-        dm = DelayModel.uniform(2, seed=3)
+        dm = DelayModel(2, seed=3)
         y0 = np.tile([1.0, 2.0, 3.0], (6, 1))
         res = run_terminating_consensus(g, w, dm, y0, eps=1e-9, step_cap=100_000)
         assert res.converged and res.steps == 2 * (1 + 2) * diameter(g)
@@ -117,7 +117,7 @@ class TestZUpdate:
     def test_estimates_within_eps_of_exact_average(self):
         g, _ = seeded_problem(n=12)
         w = build_weights(g)
-        dm = DelayModel.uniform(3, seed=4)
+        dm = DelayModel(3, seed=4)
         y0 = np.random.default_rng(5).standard_normal((12, 3))
         eps = 0.05
         res = run_terminating_consensus(g, w, dm, y0, eps=eps, step_cap=100_000)
@@ -127,7 +127,7 @@ class TestZUpdate:
     def test_cap_exhaustion_reports_false(self):
         g, _ = seeded_problem(n=10)
         w = build_weights(g)
-        dm = DelayModel.uniform(3, seed=6)
+        dm = DelayModel(3, seed=6)
         y0 = np.random.default_rng(7).standard_normal((10, 3))
         res = run_terminating_consensus(g, w, dm, y0, eps=1e-13, step_cap=30)
         assert not res.converged and res.steps == 30
@@ -318,6 +318,6 @@ class TestRateDiagnostics:
         x_star_rows = np.tile(truth.x_star, (self.g.n, 1))
         expected = (
             float(np.linalg.norm(truth.lam_star - rec.lam0)) ** 2 / (2.0 * rho)
-            + 0.5 * rho * float(np.linalg.norm(x_star_rows - rec.z0)) ** 2
+            + 0.5 * rho * float(np.linalg.norm(x_star_rows - rec.z_hist[0])) ** 2
         )
         assert rec.theta == expected

@@ -84,9 +84,9 @@ class TestConfigFile:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(mode="turbo").validate()
+            cli.build_problem(ExperimentConfig(mode="turbo"))
         with pytest.raises(ValueError):
-            ExperimentConfig(topology="ring").validate()
+            cli.build_problem(ExperimentConfig(topology="ring"))
 
 
 class TestSettings:
@@ -121,6 +121,34 @@ class TestSettings:
     def test_unknown_mode_exits_1_naming_it(self, tmp_path, capsys):
         assert run_cli("run", "--mode", "bogus", "--out", str(tmp_path / "o")) == 1
         assert "error: mode must be one of ('asyadmm', 'sync_baseline'), got 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_topology_that_is_not_strongly_connected_exits_1_naming_it(self, tmp_path, capsys, monkeypatch, command, mode):
+        # a path 0 -> 1 -> 2; exact averaging would run on it, but the termination rule needs strong connectivity
+        topo = tmp_path / "path.txt"
+        topo.write_text("3\n1 0\n2 1\n")
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        lists = ["--epsilons", "0.1", "--tau-bars", "1,2"] if command == "sweep" else []
+        code = run_cli(
+            command, "--topology", f"file:{topo}", "--mode", mode, "--kmax", "2", *lists, "--out", str(tmp_path / "o")
+        )
+        assert code == 1
+        assert f"error: topology file:{topo} is not strongly connected" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_seed_exits_1_naming_it_before_any_draw(self, tmp_path, capsys, monkeypatch, command):
+        def draw(*args, **kwargs):
+            pytest.fail("a draw ran before the seed was checked")
+
+        monkeypatch.setattr(cli, "random_strongly_connected", draw)
+        monkeypatch.setattr(cli, "generate_ls", draw)
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        lists = ["--epsilons", "0.1", "--tau-bars", "1,2"] if command == "sweep" else []
+        assert run_cli(command, "--seed", "-1", *lists, "--out", str(tmp_path / "o")) == 1
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -367,9 +395,7 @@ class TestSweep:
         assert rows[0][2].startswith("error")
         assert rows[1][2] == "ok"
 
-    @pytest.mark.parametrize(
-        "flags,name", [(["--epsilons", "nan,0.1"], "eps"), (["--rho", "nan", "--epsilons", "0.1"], "rho")]
-    )
+    @pytest.mark.parametrize("flags,name", [(["--epsilons", "nan,0.1"], "eps")])
     def test_nan_is_a_cell_error_that_names_the_field(self, tmp_path, flags, name):
         out = tmp_path / "sweep"
         code = run_cli(
@@ -379,7 +405,7 @@ class TestSweep:
         assert code == 0
         rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
         assert rows[0][2] == f"error: {name} must be > 0; got nan"
-        assert [row[2] for row in rows[1:]] == (["ok"] if name == "eps" else [])
+        assert [row[2] for row in rows[1:]] == ["ok"]
 
     def test_non_integer_tau_bar_is_a_cell_error(self, tmp_path):
         # a library caller's 2.5 reaches SolverConfig as given, not truncated to 2
@@ -421,8 +447,8 @@ class TestSweep:
             "--seed", "2", "--epsilons", "0.1,-1,0.05", "--tau-bars", "1,3,2", "--out", str(out),
         ) == 0
         cfg = ExperimentConfig(nodes=8, edge_prob=0.3, dim=2, kmax=5, seed=2)
-        g, instance = cli.build_problem(cfg)
-        shared = (cfg, g, instance, oracle.centralized_solution(instance))
+        solver, g, instance = cli.build_problem(cfg)
+        shared = (solver, False, g, instance, oracle.centralized_solution(instance))
         want = [(eps, tau, *cli._sweep_cell(shared, eps, tau)) for eps in eps_list for tau in tau_list]
         cli._write_csv(tmp_path / "want.csv", cli.SWEEP_COLUMNS, want)
         assert (out / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -445,14 +471,12 @@ class TestSweep:
         [
             (["--mode", "bogus"], "mode must be one of ('asyadmm', 'sync_baseline'), got 'bogus'"),
             (["--topology", "ring"], "topology must be 'random' or 'file:<path>', got 'ring'"),
+            (["--rho", "nan"], "rho must be > 0, got nan"),
         ],
-        ids=["mode", "topology"],
+        ids=["mode", "topology", "rho"],
     )
     def test_shared_setting_error_fails_the_sweep_before_any_fork(self, tmp_path, capsys, monkeypatch, flags, message):
-        def fork():
-            pytest.fail("the sweep forked a worker")
-
-        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
         code = run_cli(
             "sweep", "--nodes", "8", "--kmax", "3", *flags, "--epsilons", "0.1,0.01", "--tau-bars", "1,2",
             "--out", str(tmp_path / "o"),
@@ -477,7 +501,12 @@ class TestSweep:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        targets = [(cli, "random_strongly_connected"), (cli, "generate_ls"), (oracle, "centralized_solution")]
+        targets = [
+            (cli, "random_strongly_connected"),
+            (cli, "generate_ls"),
+            (oracle, "centralized_solution"),
+            (ExperimentConfig, "solver_config"),
+        ]
         for module, name in targets:
             counted(module, name)
         assert run_cli(
@@ -502,6 +531,10 @@ class TestSweep:
             "--out", str(tmp_path / "o"),
         ) == 0
         assert threads and set(threads) == {1}
+
+
+def _no_fork():
+    pytest.fail("the sweep forked a worker")
 
 
 def _cell_pid(shared, eps, tau):

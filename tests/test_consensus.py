@@ -136,7 +136,7 @@ class TestRatioStep:
         # reference: a per-message loop that folds each receiver's deliveries
         # sequentially, by sender and then by send time
         g, w, y0 = seeded_setup(n=8, seed=3)
-        dm = DelayModel.uniform(3, seed=4)
+        dm = DelayModel(3, seed=4)
         engine = ConsensusEngine(g, dm, y0=y0, weights=w)
         depth = dm.tau_bar + 1
         columns = message_columns(g)
@@ -186,7 +186,7 @@ class TestRatioStep:
     def test_consensus_fixed_point(self):
         g, w, _ = seeded_setup()
         y0 = np.tile([2.5, -1.0], (g.n, 1))
-        for dm in (DelayModel(0), DelayModel.uniform(3, seed=4)):
+        for dm in (DelayModel(0), DelayModel(3, seed=4)):
             engine = ConsensusEngine(g, dm, y0=y0, weights=w)
             engine.advance(40)
             assert np.allclose(engine.z, y0, rtol=1e-12, atol=1e-12)
@@ -267,7 +267,7 @@ class TestMinMax:
         # tau_bar=2, D=2: both extrema settle within (1+2)*2 = 6 steps
         g = three_cycle()
         vals = np.array([[5.0], [1.0], [3.0]])
-        engine = ConsensusEngine(g, DelayModel.uniform(2, seed=0), extrema=(vals, vals))
+        engine = ConsensusEngine(g, DelayModel(2, seed=0), extrema=(vals, vals))
         engine.advance(6)
         assert np.all(engine.hi == 5.0) and np.all(engine.lo == 1.0)
 
@@ -275,7 +275,7 @@ class TestMinMax:
     def test_random_graphs_within_bound(self, seed):
         g = random_strongly_connected(7 + seed, 0.25, seed=seed)
         tau_bar = (seed % 3) + 1
-        dm = DelayModel.uniform(tau_bar, seed=seed + 100)
+        dm = DelayModel(tau_bar, seed=seed + 100)
         vals = np.random.default_rng(seed).standard_normal((g.n, 2))
         engine = ConsensusEngine(g, dm, extrema=(vals, vals))
         engine.advance((1 + tau_bar) * diameter(g))
@@ -289,7 +289,7 @@ class TestTerminatingConsensus:
         # with zero spread the second check succeeds immediately
         g, w, _ = seeded_setup(n=6, seed=8)
         y0 = np.tile([1.0, 2.0], (g.n, 1))
-        dm = DelayModel.uniform(2, seed=9)
+        dm = DelayModel(2, seed=9)
         round_len = (1 + 2) * diameter(g)
         res = run_terminating_consensus(g, w, dm, y0, eps=1e-6, step_cap=100_000)
         assert res.converged
@@ -298,7 +298,7 @@ class TestTerminatingConsensus:
 
     def test_huge_eps_terminates_at_second_boundary(self):
         g, w, y0 = seeded_setup(n=6, seed=10)
-        dm = DelayModel.uniform(1, seed=11)
+        dm = DelayModel(1, seed=11)
         round_len = (1 + 1) * diameter(g)
         res = run_terminating_consensus(g, w, dm, y0, eps=1e6, step_cap=100_000)
         assert res.converged and res.steps == 2 * round_len
@@ -310,7 +310,7 @@ class TestTerminatingConsensus:
         w = build_weights(g)
         y0 = np.random.default_rng(42).standard_normal((20, 3))
         runs = [
-            run_terminating_consensus(g, w, DelayModel.uniform(3, seed=11), y0, 0.1, 100_000)
+            run_terminating_consensus(g, w, DelayModel(3, seed=11), y0, 0.1, 100_000)
             for _ in range(2)
         ]
         assert runs[0].steps == GOLDEN_N20_TAU3_EPS01_STEPS
@@ -320,13 +320,13 @@ class TestTerminatingConsensus:
     def test_golden_extrema_folds(self):
         g = random_strongly_connected(20, 0.2, seed=7)
         y0 = np.random.default_rng(42).standard_normal((20, 3))
-        res = run_terminating_consensus(g, build_weights(g), DelayModel.uniform(3, seed=11), y0, 0.1, 100_000)
+        res = run_terminating_consensus(g, build_weights(g), DelayModel(3, seed=11), y0, 0.1, 100_000)
         assert (res.steps, res.extrema_folds) == (GOLDEN_N20_TAU3_EPS01_STEPS, GOLDEN_N20_TAU3_EPS01_EXTREMA_FOLDS)
 
     @pytest.mark.parametrize("eps", [0.1, 0.01, 0.001])
     def test_halts_with_spread_below_eps(self, eps):
         g, w, y0 = seeded_setup(n=10, seed=12, p=3)
-        dm = DelayModel.uniform(3, seed=13)
+        dm = DelayModel(3, seed=13)
         res = run_terminating_consensus(g, w, dm, y0, eps=eps, step_cap=100_000)
         assert res.converged
         spread = float(np.linalg.norm(res.z.max(axis=0) - res.z.min(axis=0)))
@@ -334,7 +334,7 @@ class TestTerminatingConsensus:
 
     def test_final_estimates_near_exact_average(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=14, p=3)
-        dm = DelayModel.uniform(3, seed=15)
+        dm = DelayModel(3, seed=15)
         eps = 0.01
         res = run_terminating_consensus(g, w, dm, y0, eps=eps, step_cap=100_000)
         assert res.converged
@@ -342,7 +342,7 @@ class TestTerminatingConsensus:
 
     def test_checks_only_at_round_boundaries(self):
         g, w, y0 = seeded_setup(n=10, seed=16)
-        dm = DelayModel.uniform(2, seed=17)
+        dm = DelayModel(2, seed=17)
         round_len = (1 + 2) * diameter(g)
         res = run_terminating_consensus(g, w, dm, y0, eps=1e-3, step_cap=100_000)
         assert res.check_steps
@@ -351,7 +351,7 @@ class TestTerminatingConsensus:
 
     def test_step_cap_returns_unconverged(self):
         g, w, y0 = seeded_setup(n=10, seed=18)
-        dm = DelayModel.uniform(3, seed=19)
+        dm = DelayModel(3, seed=19)
         res = run_terminating_consensus(g, w, dm, y0, eps=1e-12, step_cap=25)
         assert not res.converged and res.steps == 25
 
@@ -367,13 +367,13 @@ class TestTerminatingConsensus:
         g, w, y0 = seeded_setup(n=12, edge_prob=0.25, seed=22, p=3)
         steps = []
         for eps in (0.5, 0.05, 0.005):
-            dm = DelayModel.uniform(3, seed=23)
+            dm = DelayModel(3, seed=23)
             steps.append(run_terminating_consensus(g, w, dm, y0, eps, 100_000).steps)
         assert steps == sorted(steps)
 
     def test_extrema_snap_to_ratio_on_reseed(self):
         g, w, y0 = seeded_setup(n=8, seed=24)
-        dm = DelayModel.uniform(2, seed=25)
+        dm = DelayModel(2, seed=25)
         round_len = (1 + 2) * diameter(g)
         extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
         engine = ConsensusEngine(g, dm, y0=y0, weights=w, extrema=extrema)
@@ -450,8 +450,8 @@ class TestPaperScale:
     def test_terminating(self, inputs, tau_bar):
         g, w, y0 = inputs
         extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
-        assert ConsensusEngine(g, DelayModel.uniform(tau_bar), y0=y0, weights=w, extrema=extrema)._block_cap == 1
-        res = run_terminating_consensus(g, w, DelayModel.uniform(tau_bar, seed=(7, 1)), y0, 0.1, 1000)
+        assert ConsensusEngine(g, DelayModel(tau_bar), y0=y0, weights=w, extrema=extrema)._block_cap == 1
+        res = run_terminating_consensus(g, w, DelayModel(tau_bar, seed=(7, 1)), y0, 0.1, 1000)
         assert res.converged
         got = (res.steps, res.check_steps, res.delivered, res.stale_discarded, res.extrema_folds)
         assert got == GOLDEN_PAPER600[tau_bar][:5]
@@ -844,7 +844,7 @@ class TestFixedExtrema:
         y0 = np.tile([1.0, 2.0], (g.n, 1))
         extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
         block, ref = (
-            cls(g, DelayModel.uniform(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema, trace=[])
+            cls(g, DelayModel(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema, trace=[])
             for cls in (ConsensusEngine, PerTickEngine)
         )
         round_len = (1 + tau_bar) * diameter(g)
@@ -937,7 +937,7 @@ class TestCounters:
     def test_counts_deliveries_and_stale_extrema(self):
         g, w, y0 = seeded_setup(n=12, seed=30)
         trace = []
-        res = run_terminating_consensus(g, w, DelayModel.uniform(3, seed=31), y0, 1e-3, 10_000, trace=trace)
+        res = run_terminating_consensus(g, w, DelayModel(3, seed=31), y0, 1e-3, 10_000, trace=trace)
         assert res.delivered == len(trace)
         assert 0 < res.stale_discarded < res.delivered
 
@@ -947,12 +947,6 @@ class TestCounters:
         # every node folds one message of each kind from itself and each in-neighbor per tick
         assert res.delivered == 2 * res.steps * (len(g.edges) + g.n)
         assert res.stale_discarded == 0
-
-    def test_an_engine_without_kinds_only_keeps_time(self):
-        g, _, _ = seeded_setup(n=12, seed=30)
-        engine = ConsensusEngine(g, DelayModel.uniform(3, seed=31))
-        engine.advance(9)
-        assert (engine.time, engine.delivered, engine.delays.shape) == (9, 0, (4, 0))
 
     @pytest.mark.parametrize("tau_bar", [0, 3])
     @pytest.mark.parametrize("kinds", ["ratio", "extrema", "both"])
@@ -1134,17 +1128,24 @@ class TestRejectsBadInput:
     def test_nonfinite_y0(self, bad):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         y0[4, 1] = bad
-        dm = DelayModel.uniform(3, seed=11)
+        dm = DelayModel(3, seed=11)
         with pytest.raises(ValueError, match="y0 must be finite"):
             run_terminating_consensus(g, w, dm, y0, 0.1, 100_000)
         with pytest.raises(ValueError, match="y0 must be finite"):
             ConsensusEngine(g, dm, y0=y0, weights=w)
         # no tick ran: the delay stream is untouched
-        assert np.array_equal(dm.sample_many(50), DelayModel.uniform(3, seed=11).sample_many(50))
+        assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=11).sample_many(50))
+
+    def test_engine_without_kinds(self):
+        # it would only keep time: no caller builds one
+        dm = DelayModel(3, seed=31)
+        with pytest.raises(ValueError, match="^an engine needs y0, extrema or both$"):
+            ConsensusEngine(three_cycle(), dm)
+        assert np.array_equal(dm.sample_many(20), DelayModel(3, seed=31).sample_many(20))
 
     def test_y0_without_weights(self):
         with pytest.raises(ValueError, match="y0 needs weights"):
-            ConsensusEngine(three_cycle(), DelayModel.uniform(2, seed=0), y0=np.ones((3, 1)))
+            ConsensusEngine(three_cycle(), DelayModel(2, seed=0), y0=np.ones((3, 1)))
 
     @pytest.mark.parametrize("n,d", [(8, 2.5), (8, "2"), (8, -1), (8, 0), (1, -1)])
     def test_bad_graph_diameter(self, n, d):
@@ -1176,23 +1177,23 @@ class TestRejectsBadInput:
         bad = vals.copy()
         bad[1, 0] = np.nan
         hi0, lo0 = (bad, vals) if which == "hi" else (vals, bad)
-        dm = DelayModel.uniform(2, seed=0)
+        dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match="extrema must not contain NaN"):
             ConsensusEngine(g, dm, extrema=(hi0, lo0))
-        assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
+        assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))
 
     def test_extrema_of_different_shapes(self):
         vals = np.array([[5.0, 1.0], [1.0, 2.0], [3.0, 0.0]])
-        dm = DelayModel.uniform(2, seed=0)
+        dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match=r"extrema hi and lo differ in shape: \(3, 2\) and \(3, 1\)"):
             ConsensusEngine(three_cycle(), dm, extrema=(vals, vals[:, :1]))
-        assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
+        assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))
 
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 3)], ids=["2", "4", "3x3"])
     def test_weights_of_another_shape(self, shape):
         # a dense weight matrix is refused by name, not by a numpy broadcast error
         weights = np.full(shape, 0.5)
-        dm = DelayModel.uniform(2, seed=0)
+        dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match=rf"weights has shape {re.escape(str(shape))} for a 3-node digraph"):
             ConsensusEngine(three_cycle(), dm, y0=np.ones((3, 1)), weights=weights)
-        assert np.array_equal(dm.sample_many(20), DelayModel.uniform(2, seed=0).sample_many(20))
+        assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))

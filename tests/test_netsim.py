@@ -1,11 +1,14 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from asyncadmm.consensus import KIND_NAMES, ConsensusEngine
+from asyncadmm.admm import SolverConfig
+from asyncadmm.consensus import KIND_NAMES, ConsensusEngine, run_terminating_consensus
 from asyncadmm.digraph import build_weights, random_strongly_connected
-from asyncadmm.netsim import DelayModel
+from asyncadmm.netsim import DelayModel, _integer
+from asyncadmm.oracle import synchronous_ratio_trajectory
 from reference import message_columns, out_lists
 
 
@@ -92,29 +95,85 @@ class TestDelayModel:
         assert dm.tau_bar == 3 and type(dm.tau_bar) is int
         assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=5).sample_many(50))
 
+    def test_uniform_alias_draws_equal_the_constructor(self):
+        # DelayModel.uniform stays while benchmarks/workloads.py calls it
+        alias, constructed = DelayModel.uniform(3, seed=(7, 1)), DelayModel(3, seed=(7, 1))
+        assert alias.tau_bar == constructed.tau_bar == 3
+        assert np.array_equal(alias.sample_many(200), constructed.sample_many(200))
+
     def test_uniform_within_bound(self):
-        dm = DelayModel.uniform(4, seed=0)
+        dm = DelayModel(4, seed=0)
         draws = dm.sample_many(500)
         assert draws.min() >= 0 and draws.max() <= 4
 
     def test_uniform_reproducible(self):
-        a = DelayModel.uniform(3, seed=5)
-        b = DelayModel.uniform(3, seed=5)
+        a = DelayModel(3, seed=5)
+        b = DelayModel(3, seed=5)
         assert np.array_equal(a.sample_many(100), b.sample_many(100))
 
     def test_uniform_frequencies(self):
         # 1e4 draws at tau_bar=3: each value lands near 1/4
-        dm = DelayModel.uniform(3, seed=123)
+        dm = DelayModel(3, seed=123)
         draws = dm.sample_many(10_000)
         freqs = np.bincount(draws, minlength=4) / 10_000
         assert np.all(np.abs(freqs - 0.25) <= 0.02)
 
     def test_batch_matches_stream_determinism(self):
         # one batch equals the same draws split over several calls
-        a = DelayModel.uniform(2, seed=7)
-        b = DelayModel.uniform(2, seed=7)
+        a = DelayModel(2, seed=7)
+        b = DelayModel(2, seed=7)
         split = np.concatenate([b.sample_many(c) for c in (3, 0, 5, 1)])
         assert np.array_equal(a.sample_many(9), split)
+
+
+def _consensus(step_cap=10, **kwargs):
+    g = random_strongly_connected(4, 0.3, seed=0)
+    return run_terminating_consensus(g, build_weights(g), DelayModel(1), np.zeros(4), 0.1, step_cap, **kwargs)
+
+
+def _oracle(k):
+    return synchronous_ratio_trajectory(random_strongly_connected(4, 0.3, seed=0), np.zeros(4), k)
+
+
+class TestInteger:
+    """``_integer``, the package's one integer check, and its lower bound."""
+
+    @pytest.mark.parametrize("value", [0, 5, np.int64(0), np.uint8(5), np.int32(7)])
+    def test_at_or_above_the_bound_passes_as_an_int(self, value):
+        got = _integer(value, "x", low=0)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize(
+        "value,low", [(-1, 0), (np.int64(-1), 0), (0, 1), (np.int32(2), 3), (np.uint8(0), 1)]
+    )
+    def test_below_the_bound_names_it(self, value, low):
+        with pytest.raises(ValueError, match=rf"^x must be >= {low}, got {int(value)}$"):
+            _integer(value, "x", low=low)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, np.float64(1.0)])
+    def test_a_non_integer_fails_before_the_bound(self, value):
+        with pytest.raises(ValueError, match=rf"^x must be an integer, got {re.escape(repr(value))}$"):
+            _integer(value, "x", low=0)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: DelayModel(np.int64(-1)), "tau_bar must be >= 0, got -1"),
+            (lambda: SolverConfig(k_max=0), "k_max must be >= 1, got 0"),
+            (lambda: SolverConfig(step_cap=np.int32(0)), "step_cap must be >= 1, got 0"),
+            (lambda: SolverConfig(seed=np.int64(-1)), "seed must be >= 0, got -1"),
+            (lambda: SolverConfig(tau_bar=-2), "tau_bar must be >= 0, got -2"),
+            (lambda: _consensus(step_cap=0), "step_cap must be >= 1, got 0"),
+            (lambda: _consensus(graph_diameter=np.int64(0)), "graph_diameter must be >= 1, got 0"),
+            (lambda: _oracle(np.int64(-1)), "k must be >= 0, got -1"),
+            (lambda: _oracle(2.5), "k must be an integer, got 2.5"),
+        ],
+        ids=["delay_tau_bar", "k_max", "step_cap", "seed", "solver_tau_bar", "consensus_step_cap",
+             "graph_diameter", "oracle_k", "oracle_k_float"],
+    )
+    def test_every_integer_bound_reads_the_same(self, call, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            call()
 
 
 class TestEventQueue:
@@ -146,7 +205,7 @@ class TestEventQueue:
         assert all(is_self(line) for line in trace)
 
     def test_same_tick_sorted_by_receiver_sender_kind(self):
-        _, trace, _ = run_logged(self.g, DelayModel.uniform(2, seed=1), 12)
+        _, trace, _ = run_logged(self.g, DelayModel(2, seed=1), 12)
         for k in range(12):
             keys = [
                 (int(r), int(s), KIND_NAMES.index(kind))
@@ -172,7 +231,7 @@ class TestBroadcast:
                 assert got == sorted([*outs[j], j])
 
     def test_self_message_never_delayed(self):
-        _, trace, _ = run_logged(self.g, DelayModel.uniform(6, seed=0), 30)
+        _, trace, _ = run_logged(self.g, DelayModel(6, seed=0), 30)
         for k in range(30):
             selfs = [line for line in lines_at(trace, k) if is_self(line)]
             expected = [f"{k},{j},{j},{kind}" for j in range(self.g.n) for kind in KIND_NAMES]
@@ -186,9 +245,9 @@ class TestBroadcast:
     def test_reproducible_delays(self):
         # one batch per tick, laid out sender-major, then kind (ratio before
         # min/max), then receivers ascending: the draws of per-sender calls
-        runs = [run_logged(self.g, DelayModel.uniform(3, seed=17), 5) for _ in range(2)]
+        runs = [run_logged(self.g, DelayModel(3, seed=17), 5) for _ in range(2)]
         assert runs[0][1] == runs[1][1] and runs[0][2] == runs[1][2]
-        reference = DelayModel.uniform(3, seed=17)
+        reference = DelayModel(3, seed=17)
         outs = out_lists(self.g)
         expected = []
         for k in range(5):
@@ -208,7 +267,7 @@ class TestBroadcast:
 
     def test_bounded_staleness(self):
         # a value consumed while forming state k+1 was produced in [k - tau_bar, k]
-        _, trace, sends = run_logged(self.g, DelayModel.uniform(3, seed=8), 40)
+        _, trace, sends = run_logged(self.g, DelayModel(3, seed=8), 40)
         assert all(0 <= d <= 3 for *_, d in sends)
         assert Counter(trace) == expected_lines(self.g, sends, 40)
 
