@@ -19,7 +19,7 @@ import numpy as np
 
 from . import oracle as oracle_mod
 from .consensus import run_terminating_consensus
-from .digraph import Digraph, build_weights, diameter
+from .digraph import Digraph, build_weights
 from .netsim import DelayModel, _integer
 from .problems import LeastSquaresInstance
 
@@ -199,7 +199,6 @@ def run(
     n, p = g.n, problem.p
     if not exact_averaging:
         weights = build_weights(g)
-        d = diameter(g)
         dm = cfg.delay_model()
     if truth is None:
         truth = oracle_mod.centralized_solution(problem)
@@ -226,9 +225,7 @@ def run(
             steps, converged = 0, True
         else:
             # on a cap hit the capped estimates are kept and the event recorded
-            res = run_terminating_consensus(
-                g, weights, dm, y0, cfg.eps, cfg.step_cap, graph_diameter=d, trace=trace
-            )
+            res = run_terminating_consensus(g, weights, dm, y0, cfg.eps, cfg.step_cap, trace=trace)
             z, steps, converged = res.z, res.steps, res.converged
         with np.errstate(over="ignore"):
             lam = lam + cfg.rho * (x - z)

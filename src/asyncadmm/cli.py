@@ -10,7 +10,7 @@ from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import admm, consensus, oracle
-from .digraph import Digraph, is_strongly_connected, load_edge_list, random_strongly_connected, save_edge_list
+from .digraph import Digraph, diameter, load_edge_list, random_strongly_connected, save_edge_list
 from .problems import LeastSquaresInstance, generate_ls
 
 __all__ = ["ExperimentConfig", "run_once", "sweep", "main"]
@@ -125,7 +125,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[admm.SolverConfig, Digraph, Le
     The one check of the settings a command's runs share, made in this order:
     mode, topology string, solver settings (before any draw), the digraph as
     loaded or drawn, its strong connectivity (the termination rule needs it,
-    in every mode), then the instance.
+    in every mode), checked by :func:`~asyncadmm.digraph.diameter`, which
+    keeps the diameter on the digraph for every run, then the instance.
     """
     if cfg.mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {cfg.mode!r}")
@@ -136,8 +137,10 @@ def build_problem(cfg: ExperimentConfig) -> tuple[admm.SolverConfig, Digraph, Le
         g = load_edge_list(cfg.topology[len("file:"):])
     else:
         g = random_strongly_connected(cfg.nodes, cfg.edge_prob, seed=(cfg.seed, _GRAPH_STREAM))
-    if not is_strongly_connected(g):
-        raise ValueError(f"topology {cfg.topology} is not strongly connected")
+    try:
+        diameter(g)  # kept on g, so no run and no forked cell squares it again
+    except ValueError:
+        raise ValueError(f"topology {cfg.topology} is not strongly connected") from None
     return solver, g, generate_ls(g.n, cfg.dim, cfg.dim, seed=(cfg.seed, _INSTANCE_STREAM))
 
 

@@ -533,9 +533,10 @@ def run_terminating_consensus(
     step_cap : int
         Upper bound on ratio updates before giving up.
     graph_diameter : int, optional
-        Pass a precomputed diameter to skip the reachability computation
-        (repeated squaring of ``I + A``, see :func:`~asyncadmm.digraph.diameter`);
-        an integer, at least 1 unless the digraph has one node (else ``ValueError``).
+        Overrides the diameter :func:`~asyncadmm.digraph.diameter` keeps on
+        ``g`` (computed on first use); an integer, at least 1 unless the
+        digraph has one node (else ``ValueError``).  The package passes none:
+        it stays only while the benchmark workloads pass one.
     """
     if not eps > 0.0:  # NaN fails every comparison
         raise ValueError(f"eps must be > 0, got {eps}")

@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "Digraph",
     "random_strongly_connected",
-    "is_strongly_connected",
     "diameter",
     "build_weights",
     "save_edge_list",
@@ -28,10 +27,11 @@ class Digraph:
     ``n`` and ``links`` are given: the receiver and sender of every edge and
     self-loop, int32, read-only, by receiver then sender (the edge-list
     file's line order), which everything that reads the topology reads.
-    :attr:`edges` is a derived view for tests and edge counts.  The topology
-    is never mutated, so instances are safe to share across threads (two
-    threads may each build a derived view once; they build equal ones), and
-    compare and hash by identity.
+    :attr:`edges` is a derived view for tests and edge counts, and the
+    diameter is kept once :func:`diameter` has computed it, so a pickled copy
+    carries it.  The topology is never mutated, so instances are safe to
+    share across threads (two threads may each build a derived view or the
+    diameter once; they build equal ones), and compare and hash by identity.
     """
 
     def __init__(self, n: int, edges) -> None:
@@ -64,6 +64,26 @@ class Digraph:
         receiver, sender = self.links
         edge = receiver != sender
         return frozenset(zip(receiver[edge].tolist(), sender[edge].tolist()))
+
+    @cached_property
+    def _diameter(self) -> int:
+        """What :func:`diameter` returns, by the squaring it describes; a raise keeps nothing."""
+        powers = _reachability_powers(self)
+        if powers is None:
+            raise ValueError("diameter is undefined: digraph is not strongly connected")
+        if self.n == 1:
+            return 0
+        # powers[-1] = R^(2^k) is the first full power, so k == 0 means D == 1;
+        # otherwise D lies in (2^(k-1), 2^k].  Grow a non-full power greedily.
+        k = len(powers) - 1
+        if k == 0:
+            return 1
+        reach, hops = powers[k - 1], 2 ** (k - 1)
+        for step in range(k - 2, -1, -1):
+            longer = _compose(reach, powers[step])
+            if not longer.all():
+                reach, hops = longer, hops + 2**step
+        return hops + 1
 
 
 def random_strongly_connected(n: int, extra_edge_prob: float, seed) -> Digraph:
@@ -125,13 +145,8 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
-def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every ordered node pair is joined by a directed path."""
-    return _reachability_powers(g) is not None
-
-
 def diameter(g: Digraph) -> int:
-    """Longest shortest directed path over all ordered pairs.
+    """Longest shortest directed path over all ordered pairs; also the strong-connectivity check.
 
     Squares the reachability matrix ``R = I + A`` until it is all true, then
     binary-searches the smallest full power with the stored squares: about
@@ -140,23 +155,12 @@ def diameter(g: Digraph) -> int:
     0.04 s against 2 s for an all-pairs breadth-first search); slower than
     that search on long cycles (a bare 600-node cycle, D=599, needs 19
     products: 0.09-0.47 s against about 0.1 s, on 2 vCPUs).
+
+    The result is kept on ``g``, so each digraph is squared at most once.  A
+    digraph that is not strongly connected keeps nothing: every call raises
+    ``ValueError``.
     """
-    powers = _reachability_powers(g)
-    if powers is None:
-        raise ValueError("diameter is undefined: digraph is not strongly connected")
-    if g.n == 1:
-        return 0
-    # powers[-1] = R^(2^k) is the first full power, so k == 0 means D == 1;
-    # otherwise D lies in (2^(k-1), 2^k].  Grow a non-full power greedily.
-    k = len(powers) - 1
-    if k == 0:
-        return 1
-    reach, hops = powers[k - 1], 2 ** (k - 1)
-    for step in range(k - 2, -1, -1):
-        longer = _compose(reach, powers[step])
-        if not longer.all():
-            reach, hops = longer, hops + 2**step
-    return hops + 1
+    return g._diameter
 
 
 def build_weights(g: Digraph) -> np.ndarray:

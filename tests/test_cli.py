@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asyncadmm import admm, cli, oracle
+from asyncadmm import admm, cli, digraph, oracle
 from asyncadmm.cli import ExperimentConfig, main
 from asyncadmm.digraph import random_strongly_connected, save_edge_list
 
@@ -202,6 +202,12 @@ class TestRunOnce:
             assert (out / name).is_file()
         header = (out / "run.csv").read_text().splitlines()[0]
         assert header == "k,objective,primal_res,dual_res,consensus_steps,gap,max_node_err"
+
+    def test_reachability_is_squared_once(self, tmp_path, monkeypatch):
+        # asyadmm, the default mode: build_problem's connectivity check keeps the D every consensus instance reads
+        calls = _count_calls(tmp_path, monkeypatch, [(digraph, "_reachability_powers")])
+        assert run_cli("run", *FAST, "--out", str(tmp_path / "out")) == 0
+        assert (calls / "_reachability_powers").read_text() == f"{os.getpid()}\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -487,28 +493,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("epsilons,tau_bars", [("0.1", "1"), ("0.1,0.01", "1,2,3")], ids=["1_cell", "6_cells"])
     def test_problem_and_optimum_are_built_once_in_the_parent(self, tmp_path, monkeypatch, epsilons, tau_bars):
-        # each call appends this process's id to a file, so calls made in a forked worker count too
-        calls = tmp_path / "calls"
-        calls.mkdir()
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                with open(calls / name, "a") as f:
-                    f.write(f"{os.getpid()}\n")
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
         targets = [
             (cli, "random_strongly_connected"),
             (cli, "generate_ls"),
             (oracle, "centralized_solution"),
             (ExperimentConfig, "solver_config"),
+            (digraph, "_reachability_powers"),  # the diameter travels to the cells on the digraph
         ]
-        for module, name in targets:
-            counted(module, name)
+        calls = _count_calls(tmp_path, monkeypatch, targets)
         assert run_cli(
             "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "3", "--seed", "2",
             "--epsilons", epsilons, "--tau-bars", tau_bars, "--out", str(tmp_path / "o"),
@@ -531,6 +523,27 @@ class TestSweep:
             "--out", str(tmp_path / "o"),
         ) == 0
         assert threads and set(threads) == {1}
+
+
+def _count_calls(tmp_path, monkeypatch, targets):
+    """Wrap each ``(module, name)``; every call appends its process id to ``calls/<name>``.
+
+    The ids go to files, so calls made in a forked worker count too.
+    """
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def counted(original, name):
+        def wrapper(*args, **kwargs):
+            with open(calls / name, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    return calls
 
 
 def _no_fork():

@@ -1,16 +1,18 @@
 from collections import deque
 from pathlib import Path
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncadmm import digraph
 from asyncadmm.digraph import (
     Digraph,
     build_weights,
     diameter,
-    is_strongly_connected,
     load_edge_list,
     random_strongly_connected,
     save_edge_list,
@@ -62,7 +64,6 @@ class TestDigraph:
 
     def test_single_node_is_degenerate_but_valid(self):
         g = Digraph(1, frozenset())
-        assert is_strongly_connected(g)
         assert diameter(g) == 0
         assert_matches_references(g, d=0)
 
@@ -97,7 +98,7 @@ class TestGenerator:
     @pytest.mark.parametrize("seed", range(10))
     def test_always_strongly_connected(self, seed):
         g = random_strongly_connected(4 + 3 * seed, 0.1, seed=seed)
-        assert is_strongly_connected(g)
+        assert 1 <= diameter(g) <= g.n - 1
 
     def test_deterministic(self):
         a = random_strongly_connected(15, 0.25, seed=99)
@@ -107,14 +108,15 @@ class TestGenerator:
 
 class TestConnectivityAndDiameter:
     def test_cycle_is_strongly_connected(self):
-        assert is_strongly_connected(cycle(3))
+        assert diameter(cycle(3)) == 2
 
     def test_path_is_not(self):
         g = Digraph(3, frozenset({(1, 0), (2, 1)}))
-        assert not is_strongly_connected(g)
+        with pytest.raises(ValueError, match="not strongly connected"):
+            diameter(g)
 
     def test_complete_is(self):
-        assert is_strongly_connected(complete(4))
+        assert diameter(complete(4)) == 1
 
     @pytest.mark.parametrize("n", [2, 5, 9])
     def test_cycle_diameter(self, n):
@@ -130,9 +132,22 @@ class TestConnectivityAndDiameter:
         assert diameter(g) == 3
 
     def test_diameter_requires_strong_connectivity(self):
-        g = Digraph(3, frozenset({(1, 0), (2, 1)}))
-        with pytest.raises(ValueError):
-            diameter(g)
+        # no edge at all: the first power is already past n - 1 hops
+        with pytest.raises(ValueError, match="not strongly connected"):
+            diameter(Digraph(2, frozenset()))
+
+    def test_diameter_is_kept_and_a_raise_keeps_nothing(self, monkeypatch):
+        passes = []
+        original = digraph._reachability_powers
+        monkeypatch.setattr(digraph, "_reachability_powers", lambda g: passes.append(g) or original(g))
+        g = random_strongly_connected(12, 0.2, seed=3)
+        assert diameter(g) == diameter(g) == diameter(pickle.loads(pickle.dumps(g)))
+        assert passes == [g]  # the second call and the pickled copy read the kept value
+        path = Digraph(3, frozenset({(1, 0), (2, 1)}))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not strongly connected"):
+                diameter(path)
+        assert passes == [g, path, path]  # no result was kept, so every call squares
 
     @pytest.mark.parametrize("seed", range(8))
     def test_diameter_at_most_n_minus_one(self, seed):
@@ -254,7 +269,6 @@ class TestMatchesReferenceLoops:
         edges = sorted(loop_generator(n, p, seed))
         assert g.edges == frozenset(edges)
         assert Digraph(n, edges).edges == frozenset(edges)
-        assert is_strongly_connected(g)
         assert_matches_references(g)
 
     @pytest.mark.parametrize("seed", [(7, 2), (8, 2)])
@@ -277,7 +291,6 @@ class TestMatchesReferenceLoops:
         edges = {((i + 1) % 3, i) for i in range(3)}
         edges |= {(3 + (i + 1) % 3, 3 + i) for i in range(3)} | {(3, 0)}
         g = Digraph(6, frozenset(edges))
-        assert not is_strongly_connected(g)
         with pytest.raises(ValueError):
             bfs_diameter(g)
         with pytest.raises(ValueError):
