@@ -106,7 +106,11 @@ class RunRecord:
 
     @property
     def relative_error(self) -> float:
-        return abs(self.final_objective - self.truth.f_star) / abs(self.truth.f_star)
+        """``|f - f*| / |f*|``; at ``f* == 0`` it is ``inf``, or 0.0 when ``f`` is 0 too."""
+        gap, scale = abs(self.final_objective - self.truth.f_star), abs(self.truth.f_star)
+        if scale == 0.0:
+            return np.inf if gap else 0.0
+        return gap / scale
 
     @property
     def mean_consensus_steps(self) -> float:

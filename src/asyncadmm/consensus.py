@@ -78,19 +78,21 @@ class ConsensusResult:
 
 @dataclass(frozen=True, eq=False)
 class _ColumnMaps:
-    """The engine's maps that depend only on the digraph, ``tau_bar`` and the kinds.
+    """The engine's maps that depend only on the digraph, ``tau_bar`` and the kind count.
 
     Built by :func:`_column_maps` once per digraph and key, all read-only.
-    ``links`` maps every kind's history columns, all in one order (the delay
-    draw order), to link-table positions.  ``payload_of`` and ``receiver_of``
-    cover the arrival tables of a block of ``ticks`` ticks: offset
-    ``(t * cols + c) * depth + j`` maps to the payload's history offset
-    ``(1 + t + j) * n + sender`` and to the receiver.  ``col_draw`` maps every
-    history column to its delay's batch position, ``draws`` for a self term
-    (the zero past the batch's end).
+    ``ticks`` is the block length: the most ticks whose arrival tables fit in
+    ``BLOCK_ENTRIES`` entries, at least one.  ``receiver`` and ``sender``
+    name every kind's history columns, all in one order (the delay draw
+    order).  ``payload_of`` and ``receiver_of`` cover the arrival tables of a
+    block: offset ``(t * cols + c) * depth + j`` maps to the payload's
+    history offset ``(1 + t + j) * n + sender`` and to the receiver.
+    ``col_draw`` maps every history column to its delay's batch position,
+    ``draws`` for a self term (the zero past the batch's end).
     """
 
-    links: np.ndarray
+    receiver: np.ndarray
+    sender: np.ndarray
     payload_of: np.ndarray
     receiver_of: np.ndarray
     col_draw: np.ndarray
@@ -98,43 +100,41 @@ class _ColumnMaps:
     ticks: int
 
 
-# Each digraph's maps by (tau_bar, kinds), kept while the digraph lives: every
-# instance of a solver run shares them, and the maps hold no reference back.
+# Each digraph's maps by (tau_bar, kind count), kept while the digraph lives:
+# every instance of a solver run shares them, and the maps hold no reference back.
 _maps_by_digraph: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _column_maps(g: Digraph, tau_bar: int, kinds: tuple[int, ...], ticks: int) -> _ColumnMaps:
-    """The maps of engines on ``g`` with ``tau_bar`` and ``kinds`` for blocks of ``ticks`` ticks.
-
-    Built on first use; rebuilt when an engine's blocks outgrow the kept maps.
-    """
+def _column_maps(g: Digraph, tau_bar: int, kinds: int) -> _ColumnMaps:
+    """The maps of engines on ``g`` with ``tau_bar`` and ``kinds`` message kinds, built on first use."""
     by_key = _maps_by_digraph.setdefault(g, {})
-    maps = by_key.get((tau_bar, kinds))
-    if maps is not None and maps.ticks >= ticks:
-        return maps
+    if (tau_bar, kinds) in by_key:
+        return by_key[tau_bar, kinds]
     n, depth = g.n, tau_bar + 1
     receiver, sender = g.links
     cols = len(receiver)
-    # draw order: sender-major, receivers ascending, each self term in place
-    links = np.argsort(sender.astype(np.int64) * n + receiver).astype(np.int32)
-    receiver, sender = receiver[links], sender[links]
+    ticks = max(1, BLOCK_ENTRIES // (depth * cols * kinds))
+    # draw order: sender-major, receivers ascending, each self term in place;
+    # node ids in the smallest unsigned type that holds n, uint16 at n=600
+    order = np.argsort(sender.astype(np.int64) * n + receiver)
+    receiver, sender = (a[order].astype(np.min_scalar_type(n)) for a in (receiver, sender))
     # two maps of ticks * cols * depth entries, payload offsets (below
     # (ticks + depth) * n) and receivers (below n), each in the smallest
-    # unsigned type that holds them, uint16 at n=600
+    # unsigned type that holds them
     rows = (1 + np.add.outer(np.arange(ticks), np.arange(depth))) * n  # [tick, lag]
     payload_of = (rows[:, None, :] + sender[:, None]).astype(np.min_scalar_type((ticks + depth) * n)).ravel()
-    receiver_of = np.tile(np.repeat(receiver.astype(np.min_scalar_type(n)), depth), ticks)
+    receiver_of = np.tile(np.repeat(receiver, depth), ticks)
     # delay column -> batch position: the edge columns kind-major, sorted
     # stably by sender; self-term columns read the zero past the batch's end
     edge = np.flatnonzero(receiver != sender)
-    edge_cols = np.add.outer(np.arange(len(kinds), dtype=np.int32) * cols, edge).ravel()
-    draw_col = edge_cols[np.argsort(np.tile(sender[edge], len(kinds)), kind="stable")]
+    edge_cols = np.add.outer(np.arange(kinds, dtype=np.int32) * cols, edge).ravel()
+    draw_col = edge_cols[np.argsort(np.tile(sender[edge], kinds), kind="stable")]
     draws = len(draw_col)
-    col_draw = np.full(len(kinds) * cols, draws, dtype=np.int32)
+    col_draw = np.full(kinds * cols, draws, dtype=np.int32)
     col_draw[draw_col] = np.arange(draws, dtype=np.int32)
-    for a in (links, payload_of, receiver_of, col_draw):
+    for a in (receiver, sender, payload_of, receiver_of, col_draw):
         a.flags.writeable = False
-    maps = _ColumnMaps(links, payload_of, receiver_of, col_draw, draws, ticks)
+    maps = _ColumnMaps(receiver, sender, payload_of, receiver_of, col_draw, draws, ticks)
     by_key[tau_bar, kinds] = maps
     return maps
 
@@ -192,12 +192,12 @@ class ConsensusEngine:
     ``t + 1 .. t + depth``, so two unsigned maps over a whole block's
     arrival-table offsets ``(t * cols + c) * depth + j``, shared by the
     kinds, give each arrival's payload offset ``(1 + t + j) * n + sender``
-    and its receiver.  These maps and the column-to-draw map depend only on
-    the digraph, ``tau_bar`` and the kinds, so they are built once per such
+    and its receiver.  These maps, the column-to-draw map and the block
+    length, which reads ``BLOCK_ENTRIES``, depend only on the digraph,
+    ``tau_bar`` and the number of kinds, so they are built once per such
     triple and kept while the digraph lives: every instance of a solver run
-    shares them.  The block cap, which reads ``BLOCK_ENTRIES``, is set per
-    engine; one whose cap exceeds the ticks the kept maps cover rebuilds
-    them.
+    shares them.  ``delays`` returns the history's first ``depth`` rows as
+    stored, each kind's columns in draw order.
 
     Ratio sums fold sequentially with ``bincount`` in column order: each
     receiver's arrivals come by sender, oldest send first, so results are
@@ -282,18 +282,16 @@ class ConsensusEngine:
             self._encode_extrema(hi, lo)
             self.kinds.append(MIN_MAX)
 
-        self._links = g.links
         self._cols = cols = len(g.links[0])
         self._depth = depth
-        self._block_cap = max(1, BLOCK_ENTRIES // (depth * cols * len(self.kinds)))
-        self._maps = _column_maps(g, dm.tau_bar, tuple(self.kinds), self._block_cap)
+        self._maps = _column_maps(g, dm.tau_bar, len(self.kinds))
 
         # The history, one row per tick: its delays (-1 marks ticks before
         # time 0, which no lag matches) and, per kind, its sends as
         # [component, row * n + sender] (the scaled ratio pairs, the extrema
         # ranks), in kind order.  A self term is compared only at lag 0, on
         # a row its block drew, so no pre-start value of it is ever read.
-        rows = depth + self._block_cap
+        rows = depth + self._maps.ticks
         self._hist = np.full((rows, len(self.kinds) * cols), -1, dtype=np.min_scalar_type(-depth))
         states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
         self._sent = [np.zeros((len(s), rows * n), dtype=s.dtype) for s in states]
@@ -317,12 +315,9 @@ class ConsensusEngine:
 
         Rows run oldest first: row ``-1 - age`` holds the draws of tick
         ``time - 1 - age``; -1 marks ticks before time 0.  Columns run by
-        kind, then in link-table order.
+        kind, then in draw order (sender, then receiver).
         """
-        shape = (self._depth, len(self.kinds), self._cols)
-        delays = np.empty_like(self._hist[: self._depth])
-        delays.reshape(shape)[:, :, self._maps.links] = self._hist[: self._depth].reshape(shape)
-        return delays
+        return self._hist[: self._depth].copy()
 
     @property
     def hi(self) -> np.ndarray:
@@ -456,7 +451,7 @@ class ConsensusEngine:
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
         t, c = (np.concatenate(a) for a in zip(*map(np.nonzero, arrivals)))
         kind = np.asarray(self.kinds)[c // self._cols]
-        receiver, sender = (a[self._maps.links[c % self._cols]] for a in self._links)
+        receiver, sender = (a[c % self._cols] for a in (self._maps.receiver, self._maps.sender))
         order = np.lexsort((kind, sender, receiver, t))
         bounds = np.searchsorted(t[order], np.arange(steps + 1))
         t, sender, receiver, kind = (a[order].tolist() for a in (t, sender, receiver, kind))
@@ -464,7 +459,7 @@ class ConsensusEngine:
 
     def advance(self, steps: int) -> None:
         while steps > 0:
-            block = min(steps, self._block_cap)
+            block = min(steps, self._maps.ticks)
             self._block(block)
             steps -= block
 

@@ -33,10 +33,6 @@ class LeastSquaresInstance:
         return self.a.shape[0]
 
     @property
-    def q(self) -> int:
-        return self.a.shape[1]
-
-    @property
     def p(self) -> int:
         return self.a.shape[2]
 

@@ -28,9 +28,10 @@ def out_lists(g):
 def message_columns(g):
     """``(receiver, sender)`` of each column of one kind in a delay row.
 
-    Every edge and every node's self term, sorted by receiver, then sender.
+    Every edge and every node's self term in draw order: by sender, then
+    receiver, each self term in place.
     """
-    return sorted((r, s) for s, outs in enumerate(out_lists(g)) for r in [*outs, s])
+    return [(r, s) for s, outs in enumerate(out_lists(g)) for r in sorted([*outs, s])]
 
 
 def replay(problem, record):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from asyncadmm import cli
-from asyncadmm.admm import SolverConfig, run, stopping_criterion, x_update
+from asyncadmm.admm import RunRecord, SolverConfig, run, stopping_criterion, x_update
 from asyncadmm.consensus import run_terminating_consensus
 from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
-from asyncadmm.oracle import centralized_solution, exact_average
+from asyncadmm.oracle import GroundTruth, centralized_solution, exact_average
 from asyncadmm.problems import LeastSquaresInstance, generate_ls
 from reference import replay
 
@@ -274,6 +274,14 @@ class TestRun:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == rec.objective[0]
+
+
+@pytest.mark.parametrize("final,f_star,want", [(1.5, 1.0, 0.5), (0.5, -2.0, 1.25), (0.25, 0.0, np.inf), (0.0, 0.0, 0.0)])
+def test_relative_error(final, f_star, want):
+    # at f* == 0 no scale exists: a final objective off it is infinitely far, one on it is not off
+    truth = GroundTruth(x_star=np.zeros(1), f_star=f_star, lam_star=np.zeros((1, 1)))
+    record = RunRecord(config=SolverConfig(), truth=truth, lam0=np.zeros((1, 1)), objective=[final])
+    assert record.relative_error == want
 
 
 class TestRateDiagnostics:

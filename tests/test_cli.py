@@ -44,6 +44,13 @@ FLAGS = {
 NUMERIC_FIELDS = [f for f in fields(ExperimentConfig) if f.type in ("int", "float")]
 
 
+def zero_optimum_flags(tmp_path):
+    """Flags for a one-node digraph with ``--dim 1 --seed 1``, whose centralized optimum is exactly 0.0."""
+    topo = tmp_path / "one_node.txt"
+    topo.write_text("1\n")
+    return ["--topology", f"file:{topo}", "--dim", "1", "--seed", "1"]
+
+
 def run_cli(*args):
     return main(list(args))
 
@@ -248,6 +255,15 @@ class TestRunOnce:
         ) == 0
         assert (out / "topology.txt").read_text() == topo.read_text()
 
+    @pytest.mark.parametrize("mode", ["asyadmm", "sync_baseline"])
+    def test_zero_optimum_gives_an_infinite_relative_error(self, tmp_path, mode):
+        out = tmp_path / "out"
+        assert run_cli("run", *zero_optimum_flags(tmp_path), "--kmax", "3", "--mode", mode, "--out", str(out)) == 0
+        header, row = (line.split(",") for line in (out / "summary.csv").read_text().splitlines())
+        summary = dict(zip(header, row))
+        assert summary["oracle_objective"] == "0.0" and float(summary["final_objective"]) > 0.0
+        assert summary["relative_error"] == "inf"
+
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         code = run_cli("run", "--nodes", "0", "--out", str(tmp_path / "o"))
         assert code == 1
@@ -389,6 +405,15 @@ class TestSweep:
             "--tau-bars", "1,2", "--out", str(out),
         ) == 0
         assert sha256(out / "sweep.csv") == GOLDEN_SHA256["sweep.csv"]
+
+    def test_zero_optimum_cells_are_ok_with_an_infinite_error(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", *zero_optimum_flags(tmp_path), "--kmax", "3", "--epsilons", "0.1,0.01", "--tau-bars", "1,3",
+            "--out", str(out),
+        ) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [row[2:4] for row in rows] == [["ok", "inf"]] * 4
 
     def test_cell_failure_recorded_not_fatal(self, tmp_path):
         out = tmp_path / "sweep"

@@ -450,7 +450,7 @@ class TestPaperScale:
     def test_terminating(self, inputs, tau_bar):
         g, w, y0 = inputs
         extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
-        assert ConsensusEngine(g, DelayModel(tau_bar), y0=y0, weights=w, extrema=extrema)._block_cap == 1
+        assert ConsensusEngine(g, DelayModel(tau_bar), y0=y0, weights=w, extrema=extrema)._maps.ticks == 1
         res = run_terminating_consensus(g, w, DelayModel(tau_bar, seed=(7, 1)), y0, 0.1, 1000)
         assert res.converged
         got = (res.steps, res.check_steps, res.delivered, res.stale_discarded, res.extrema_folds)
@@ -719,7 +719,7 @@ class TestBlockBoundaries:
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
         extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
         _, (block, ref) = both_engines(network, extrema=extrema, traced=True)
-        assert block._block_cap == cap and (cap == 1 or round_len % cap != 0)
+        assert block._maps.ticks == cap and (cap == 1 or round_len % cap != 0)
         got = block.terminate(1e-3, 10 * round_len, round_len)
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
         assert len(got.check_steps) >= 2
@@ -796,7 +796,7 @@ class TestFixedExtrema:
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
         vals = np.random.default_rng(n).standard_normal((n, 2))
         _, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
-        assert block._block_cap == cap
+        assert block._maps.ticks == cap
         block.advance(3 * round_len)
         ref.advance(3 * round_len)
         assert_same_state(block, ref)
@@ -1011,7 +1011,7 @@ class TestRankFold:
 class TestSharedLinkTable:
     """Engines built on one digraph share its link table and its column maps.
 
-    The maps are built once per delay bound and set of kinds; consecutive
+    The maps are built once per delay bound and kind count; consecutive
     instances on one digraph must step as instances on fresh digraphs do.
     """
 
@@ -1039,7 +1039,7 @@ class TestSharedLinkTable:
         g, _, _ = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         vals = np.random.default_rng(9).standard_normal((2, g.n, 2))
         plan = [(tau_bar, kinds) for _ in range(2) for tau_bar in (0, 3, 10) for kinds in ("ratio", "extrema", "both")]
-        runs = []
+        runs, maps = [], {}
         for fresh in (False, True):
             streams = {tau_bar: DelayModel(tau_bar, seed=12) for tau_bar in (0, 3, 10)}  # one per bound
             states = []
@@ -1049,6 +1049,8 @@ class TestSharedLinkTable:
                 extrema = None if kinds == "ratio" else (vals[1], vals[1] + 0.5)
                 weights = None if y0 is None else build_weights(h)
                 engine = ConsensusEngine(h, streams[tau_bar], y0=y0, weights=weights, extrema=extrema, trace=[])
+                if not fresh:
+                    maps[tau_bar, kinds] = engine._maps
                 engine.advance(steps)
                 state = [engine.time, engine.delays.tobytes(), engine.trace]
                 state += [engine.delivered, engine.stale_discarded, engine.extrema_folds]
@@ -1057,30 +1059,30 @@ class TestSharedLinkTable:
                 states.append(state)
             runs.append(states)
         assert runs[0] == runs[1]
-        assert sorted(consensus._maps_by_digraph[g]) == sorted(
-            (tau_bar, kinds) for tau_bar in (0, 3, 10) for kinds in ((RATIO,), (MIN_MAX,), (RATIO, MIN_MAX))
-        )
+        kept = consensus._maps_by_digraph[g]
+        assert sorted(kept) == [(tau_bar, kinds) for tau_bar in (0, 3, 10) for kinds in (1, 2)]
+        # a ratio-only and an extrema-only engine on one digraph share one maps object
+        for tau_bar in (0, 3, 10):
+            assert maps[tau_bar, "ratio"] is maps[tau_bar, "extrema"] is kept[tau_bar, 1]
+            assert maps[tau_bar, "both"] is kept[tau_bar, 2]
 
     def test_every_kind_columns_in_draw_order(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         engine = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, extrema=(y0, y0))
-        column = {pair: c for c, pair in enumerate(message_columns(g))}
         # sender by sender, receivers ascending, each self term in place
-        drawn = [column[r, s] for s, outs in enumerate(out_lists(g)) for r in sorted([*outs, s])]
-        links = engine._maps.links
-        assert links.tolist() == drawn
-        assert links.dtype == np.int32 and not links.flags.writeable
-        # each kind's history columns, read back in link order by delays
+        maps = engine._maps
+        assert list(zip(maps.receiver.tolist(), maps.sender.tolist())) == message_columns(g)
+        for a in (maps.receiver, maps.sender):
+            assert a.dtype == np.min_scalar_type(g.n) and not a.flags.writeable
+        # each kind's history columns, read back by delays as stored
         engine.advance(5)
-        cols = len(column)
-        for q in range(2):
-            at = slice(q * cols, (q + 1) * cols)
-            assert np.array_equal(engine._hist[: engine._depth, at], engine.delays[:, at][:, drawn])
+        assert np.array_equal(engine._hist[: engine._depth], engine.delays)
+        assert engine.delays.shape == (4, 2 * len(message_columns(g)))
 
     def test_dropping_a_digraph_drops_its_maps(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         engine = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w)
-        assert consensus._maps_by_digraph[g][3, (RATIO,)] is engine._maps
+        assert consensus._maps_by_digraph[g][3, 1] is engine._maps
         graph, maps = weakref.ref(g), weakref.ref(engine._maps)
         del g, engine
         gc.collect()
@@ -1090,31 +1092,33 @@ class TestSharedLinkTable:
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         multi = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", 0)
-        single = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
-        assert single._maps is multi._maps
-        assert multi._block_cap > 1 and single._block_cap == 1
-        multi.advance(40)
-        single.advance(40)
-        assert single.z.tobytes() == multi.z.tobytes() and single.trace == multi.trace
+        # the kept maps keep their block length; a fresh digraph's maps read the patched cap
+        kept = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
+        h = Digraph(g.n, g.edges)
+        single = ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=build_weights(h), trace=[])
+        assert kept._maps is multi._maps and single._maps is not multi._maps
+        assert multi._maps.ticks > 1 and single._maps.ticks == 1
+        for engine in (multi, kept, single):
+            engine.advance(40)
+        for engine in (kept, single):
+            assert engine.z.tobytes() == multi.z.tobytes() and engine.trace == multi.trace
 
-    def test_a_larger_block_cap_rebuilds_the_maps(self, monkeypatch):
+    def test_short_long_and_one_tick_blocks_step_alike(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
         engines = []
         for entries in (consensus.BLOCK_ENTRIES, 5 * consensus.BLOCK_ENTRIES, 0):
             monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
-            engines.append(ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, extrema=extrema, trace=[]))
+            h = Digraph(g.n, g.edges)  # fresh, so its maps read the patched cap
+            engines.append(ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=w, extrema=extrema, trace=[]))
         short, long, single = engines
         round_len = 4 * diameter(g)
-        assert single._block_cap == 1 < short._block_cap < long._block_cap
-        # the longer blocks outgrew the kept maps; the one-tick engine reuses the rebuilt ones
-        assert long._maps is not short._maps and long._maps.ticks == long._block_cap
-        assert single._maps is long._maps is consensus._maps_by_digraph[g][3, (RATIO, MIN_MAX)]
+        assert single._maps.ticks == 1 < short._maps.ticks < long._maps.ticks
         for engine in engines:
             engine.terminate(1e-3, 10 * round_len, round_len)
             # then one span longer than a long block, from extrema that still spread
             engine.reseed_extrema()
-            engine.advance(long._block_cap + round_len + 1)
+            engine.advance(long._maps.ticks + round_len + 1)
         for engine in (short, long):
             assert_same_state(engine, single)
             assert engine.extrema_folds == single.extrema_folds
