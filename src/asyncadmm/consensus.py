@@ -175,12 +175,13 @@ class ConsensusEngine:
     Each block decides its arrivals once: the send made ``lag`` ticks ago on
     a column is consumed now iff its delay equals ``lag``, one comparison
     per lag over every kind's columns (a lag slab over the block's ticks).
-    ``delivered``, ``stale_discarded`` (extrema sent before ``epoch_start``)
-    and the trace all read those slabs.  Only for a fold that will run is a
-    kind's share of them stacked into an arrival table (tick, column, oldest
-    send first), cleared of stale extrema and turned into fold inputs.  Only
-    the folds run tick by tick, since each tick's sends carry the state the
-    previous tick produced.
+    ``delivered`` and the trace read those slabs; then the extrema sent
+    before ``epoch_start`` are counted into ``stale_discarded`` and cleared
+    from them, the one place the epoch filter runs.  Only for a fold that
+    will run is a kind's share of them stacked into an arrival table (tick,
+    column, oldest send first) and turned into fold inputs: each arrival's
+    payload offset and receiver.  Only the folds run tick by tick, since
+    each tick's sends carry the state the previous tick produced.
 
     The history is the engine's one time axis: each tick's sends sit on the
     row of its delays, per kind as ``[component, row * n + sender]``, written
@@ -212,18 +213,18 @@ class ConsensusEngine:
     re-seed.  They travel as ranks: at the start and at every re-seed each
     component of the snapshot is sorted once, ``hi`` ascending and ``lo``
     descending, into a table of the smallest unsigned type that holds ``n``,
-    so a single ``maximum.reduceat`` folds both; values are decoded only
-    where ``hi`` and ``lo`` are read (at check boundaries).  This is exact
-    because every extremum that passes the epoch filter is a copy of an
-    entry of the current epoch's table.  Equal values get distinct ranks in
-    node order, so which of them a fold keeps, and with it the sign of a
-    zero, may differ from a fold over values (``max(0.0, -0.0)`` returns its
-    first argument); the ``==`` agreement check and the spread norm both
-    ignore that.  A NaN, which has no rank, is rejected up front.
-    ``reduceat`` needs each receiver's arrivals contiguous, so one stable
-    sort of a block's arrivals by ``tick * n + receiver``, in the smallest
-    unsigned type that holds it (a radix sort up to 16 bits), groups them;
-    a maximum of ranks does not depend on the order within a group.
+    so a maximum folds both; values are decoded only where ``hi`` and ``lo``
+    are read (at check boundaries).  This is exact because every extremum
+    that passes the epoch filter is a copy of an entry of the current
+    epoch's table.  Equal values get distinct ranks in node order, so which
+    of them a fold keeps, and with it the sign of a zero, may differ from a
+    fold over values (``max(0.0, -0.0)`` returns its first argument); the
+    ``==`` agreement check and the spread norm both ignore that.  A NaN,
+    which has no rank, is rejected up front.  Like the ratio sums, each rank
+    row folds by scatter: one ``maximum.at`` of the tick's arrivals into
+    their receivers, over zeros.  A maximum of integers does not depend on
+    the order it folds them in, and the zeros change nothing, since every
+    receiver folds its own send.
 
     An extrema fold runs only while it can change the extrema.  A round
     whose every row starts with one bit pattern (the ``+inf`` / ``-inf``
@@ -346,52 +347,37 @@ class ConsensusEngine:
         self._encode_extrema(self.z, self.z)
         self.epoch_start = self.time
 
-    def _arrivals(self, steps: int, cut: int) -> list[np.ndarray]:
+    def _arrivals(self, steps: int) -> list[np.ndarray]:
         """The lag slabs over the next ``steps`` ticks and every kind's columns, counted.
 
         Slab ``j`` is ``[tick t, column]``: the send on history row ``1 + t + j``,
         made ``lag = depth - 1 - j`` ticks before tick ``t``, arrives then iff
-        its delay equals ``lag``; an extrema send is stale iff ``t + j < cut``.
+        its delay equals ``lag``.
         """
-        cols, hist, depth = self._cols, self._hist, self._depth
+        hist, depth = self._hist, self._depth
         slabs = [hist[1 + j : 1 + j + steps] == depth - 1 - j for j in range(depth)]
         self.delivered += sum(np.count_nonzero(slab) for slab in slabs)
-        if MIN_MAX in self.kinds:  # the last kind's columns
-            self.stale_discarded += sum(np.count_nonzero(slab[: max(cut - j, 0), -cols:]) for j, slab in enumerate(slabs))
         return slabs
 
-    def _fold_inputs(self, q: int, slabs: list[np.ndarray], cut: int):
-        """Kind ``q``'s fresh arrivals as fold inputs.
+    def _fold_inputs(self, q: int, slabs: list[np.ndarray]):
+        """Kind ``q``'s arrivals as fold inputs, in the order each receiver folds them.
 
         Returns each arrival's payload offset (history row times ``n`` plus
-        sender), per-tick bounds into them, and the receivers (ratio) or each
-        tick's per-receiver segment starts (min/max).
+        sender), per-tick bounds into them, and its receiver as ``intp``:
+        every fold gathers the payloads and scatters them into their receivers.
         """
-        n, cols, depth, maps, kind = self.n, self._cols, self._depth, self._maps, self.kinds[q]
+        cols, depth, maps = self._cols, self._depth, self._maps
         steps = len(slabs[0])
         # [tick, column, oldest send first]
         table = np.stack([slab[:, q * cols : (q + 1) * cols] for slab in slabs], axis=-1)
-        if kind == MIN_MAX:
-            # drop the stale one lag slab at a time, so numpy's inner loop
-            # runs along the columns rather than along the short lag axis
-            for j in range(min(cut, depth)):
-                table[: cut - j, :, j] = False
         # (t * cols + c) * depth + j: the block maps' offsets.  Tick k0 + t
         # reads the sends of ticks k0 + t - (depth - 1) .. k0 + t, history
         # rows t + 1 .. t + depth.
         flat = np.flatnonzero(table)
         bounds = np.searchsorted(flat, np.arange(steps + 1) * cols * depth)
-        source = maps.payload_of[flat].astype(np.intp)  # each fold gathers with it
-        receiver = maps.receiver_of[flat]
-        if kind == RATIO:
-            # bincount wants intp: cast once here, not once per component
-            return source, bounds, receiver.astype(np.intp)
-        # each tick's arrivals grouped by receiver: one stable (radix) sort
-        key_type = np.min_scalar_type(steps * n)
-        key = (flat // (cols * depth)).astype(key_type) * n + receiver
-        by_receiver = np.argsort(key, kind="stable")
-        starts = np.searchsorted(key[by_receiver], np.arange(steps * n, dtype=key_type))
-        return source[by_receiver], bounds, starts.reshape(steps, n) - bounds[:-1, None]
+        # cast once here, not once per component: each fold gathers with the
+        # offsets, and bincount and maximum.at want intp receivers
+        return maps.payload_of[flat].astype(np.intp), bounds, maps.receiver_of[flat].astype(np.intp)
 
     def _block(self, steps: int) -> None:
         """``steps`` ticks: delays and arrivals once, then the per-tick folds."""
@@ -399,16 +385,24 @@ class ConsensusEngine:
         drawn = np.zeros((steps, draws + 1), dtype=hist.dtype)  # the last column stays 0
         drawn[:, :draws] = self.dm.sample_many(steps * draws).reshape(steps, draws)
         np.take(drawn, self._maps.col_draw, axis=1, out=hist[depth : depth + steps])
-        cut = self.epoch_start - k0 + depth - 1  # sent before the re-seed iff t + j < cut
-        arrivals = self._arrivals(steps, cut)
+        arrivals = self._arrivals(steps)
+        traced = self.trace is not None
+        if traced:  # the trace lists stale extrema too: read before they are dropped
+            lines, line_bounds = self._trace_lines(k0, steps, arrivals)
+        if MIN_MAX in self.kinds:
+            # count, then drop, the extrema sent before the re-seed (t + j < cut)
+            # from the last kind's columns; cut < 0 once a block starts more
+            # than depth - 1 ticks after it, and then nothing is stale
+            cut = self.epoch_start - k0 + depth - 1
+            for j, slab in enumerate(arrivals[: max(cut, 0)]):
+                stale = slab[: cut - j, -self._cols :]
+                self.stale_discarded += np.count_nonzero(stale)
+                stale[...] = False
         # fixed extrema fold nothing: their arrivals are only counted and traced
         folds = [
-            None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, arrivals, cut)
+            None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, arrivals)
             for q, kind in enumerate(self.kinds)
         ]
-        traced = self.trace is not None
-        if traced:
-            lines, line_bounds = self._trace_lines(k0, steps, arrivals)
 
         for t in range(steps):
             self.time = k0 + t
@@ -421,12 +415,10 @@ class ConsensusEngine:
                     # no reader of these sends is a fold that runs: later
                     # ticks of this epoch skip theirs, the epoch filter cuts the rest
                     continue
-                source, bounds, segments = fold
+                source, bounds, receiver = fold
                 at = slice(bounds[t], bounds[t + 1])
-                if kind == RATIO:
-                    self._fold_ratio(sent, sends, source[at], segments[at])
-                else:
-                    self._fold_extrema(sent, sends, source[at], segments[t])
+                fold_kind = self._fold_ratio if kind == RATIO else self._fold_extrema
+                fold_kind(sent, sends, source[at], receiver[at])
         self.time = k0 + steps
         # the newest depth rows to the front (numpy buffers an overlap)
         hist[:depth] = hist[steps : steps + depth]
@@ -439,9 +431,12 @@ class ConsensusEngine:
         if (self.w <= 0.0).any():
             raise ProtocolError(f"nonpositive mass {self.w.min()} after update")
 
-    def _fold_extrema(self, sent: np.ndarray, sends: slice, source: np.ndarray, segments: np.ndarray) -> None:
+    def _fold_extrema(self, sent: np.ndarray, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
         sent[:, sends] = self._ext
-        self._ext = np.maximum.reduceat(sent.take(source, axis=1), segments, axis=1)
+        # into zeros, the lowest rank: every receiver folds its own send
+        self._ext = np.zeros_like(self._ext)
+        for row, arrived in zip(self._ext, sent.take(source, axis=1)):
+            np.maximum.at(row, receiver, arrived)
         self.extrema_folds += 1
         # saturated: every node holds every row's top rank, which it folds
         # back in from itself on each later tick of this epoch

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .netsim import _integer
+
 __all__ = [
     "Digraph",
     "random_strongly_connected",
@@ -35,8 +37,7 @@ class Digraph:
     """
 
     def __init__(self, n: int, edges) -> None:
-        if n < 1:
-            raise ValueError(f"node count must be >= 1, got {n}")
+        n = _integer(n, "node count", low=1)
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         pairs = pairs if pairs.size else np.empty((0, 2), dtype=np.int64)  # [] reads as float
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -93,6 +94,7 @@ def random_strongly_connected(n: int, extra_edge_prob: float, seed) -> Digraph:
     edge independently with probability ``extra_edge_prob``.  Deterministic
     for a fixed ``seed``.
     """
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError(f"generator needs n >= 2, got {n}")
     if not 0.0 <= extra_edge_prob <= 1.0:

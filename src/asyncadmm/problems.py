@@ -7,6 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .netsim import _integer
+
 __all__ = ["LeastSquaresInstance", "generate_ls"]
 
 
@@ -93,6 +95,7 @@ def _node_order_totals(terms: np.ndarray) -> np.ndarray:
 
 def generate_ls(n: int, p: int, q: int, seed) -> LeastSquaresInstance:
     """Draw every entry of every ``A_i`` and ``b_i`` i.i.d. standard normal."""
+    n, p, q = (_integer(value, name) for value, name in zip((n, p, q), "npq"))
     if min(n, p, q) < 1:
         raise ValueError(f"dimensions must be >= 1, got n={n}, p={p}, q={q}")
     rng = np.random.default_rng(seed)

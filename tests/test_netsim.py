@@ -6,9 +6,10 @@ import pytest
 
 from asyncadmm.admm import SolverConfig
 from asyncadmm.consensus import KIND_NAMES, ConsensusEngine, run_terminating_consensus
-from asyncadmm.digraph import build_weights, random_strongly_connected
+from asyncadmm.digraph import Digraph, build_weights, random_strongly_connected
 from asyncadmm.netsim import DelayModel, _integer
 from asyncadmm.oracle import synchronous_ratio_trajectory
+from asyncadmm.problems import generate_ls
 from reference import message_columns, out_lists
 
 
@@ -167,9 +168,18 @@ class TestInteger:
             (lambda: _consensus(graph_diameter=np.int64(0)), "graph_diameter must be >= 1, got 0"),
             (lambda: _oracle(np.int64(-1)), "k must be >= 0, got -1"),
             (lambda: _oracle(2.5), "k must be an integer, got 2.5"),
+            (lambda: Digraph(2.5, [(1, 0), (0, 1)]), "node count must be an integer, got 2.5"),
+            (lambda: random_strongly_connected(4.0, 0.2, 1), "n must be an integer, got 4.0"),
+            (lambda: generate_ls(2.5, 2, 2, 1), "n must be an integer, got 2.5"),
+            (lambda: generate_ls(3, 2.0, 2, 1), "p must be an integer, got 2.0"),
+            (lambda: generate_ls(3, 2, "2", 1), "q must be an integer, got '2'"),
+            (lambda: Digraph(np.int64(0), []), "node count must be >= 1, got 0"),
+            (lambda: random_strongly_connected(np.int64(1), 0.2, 1), "generator needs n >= 2, got 1"),
+            (lambda: generate_ls(3, np.int32(0), 2, 1), "dimensions must be >= 1, got n=3, p=0, q=2"),
         ],
         ids=["delay_tau_bar", "k_max", "step_cap", "seed", "solver_tau_bar", "consensus_step_cap",
-             "graph_diameter", "oracle_k", "oracle_k_float"],
+             "graph_diameter", "oracle_k", "oracle_k_float", "digraph_n", "generator_n", "ls_n", "ls_p", "ls_q",
+             "digraph_n_range", "generator_n_range", "ls_range"],
     )
     def test_every_integer_bound_reads_the_same(self, call, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
