@@ -76,6 +76,10 @@ smoke() {
   asyncadmm sweep --help
   asyncadmm run --nodes 8 --kmax 3 --out "$out/run"
   asyncadmm sweep --nodes 8 --kmax 3 --epsilons 0.1 --tau-bars 3 --out "$out/sweep"
+  # four cells in the worker pool, submitted by tau_bar descending, then epsilon
+  # ascending; the rows come back in key order
+  asyncadmm sweep --nodes 8 --kmax 3 --epsilons 0.1,0.01 --tau-bars 1,3 --out "$out/grid"
+  test "$(tail -n +2 "$out/grid/sweep.csv" | cut -d, -f1-3 | tr '\n' ' ')" = "0.1,1,ok 0.1,3,ok 0.01,1,ok 0.01,3,ok "
   # a setting every cell shares fails the whole sweep before --out is made
   code=0
   asyncadmm sweep --nodes 8 --kmax 3 --mode bogus --epsilons 0.1 --tau-bars 3 --out "$out/bad" || code=$?

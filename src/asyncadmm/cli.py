@@ -93,7 +93,10 @@ class ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"malformed config line in {path}: {line!r}")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"repeated config key in {path}: {key!r}")
+            values[key] = val.strip()
         known = [f for f in fields(cls) if f.name in values]
         kwargs = {f.name: _parse(f, values.pop(f.name), f"config {f.name}") for f in known}
         if values:
@@ -208,8 +211,10 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
     error.  Each cell is an independent seeded run, so the cells run in
     worker processes forked from this one, one per available CPU at most.
     They are submitted longest first: a consensus round lasts
-    ``(1 + tau_bar) * D`` ticks, so the largest ``tau_bar`` goes first.  Rows
-    are collected in key order, so ``sweep.csv`` is the same for any number
+    ``(1 + tau_bar) * D`` ticks, so the largest ``tau_bar`` goes first, and
+    within one ``tau_bar`` the smallest ``epsilon``: on the same inputs a
+    smaller tolerance runs at least as many check rounds.  Rows are
+    collected in key order, so ``sweep.csv`` is the same for any number
     of workers.  Where the platform cannot fork, the cells run in this
     process.
     """
@@ -234,7 +239,7 @@ def sweep(cfg: ExperimentConfig, eps_list, tau_list, out_dir) -> int:
             min(len(cells), cpus or 1), mp_context=multiprocessing.get_context("fork")
         )
         try:
-            longest_first = sorted(range(len(cells)), key=lambda i: -cells[i][1])
+            longest_first = sorted(range(len(cells)), key=lambda i: (-cells[i][1], cells[i][0]))
             futures = {i: pool.submit(_sweep_cell, shared, *cells[i]) for i in longest_first}
             results = [futures[i].result() for i in range(len(cells))]
         finally:

@@ -210,31 +210,30 @@ class ConsensusEngine:
 
     Extrema fold over each receiver's arrivals, which always include its own
     lag-0 term, and drop extrema sent before ``epoch_start``, the latest
-    re-seed.  They travel as ranks: at the start and at every re-seed each
-    component of the snapshot is sorted once, ``hi`` ascending and ``lo``
-    descending, into a table of the smallest unsigned type that holds ``n``,
-    so a maximum folds both; values are decoded only where ``hi`` and ``lo``
-    are read (at check boundaries).  This is exact because every extremum
-    that passes the epoch filter is a copy of an entry of the current
-    epoch's table.  Equal values get distinct ranks in node order, so which
-    of them a fold keeps, and with it the sign of a zero, may differ from a
-    fold over values (``max(0.0, -0.0)`` returns its first argument); the
-    ``==`` agreement check and the spread norm both ignore that.  A NaN,
-    which has no rank, is rejected up front.  Like the ratio sums, each rank
-    row folds by scatter: one ``maximum.at`` of the tick's arrivals into
-    their receivers, over zeros.  A maximum of integers does not depend on
-    the order it folds them in, and the zeros change nothing, since every
-    receiver folds its own send.
+    re-seed.  They travel as values, ``hi`` rows then ``lo`` rows, and like
+    the ratio sums each row folds by scatter: one ``maximum.at`` (``hi``) or
+    ``minimum.at`` (``lo``) of the tick's arrivals into a copy of the
+    receivers' current state, each receiver's arrivals by sender, oldest
+    send first.  Only a ``0.0`` / ``-0.0`` tie has two bit patterns, and
+    which one a tie keeps is numpy's choice (on x86 the arrival:
+    ``np.maximum(-0.0, 0.0)`` is ``0.0``), so ``hi`` and ``lo`` are
+    reproducible bit for bit, signed zeros included, in that fold order
+    alone.  A NaN, which no comparison orders, is rejected up front.
 
-    An extrema fold runs only while it can change the extrema.  A round
-    whose every row starts with one bit pattern (the ``+inf`` / ``-inf``
-    start, a constant re-seed) decodes the same whatever its ranks, and a
-    round in which every node holds every row's top rank (tested on ranks,
-    so a ``0.0`` / ``-0.0`` tie is not taken for agreement) keeps it.  From
-    then to the round's end the ticks skip the fold and its sends, and a
-    block that starts so builds no fold inputs for the extrema: their slabs
-    are only counted and traced.  Every later reader of those sends is a
-    skipped fold or is cut by the epoch filter.
+    An extrema fold runs only while it can change the extrema.  One rule
+    decides that, at the start, at every re-seed and after every fold:
+    every row holds one bit pattern (the ``+inf`` / ``-inf`` start, a
+    constant re-seed, every node holding the extreme).  Each arrival that
+    passes the epoch filter is a copy of a value some node held in this
+    epoch, and a fold replaces a value only by a larger one (smaller, for
+    ``lo``) or by an equal one, so such a row is the epoch's extreme and
+    stays put.  An equal arrival with other bits is a zero of the other
+    sign, and until the first fold of an epoch every send carries the
+    row's one pattern; so after a fold a row of zeros keeps folding.
+    From then to the round's end the ticks skip the fold and its sends, and
+    a block that starts so builds no fold inputs for the extrema: their
+    slabs are only counted and traced.  Every later reader of those sends
+    is a skipped fold or is cut by the epoch filter.
     ``extrema_folds`` counts the folds that ran.
     """
 
@@ -278,9 +277,9 @@ class ConsensusEngine:
                 raise ValueError(f"extrema hi and lo differ in shape: {hi.shape} and {lo.shape}")
             if np.isnan(hi).any() or np.isnan(lo).any():
                 raise ValueError("extrema must not contain NaN")
-            # the extrema state component-major, as ranks: hi rows, then lo rows
+            # the extrema state component-major: hi rows, then lo rows
             self._hi_rows = hi.shape[1]
-            self._encode_extrema(hi, lo)
+            self._set_extrema(np.vstack([hi.T, lo.T]))
             self.kinds.append(MIN_MAX)
 
         self._cols = cols = len(g.links[0])
@@ -289,8 +288,8 @@ class ConsensusEngine:
 
         # The history, one row per tick: its delays (-1 marks ticks before
         # time 0, which no lag matches) and, per kind, its sends as
-        # [component, row * n + sender] (the scaled ratio pairs, the extrema
-        # ranks), in kind order.  A self term is compared only at lag 0, on
+        # [component, row * n + sender] (the scaled ratio pairs, the extrema),
+        # in kind order.  A self term is compared only at lag 0, on
         # a row its block drew, so no pre-start value of it is ever read.
         rows = depth + self._maps.ticks
         self._hist = np.full((rows, len(self.kinds) * cols), -1, dtype=np.min_scalar_type(-depth))
@@ -322,29 +321,23 @@ class ConsensusEngine:
 
     @property
     def hi(self) -> np.ndarray:
-        return self._decode_extrema()[: self._hi_rows].T.copy()
+        return self._ext[: self._hi_rows].T.copy()
 
     @property
     def lo(self) -> np.ndarray:
-        return self._decode_extrema()[self._hi_rows :].T.copy()
+        return self._ext[self._hi_rows :].T.copy()
 
-    def _encode_extrema(self, hi: np.ndarray, lo: np.ndarray) -> None:
-        """Rank each component of a snapshot: ``hi`` ascending, ``lo`` descending."""
-        values = np.vstack([hi.T, lo.T])
-        # one bit pattern per row (the +-inf start, a constant re-seed): every
-        # rank decodes to the same value, so no fold of this epoch changes any
-        bits = values.view(np.uint64)
-        self._ext_fixed = bool((bits == bits[:, :1]).all())
-        order = np.argsort(np.vstack([hi.T, -lo.T]), axis=1, kind="stable")
-        self._ext_table = np.take_along_axis(values, order, axis=1)
-        self._ext = np.empty(order.shape, dtype=np.min_scalar_type(self.n))
-        np.put_along_axis(self._ext, order, np.arange(self.n), axis=1)
-
-    def _decode_extrema(self) -> np.ndarray:
-        return np.take_along_axis(self._ext_table, self._ext, axis=1)
+    def _set_extrema(self, ext: np.ndarray, folded: bool = False) -> None:
+        """The extrema state, fixed for the rest of the epoch if no fold can change it."""
+        self._ext = ext
+        bits = ext.view(np.uint64)
+        # one bit pattern per row: every node holds the row's extreme; after
+        # a fold a zero may still meet the other zero in flight
+        self._ext_fixed = bool((bits == bits[:, :1]).all() and not (folded and (ext[:, 0] == 0.0).any()))
 
     def reseed_extrema(self) -> None:
-        self._encode_extrema(self.z, self.z)
+        z = self.z.T
+        self._set_extrema(np.vstack([z, z]))
         self.epoch_start = self.time
 
     def _arrivals(self, steps: int) -> list[np.ndarray]:
@@ -433,14 +426,13 @@ class ConsensusEngine:
 
     def _fold_extrema(self, sent: np.ndarray, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
         sent[:, sends] = self._ext
-        # into zeros, the lowest rank: every receiver folds its own send
-        self._ext = np.zeros_like(self._ext)
-        for row, arrived in zip(self._ext, sent.take(source, axis=1)):
-            np.maximum.at(row, receiver, arrived)
+        # into each receiver's current state, oldest send first per sender
+        ext = self._ext.copy()
+        for q, (row, sends_q) in enumerate(zip(ext, sent)):
+            extreme = np.maximum if q < self._hi_rows else np.minimum
+            extreme.at(row, receiver, sends_q[source])
         self.extrema_folds += 1
-        # saturated: every node holds every row's top rank, which it folds
-        # back in from itself on each later tick of this epoch
-        self._ext_fixed = bool((self._ext == self.n - 1).all())
+        self._set_extrema(ext, folded=True)
 
     def _trace_lines(self, k0: int, steps: int, arrivals: list[np.ndarray]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
@@ -469,7 +461,7 @@ class ConsensusEngine:
             k = self.time
             converged = False
             if k != 0 and k % round_len == 0:
-                extrema = self._decode_extrema()
+                extrema = self._ext
                 if not np.all(extrema == extrema[:, :1]):
                     raise ProtocolError(f"extrema disagree across nodes at check boundary {k}")
                 check_steps.append(k)

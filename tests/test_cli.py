@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import hashlib
 import os
 import re
@@ -68,10 +69,14 @@ class TestConfigFile:
 
     def test_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "config.txt"
-        # an unknown key, and a typo in a boolean that must not read as false
-        for text in ("nodes=5\nbogus=1\n", "nodes=5\ntrace=ture\n"):
+        # an unknown key, a typo in a boolean that must not read as false, and a repeated key
+        for text, message in (
+            ("nodes=5\nbogus=1\n", "bogus"),
+            ("nodes=5\ntrace=ture\n", "trace"),
+            ("seed=1\nnodes=5\n seed = 2\n", "repeated config key in .*'seed'"),
+        ):
             path.write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=message):
                 ExperimentConfig.from_file(path)
 
     @pytest.mark.parametrize(
@@ -534,8 +539,40 @@ class TestSweep:
             assert (calls / name).read_text() == f"{os.getpid()}\n", name
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="cells run in-process without fork")
+    def test_cells_are_submitted_by_tau_bar_descending_then_epsilon_ascending(self, tmp_path, monkeypatch):
+        submitted = []
+
+        class RecordingPool:
+            """Stands in for the process pool: runs each cell as it is submitted, in this process."""
+
+            def __init__(self, workers, mp_context):
+                pass
+
+            def submit(self, cell, shared, eps, tau):
+                submitted.append((eps, tau))
+                future = concurrent.futures.Future()
+                future.set_result(cell(shared, eps, tau))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_sweep_cell", lambda shared, eps, tau: ("ok", None, None, None))
+        out = tmp_path / "o"
+        assert run_cli(
+            "sweep", "--nodes", "8", "--kmax", "3", "--epsilons", "0.1,0.01,0.05", "--tau-bars", "1,3,2",
+            "--out", str(out),
+        ) == 0
+        assert submitted == [(eps, tau) for tau in (3, 2, 1) for eps in (0.01, 0.05, 0.1)]
+        rows = [row.split(",")[:2] for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows == [[eps, tau] for eps in ("0.1", "0.01", "0.05") for tau in ("1", "3", "2")]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="cells run in-process without fork")
     def test_workers_fork_while_one_thread_runs(self, tmp_path, monkeypatch):
-        # Python 3.12 warns about a fork made while other threads run; this checks that condition
+        # no Python thread besides the main one runs when a worker forks.  This
+        # is not the condition of Python 3.12's fork DeprecationWarning, which
+        # counts OS threads (numpy's BLAS pool among them)
         real_fork, threads = os.fork, []
 
         def fork():

@@ -726,7 +726,7 @@ class TestBlockBoundaries:
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
         assert len(got.check_steps) >= 2
         assert block.trace == ref.trace
-        # distinct starting extrema: a rank lost at a block end shows while they spread
+        # distinct starting extrema: a value lost at a block end shows while they spread
         vals = np.random.default_rng(n).standard_normal((n, 2))
         _, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
         for span in (1, cap - 1, cap, cap + 1, round_len + 1):
@@ -742,23 +742,16 @@ class TestBlockBoundaries:
 class FoldEveryTick(ConsensusEngine):
     """The block engine with the extrema folded on every tick, none skipped."""
 
-    def _encode_extrema(self, hi, lo):
-        super()._encode_extrema(hi, lo)
-        self._ext_fixed = False
-
-    def _fold_extrema(self, *args):
-        super()._fold_extrema(*args)
+    def _set_extrema(self, *args, **kwargs):
+        super()._set_extrema(*args, **kwargs)
         self._ext_fixed = False
 
 
-def assert_same_state(got, want, signed_zeros=True):
-    """Time, z, hi and lo (bytes unless ``signed_zeros`` is false), counters and trace."""
+def assert_same_state(got, want):
+    """Time, z, the hi and lo bytes, counters and trace."""
     assert got.time == want.time
     assert got.z.tobytes() == want.z.tobytes()
-    if signed_zeros:
-        assert got.hi.tobytes() == want.hi.tobytes() and got.lo.tobytes() == want.lo.tobytes()
-    else:
-        assert np.array_equal(got.hi, want.hi) and np.array_equal(got.lo, want.lo)
+    assert got.hi.tobytes() == want.hi.tobytes() and got.lo.tobytes() == want.lo.tobytes()
     assert (got.delivered, got.stale_discarded) == (want.delivered, want.stale_discarded)
     assert got.trace == want.trace
 
@@ -767,8 +760,9 @@ class TestFixedExtrema:
     """Skipping the extrema folds that cannot change the extrema changes no output.
 
     An epoch's extrema are fixed from its start when every row holds one bit
-    pattern (the +-inf start, a constant input), and from the tick every
-    node holds every row's top rank (saturation).
+    pattern (the +-inf start, a constant input), and from the first fold
+    after which every row holds one bit pattern that is not a zero (every
+    node holds the extreme).
     """
 
     @pytest.mark.parametrize("tau_bar", [0, 1, 3, 10])
@@ -826,17 +820,27 @@ class TestFixedExtrema:
             # the maximum of each hi component is a tie of 0.0 and -0.0
             hi0 = -np.abs(rng.standard_normal((n, 2)))
             hi0[::3] = 0.0 * signs[::3]
-        lo0 = np.full((n, 2), -5.0)  # already agreed: only hi's top ranks decide saturation
+        lo0 = np.full((n, 2), -5.0)  # already agreed: only hi decides whether the folds stop
         steps = 3 * (1 + tau_bar) * diameter(graph_for(n, 0.2, 7))
         _, (block, ref, every) = both_engines(
             network, extrema=(hi0, lo0), traced=True, classes=(ConsensusEngine, PerTickEngine, FoldEveryTick)
         )
         for engine in (block, ref, every):
             engine.advance(steps)
-        # the value fold keeps each node's own zero; the rank fold spreads one
-        assert_same_state(block, ref, signed_zeros=False)
+        assert_same_state(block, ref)
         assert_same_state(block, every)
-        assert 0 < block.extrema_folds < steps == every.extrema_folds
+        # a zero of the other sign may still be in flight: a tie at a zero extreme folds on every tick
+        assert block.extrema_folds == steps == every.extrema_folds
+
+    def test_a_zero_in_flight_after_the_rows_agree(self):
+        # every node holds -0.0 after tick 5 while a 0.0 sent before it is
+        # still in flight; where a tie takes the arrival (x86), it lands at tick 6
+        hi0 = np.array([[-0.0], [0.0], [-0.0], [-0.0]])
+        _, (block, ref) = both_engines((4, 0.3, 3, 12), ratio=False, extrema=(hi0, np.full((4, 1), -5.0)))
+        for _ in range(12):
+            block.advance(1)
+            ref.advance(1)
+            assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
 
     @pytest.mark.parametrize("tau_bar", [1, 3, 10])
     def test_constant_reseed(self, tau_bar):
@@ -886,23 +890,51 @@ def signed_values(with_zeros):
 
 
 class TestExtremaFold:
-    """The engine's extrema fold against the per-tick ``ufunc.at`` fold, on mostly distinct values."""
+    """The engine's extrema fold against the per-tick ``ufunc.at`` fold, bit for bit."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(network=networks, data=st.data(), with_zeros=st.booleans(), steps=st.integers(1, 40))
-    def test_matches_ufunc_at(self, network, data, with_zeros, steps):
+    @settings(max_examples=80, deadline=None)
+    @given(network=networks, data=st.data(), with_zeros=st.booleans(), tied=st.booleans(), steps=st.integers(1, 40))
+    def test_matches_ufunc_at(self, network, data, with_zeros, tied, steps):
         n = network[0]
-        rows = st.lists(signed_values(with_zeros), min_size=n * 2, max_size=n * 2)
+        if tied:
+            # few distinct values, so most of them are tied
+            values = st.sampled_from([-np.inf, -2.5, -1.0, 1.0, 2.5, np.inf] + ([0.0, -0.0] if with_zeros else []))
+        else:
+            values = signed_values(with_zeros)
+        rows = st.lists(values, min_size=n * 2, max_size=n * 2)
         hi0 = np.reshape(data.draw(rows), (n, 2))
         lo0 = np.reshape(data.draw(rows), (n, 2))
         _, (block, ref) = both_engines(network, ratio=False, extrema=(hi0, lo0))
         block.advance(steps)
         ref.advance(steps)
-        # fold order decides only the sign of a zero, which == ignores
-        assert np.array_equal(block.hi, ref.hi) and np.array_equal(block.lo, ref.lo)
-        if not with_zeros:
-            assert block.hi.tobytes() == ref.hi.tobytes()
-            assert block.lo.tobytes() == ref.lo.tobytes()
+        assert block.hi.tobytes() == ref.hi.tobytes()
+        assert block.lo.tobytes() == ref.lo.tobytes()
+
+    @pytest.mark.parametrize("tau_bar", [0, 3])
+    def test_three_hundred_distinct_values(self, tau_bar):
+        # the one check against the reference above n=30
+        n = 300
+        g = random_strongly_connected(n, 0.02, seed=9)
+        vals = np.random.default_rng(9).standard_normal((n, 2))
+        for steps in (1, 3, (1 + tau_bar) * diameter(g)):
+            block, ref = (
+                cls(g, DelayModel(tau_bar, seed=10), extrema=(vals, vals + 0.5)) for cls in (ConsensusEngine, PerTickEngine)
+            )
+            block.advance(steps)
+            ref.advance(steps)
+            assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
+
+    def test_reseeds_while_old_extrema_are_in_flight(self):
+        # tau_bar=10: extrema sent before each re-seed are still in flight after it
+        network = (20, 0.2, 10, 3)
+        extrema = (np.full((20, 2), np.inf), np.full((20, 2), -np.inf))
+        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        round_len = 11 * diameter(g)
+        got = block.terminate(0.01, 100_000, round_len)
+        assert_same_result(got, ref.terminate(0.01, 100_000, round_len))
+        assert len(got.check_steps) >= 3 and got.stale_discarded > 0
+        assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
+        assert block.trace == ref.trace
 
 
 class TestInFlightMass:
@@ -961,53 +993,6 @@ class TestCounters:
         width = len(engine.kinds) * (len(g.edges) + g.n)
         assert engine.delays.shape == (tau_bar + 1, width)
         assert (engine.delays == -1).all()
-
-
-class TestRankFold:
-    """The rank-encoded extrema fold against the per-tick ``ufunc.at`` fold of values."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(network=networks, data=st.data(), with_zeros=st.booleans(), steps=st.integers(1, 40))
-    def test_ties_signed_zeros_and_infinities(self, network, data, with_zeros, steps):
-        n = network[0]
-        # few distinct values, so most of them are tied
-        values = [-np.inf, -2.5, -1.0, 1.0, 2.5, np.inf] + ([0.0, -0.0] if with_zeros else [])
-        rows = st.lists(st.sampled_from(values), min_size=n * 2, max_size=n * 2)
-        hi0 = np.reshape(data.draw(rows), (n, 2))
-        lo0 = np.reshape(data.draw(rows), (n, 2))
-        _, (block, ref) = both_engines(network, ratio=False, extrema=(hi0, lo0))
-        block.advance(steps)
-        ref.advance(steps)
-        assert np.array_equal(block.hi, ref.hi) and np.array_equal(block.lo, ref.lo)
-        if not with_zeros:
-            assert block.hi.tobytes() == ref.hi.tobytes()
-            assert block.lo.tobytes() == ref.lo.tobytes()
-
-    @pytest.mark.parametrize("tau_bar", [0, 3])
-    def test_more_nodes_than_one_byte_ranks(self, tau_bar):
-        # 300 distinct values per component: ranks past 255 must survive the fold
-        n = 300
-        g = random_strongly_connected(n, 0.02, seed=9)
-        vals = np.random.default_rng(9).standard_normal((n, 2))
-        for steps in (1, 3, (1 + tau_bar) * diameter(g)):
-            block, ref = (
-                cls(g, DelayModel(tau_bar, seed=10), extrema=(vals, vals + 0.5)) for cls in (ConsensusEngine, PerTickEngine)
-            )
-            block.advance(steps)
-            ref.advance(steps)
-            assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
-
-    def test_reseeds_swap_the_rank_table(self):
-        # tau_bar=10: extrema sent before each re-seed are still in flight after it
-        network = (20, 0.2, 10, 3)
-        extrema = (np.full((20, 2), np.inf), np.full((20, 2), -np.inf))
-        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
-        round_len = 11 * diameter(g)
-        got = block.terminate(0.01, 100_000, round_len)
-        assert_same_result(got, ref.terminate(0.01, 100_000, round_len))
-        assert len(got.check_steps) >= 3 and got.stale_discarded > 0
-        assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
-        assert block.trace == ref.trace
 
 
 class TestSharedLinkTable:
