@@ -889,26 +889,25 @@ def signed_values(with_zeros):
     return values
 
 
+def assert_extrema_fold_matches(network, data, values, steps):
+    n = network[0]
+    rows = st.lists(values, min_size=n * 2, max_size=n * 2)
+    hi0 = np.reshape(data.draw(rows), (n, 2))
+    lo0 = np.reshape(data.draw(rows), (n, 2))
+    _, (block, ref) = both_engines(network, ratio=False, extrema=(hi0, lo0))
+    block.advance(steps)
+    ref.advance(steps)
+    assert block.hi.tobytes() == ref.hi.tobytes()
+    assert block.lo.tobytes() == ref.lo.tobytes()
+
+
 class TestExtremaFold:
     """The engine's extrema fold against the per-tick ``ufunc.at`` fold, bit for bit."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(network=networks, data=st.data(), with_zeros=st.booleans(), tied=st.booleans(), steps=st.integers(1, 40))
-    def test_matches_ufunc_at(self, network, data, with_zeros, tied, steps):
-        n = network[0]
-        if tied:
-            # few distinct values, so most of them are tied
-            values = st.sampled_from([-np.inf, -2.5, -1.0, 1.0, 2.5, np.inf] + ([0.0, -0.0] if with_zeros else []))
-        else:
-            values = signed_values(with_zeros)
-        rows = st.lists(values, min_size=n * 2, max_size=n * 2)
-        hi0 = np.reshape(data.draw(rows), (n, 2))
-        lo0 = np.reshape(data.draw(rows), (n, 2))
-        _, (block, ref) = both_engines(network, ratio=False, extrema=(hi0, lo0))
-        block.advance(steps)
-        ref.advance(steps)
-        assert block.hi.tobytes() == ref.hi.tobytes()
-        assert block.lo.tobytes() == ref.lo.tobytes()
+    @settings(max_examples=40, deadline=None)
+    @given(network=networks, data=st.data(), with_zeros=st.booleans(), steps=st.integers(1, 40))
+    def test_matches_ufunc_at(self, network, data, with_zeros, steps):
+        assert_extrema_fold_matches(network, data, signed_values(with_zeros), steps)
 
     @pytest.mark.parametrize("tau_bar", [0, 3])
     def test_three_hundred_distinct_values(self, tau_bar):
@@ -935,6 +934,17 @@ class TestExtremaFold:
         assert len(got.check_steps) >= 3 and got.stale_discarded > 0
         assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
         assert block.trace == ref.trace
+
+
+class TestRankFold:
+    """The extrema fold where the order of values is delicate: ties, signed zeros and infinities."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(network=networks, data=st.data(), with_zeros=st.booleans(), steps=st.integers(1, 40))
+    def test_ties_signed_zeros_and_infinities(self, network, data, with_zeros, steps):
+        # few distinct values, so most of them are tied
+        values = [-np.inf, -2.5, -1.0, 1.0, 2.5, np.inf] + ([0.0, -0.0] if with_zeros else [])
+        assert_extrema_fold_matches(network, data, st.sampled_from(values), steps)
 
 
 class TestInFlightMass:
