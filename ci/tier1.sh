@@ -9,6 +9,8 @@
 #   oldest-numpy  numpy 1.24, the oldest that pyproject.toml admits
 #   full          as latest, plus the full-size benchmark and the paper-scale
 #                 record (the 3.11 leg: the interpreter the recorded numbers come from)
+# Every leg first prints its machine record: the Python and numpy versions,
+# nproc and the CPU model (the deps step prints the numpy it installed).
 # With no step, every step of the leg runs, in this order:
 #   deps        install numpy, pytest and hypothesis (needs the network)
 #   tests       the tier-1 suite
@@ -34,8 +36,21 @@ if [ "$#" -gt 0 ]; then
   steps=("$@")
 fi
 
+# the machine record every measured number carries
+machine() {
+  python -c 'import platform; print("python", platform.python_version())'
+  numpy_version
+  echo "nproc $(nproc)"
+  echo "cpu $(grep -m1 '^model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//')"
+}
+
+numpy_version() {
+  python -c 'import numpy; print("numpy", numpy.__version__)' 2>/dev/null || echo "numpy not installed"
+}
+
 deps() {
   python -m pip install "numpy$numpy" pytest hypothesis
+  numpy_version
 }
 
 tests() {
@@ -101,6 +116,9 @@ smoke() {
   test -f "$out/one/summary.csv"
 }
 
+echo "::group::machine"
+machine
+echo "::endgroup::"
 for step in "${steps[@]}"; do
   case "$step" in
     deps | tests | bench-tiny | bench-full | results | package | smoke) ;;

@@ -172,6 +172,19 @@ class ConsensusEngine:
     through a column-to-draw map writes them, the self terms reading a zero
     appended to the batch.
 
+    The delays never depend on the state, so a span of two or more blocks
+    (at n=600, where every block is one tick, any span of two or more
+    ticks) draws ahead: its first block draws on the caller's thread, and
+    one helper thread draws and gathers block ``i + 1``'s rows while block
+    ``i`` folds (numpy's bounded-integer fill and ``take`` release the GIL).
+    The one helper draws the blocks in order, so the stream is consumed as
+    on one thread, bit for bit.  A span of one block, such as every round
+    at n=20, starts no thread, and the helper is joined when ``advance``
+    returns or raises, so no thread outlives a span.  Every draw's result is
+    read, so a failed draw reaches the caller, even past a fold that raised
+    (which it then carries as its context).  A block that raises leaves the
+    stream one block ahead: the next block's delays were drawn.
+
     Each block decides its arrivals once: the send made ``lag`` ticks ago on
     a column is consumed now iff its delay equals ``lag``, one comparison
     per lag over every kind's columns (a lag slab over the block's ticks).
@@ -372,12 +385,17 @@ class ConsensusEngine:
         # offsets, and bincount and maximum.at want intp receivers
         return maps.payload_of[flat].astype(np.intp), bounds, maps.receiver_of[flat].astype(np.intp)
 
-    def _block(self, steps: int) -> None:
-        """``steps`` ticks: delays and arrivals once, then the per-tick folds."""
-        n, k0, hist, depth, draws = self.n, self.time, self._hist, self._depth, self._maps.draws
-        drawn = np.zeros((steps, draws + 1), dtype=hist.dtype)  # the last column stays 0
+    def _delay_rows(self, steps: int) -> np.ndarray:
+        """The history rows of the next ``steps`` ticks: one batch of delays, gathered into columns."""
+        draws = self._maps.draws
+        drawn = np.zeros((steps, draws + 1), dtype=self._hist.dtype)  # the last column stays 0
         drawn[:, :draws] = self.dm.sample_many(steps * draws).reshape(steps, draws)
-        np.take(drawn, self._maps.col_draw, axis=1, out=hist[depth : depth + steps])
+        return np.take(drawn, self._maps.col_draw, axis=1)
+
+    def _block(self, steps: int, rows: np.ndarray) -> None:
+        """``steps`` ticks on their delay ``rows``: arrivals once, then the per-tick folds."""
+        n, k0, hist, depth = self.n, self.time, self._hist, self._depth
+        hist[depth : depth + steps] = rows
         arrivals = self._arrivals(steps)
         traced = self.trace is not None
         if traced:  # the trace lists stale extrema too: read before they are dropped
@@ -445,10 +463,27 @@ class ConsensusEngine:
         return [f"{k0 + tt},{s},{r},{KIND_NAMES[q]}" for tt, s, r, q in zip(t, sender, receiver, kind)], bounds
 
     def advance(self, steps: int) -> None:
-        while steps > 0:
-            block = min(steps, self._maps.ticks)
-            self._block(block)
-            steps -= block
+        steps, ticks = _integer(steps, "steps", low=0), self._maps.ticks
+        blocks = [min(ticks, steps - start) for start in range(0, steps, ticks)]
+        if not blocks:
+            return
+        rows = self._delay_rows(blocks[0])
+        if len(blocks) > 1:
+            # imported here: a run whose spans are all one block (every sweep
+            # cell at n=20) never loads it
+            from concurrent.futures import ThreadPoolExecutor
+
+            # one helper draws block i + 1 while block i folds, in order, so the
+            # stream is consumed as on one thread; it is joined when the span
+            # ends, and its every result is read, a fold's raise included
+            with ThreadPoolExecutor(1) as helper:
+                for block, ahead in zip(blocks, blocks[1:]):
+                    drawing = helper.submit(self._delay_rows, ahead)
+                    try:
+                        self._block(block, rows)
+                    finally:
+                        rows = drawing.result()
+        self._block(blocks[-1], rows)
 
     def terminate(self, eps: float, step_cap: int, round_len: int) -> ConsensusResult:
         """Step until the extrema spread drops below ``eps`` at a check boundary.

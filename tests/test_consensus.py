@@ -1,11 +1,14 @@
+import concurrent.futures
 import gc
 import hashlib
 import re
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from asyncadmm import consensus
@@ -739,6 +742,157 @@ class TestBlockBoundaries:
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
 
 
+def history_of(ref, maps):
+    """The reference's delay ring as the block engine keeps its history.
+
+    Oldest tick first, each kind's columns in draw order, self terms 0;
+    valid once ``depth`` ticks have run.
+    """
+    depth = len(ref._lags)
+    ring = ref.delays[(ref.time - depth + np.arange(depth)) % depth]
+    return ring[:, maps.col_draw]
+
+
+class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+    """A thread pool that keeps every future it hands out."""
+
+    futures = []
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+class TestDrawAhead:
+    """A span of several blocks draws each next block on a helper thread.
+
+    One-tick blocks give every span of two or more ticks a helper, which the
+    small digraphs here would otherwise never start, and a tiny switch
+    interval lets the helper and the folds interleave as often as they can.
+    """
+
+    @pytest.fixture(autouse=True)
+    def one_tick_blocks(self, monkeypatch):
+        monkeypatch.setattr(consensus, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(RecordingExecutor, "futures", [])
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def losing_mass(g):
+        """Weights, some negative: network (20, 0.2, 3, 1) loses its mass at tick 6."""
+        return np.random.default_rng(1).uniform(-0.05, 1.0, g.n)
+
+    @staticmethod
+    def assert_same(block, ref):
+        assert block.time == ref.time >= block._depth
+        assert block.z.tobytes() == ref.z.tobytes()
+        assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
+        assert np.array_equal(block.delays, history_of(ref, block._maps))
+        assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
+        assert block.trace == ref.trace
+        # the helper drew ahead, and each of its draws reads back
+        assert RecordingExecutor.futures
+        for future in RecordingExecutor.futures:
+            assert future.result() is not None
+
+    @pytest.mark.parametrize("network", [(20, 0.2, 3, 7), (12, 0.3, 10, 5), (6, 0.5, 0, 2)])
+    def test_terminate(self, network):
+        n, _, tau_bar, _ = network
+        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
+        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        assert block._maps.ticks == 1
+        round_len = (1 + tau_bar) * diameter(g)
+        got = block.terminate(1e-3, 10 * round_len, round_len)
+        assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
+        assert len(got.check_steps) >= 2
+        self.assert_same(block, ref)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(network=networks, spans=st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    def test_advance(self, network, spans):
+        n, _, tau_bar, _ = network
+        vals = np.random.default_rng(n).standard_normal((n, 2))
+        _, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
+        for span in [*spans, tau_bar + 2]:
+            block.advance(span)
+            ref.advance(span)
+        self.assert_same(block, ref)
+
+    def test_nonpositive_mass_inside_a_span(self):
+        _, (block, ref) = both_engines((20, 0.2, 3, 1), traced=True, weights=self.losing_mass)
+        errors = []
+        for engine in (block, ref):
+            with pytest.raises(ProtocolError, match="^nonpositive mass ") as raised:
+                engine.advance(60)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert block.time == ref.time == 6
+        assert block.trace == ref.trace
+        assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
+        # the helper drew the next block before the raise: the stream is one block ahead
+        draws = block._maps.draws
+        assert np.array_equal(block.dm.sample_many(50), ref.dm.sample_many(draws + 50)[draws:])
+        assert len(RecordingExecutor.futures) == 7
+        for future in RecordingExecutor.futures:
+            assert future.result() is not None
+
+    def test_no_thread_outlives_a_span(self):
+        before = threading.enumerate()
+        _, (ok,) = both_engines((20, 0.2, 3, 7), classes=(ConsensusEngine,))
+        ok.advance(30)
+        assert threading.enumerate() == before
+        _, (bad,) = both_engines((20, 0.2, 3, 1), weights=self.losing_mass, classes=(ConsensusEngine,))
+        with pytest.raises(ProtocolError):
+            bad.advance(60)
+        assert threading.enumerate() == before
+        assert len(RecordingExecutor.futures) == 29 + 7
+        for future in RecordingExecutor.futures:
+            assert future.result() is not None
+
+    def test_a_helper_error_reaches_the_caller(self):
+        _, (engine,) = both_engines((20, 0.2, 3, 7), classes=(ConsensusEngine,))
+        draw, on_main = engine._delay_rows, []
+
+        def failing_third_draw(steps):
+            on_main.append(threading.current_thread() is threading.main_thread())
+            if len(on_main) == 3:
+                raise RuntimeError("draw failed")
+            return draw(steps)
+
+        engine._delay_rows = failing_third_draw
+        before = threading.enumerate()
+        with pytest.raises(RuntimeError, match="^draw failed$"):
+            engine.advance(10)
+        assert threading.enumerate() == before
+        # the first block draws on the caller's thread, each next one on the helper
+        assert on_main == [True, False, False]
+        assert engine.time == 2
+
+    def test_a_helper_error_while_a_fold_raises(self):
+        # the draw that fails is the one ahead of the block that loses mass
+        _, (engine,) = both_engines((20, 0.2, 3, 1), weights=self.losing_mass, classes=(ConsensusEngine,))
+        draw, drawn = engine._delay_rows, []
+
+        def failing_eighth_draw(steps):
+            drawn.append(steps)
+            if len(drawn) == 8:
+                raise RuntimeError("draw failed")
+            return draw(steps)
+
+        engine._delay_rows = failing_eighth_draw
+        with pytest.raises(RuntimeError, match="^draw failed$") as raised:
+            engine.advance(60)
+        assert isinstance(raised.value.__context__, ProtocolError)
+        assert engine.time == 6
+
+
 class FoldEveryTick(ConsensusEngine):
     """The block engine with the extrema folded on every tick, none skipped."""
 
@@ -1160,6 +1314,19 @@ class TestRejectsBadInput:
         # no tick ran: the delay stream is untouched
         assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=11).sample_many(50))
         assert run_terminating_consensus(g, w, dm, y0, 0.1, 100_000, graph_diameter=diameter(g)).converged
+
+    @pytest.mark.parametrize("steps,message", [(-3, "must be >= 0, got -3"), (2.5, "must be an integer, got 2.5")])
+    def test_bad_steps(self, steps, message):
+        # unchecked, -3 steps nothing silently and 2.5 fails with a bare TypeError
+        g, w, y0 = seeded_setup(n=8, seed=5)
+        dm = DelayModel(3, seed=11)
+        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        with pytest.raises(ValueError, match=rf"^steps {re.escape(message)}$"):
+            engine.advance(steps)
+        assert engine.time == 0
+        assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=11).sample_many(50))
+        engine.advance(np.int64(0))
+        assert engine.time == 0
 
     @pytest.mark.parametrize("step_cap", [30.5, 30.0, "30"])
     def test_non_integer_step_cap(self, step_cap):
