@@ -29,8 +29,8 @@ class Digraph:
     ``n`` and ``links`` are given: the receiver and sender of every edge and
     self-loop, int32, read-only, by receiver then sender (the edge-list
     file's line order), which everything that reads the topology reads.
-    :attr:`edges` is a derived view for tests and edge counts, and the
-    diameter is kept once :func:`diameter` has computed it, so a pickled copy
+    :attr:`edges` is a derived view that only the traced benchmark's edge
+    count reads, and the diameter is kept once :func:`diameter` has computed it, so a pickled copy
     carries it.  The topology is never mutated, so instances are safe to
     share across threads (two threads may each build a derived view or the
     diameter once; they build equal ones), and compare and hash by identity.

@@ -1,12 +1,13 @@
-"""Test-side references: a view of a digraph, and a solver run's replay.
+"""Test-side references: views of a digraph, and a solver run's replay.
 
-The view is built by a loop over ``g.edges`` alone.  The references in the
-tests (breadth-first diameter, per-sender weights, the per-tick engine, the
-expected sends) read it instead of the digraph's link table, so that no
-reference shares code with the code it checks.  ``g.edges`` is itself a
-view of the link table; ``tests/test_digraph.py`` checks it against the
-pairs a digraph was built from and against the generator's per-pair
-reference loop.
+The references read the digraph's link table through their own loops:
+:func:`edges` walks ``g.links`` pair by pair, and every other view is
+built from it.  The references in the tests (breadth-first diameter,
+per-sender weights, the per-tick engine, the expected sends) read these
+views instead of the arrays the package computes with, so that no
+reference shares code with the code it checks.  ``tests/test_digraph.py``
+checks :func:`edges` against the pairs a digraph was built from and
+against the generator's per-pair reference loop.
 
 A run record keeps its z trajectory but not its x and lam iterates;
 :func:`replay` rebuilds those and checks them against the record.
@@ -17,10 +18,16 @@ import numpy as np
 from asyncadmm.admm import stopping_criterion, x_update
 
 
+def edges(g):
+    """The edges ``(j, i)`` of ``g`` as Python ints: its links less the self-loops."""
+    receiver, sender = g.links
+    return frozenset((j, i) for j, i in zip(receiver.tolist(), sender.tolist()) if j != i)
+
+
 def out_lists(g):
     """``out_lists(g)[i]``: the nodes that node ``i`` transmits to, ascending."""
     outs = [[] for _ in range(g.n)]
-    for j, i in g.edges:
+    for j, i in edges(g):
         outs[i].append(j)
     return [sorted(o) for o in outs]
 

@@ -24,7 +24,7 @@ from asyncadmm.consensus import (
 from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import exact_average, synchronous_ratio_trajectory
-from reference import message_columns, out_lists
+from reference import edges, message_columns, out_lists
 
 # frozen once from the seeded run below; re-runs must reproduce it exactly
 GOLDEN_N20_TAU3_EPS01_STEPS = 32
@@ -492,18 +492,18 @@ class PerTickEngine:
         nodes = np.arange(n, dtype=np.int32)
         edge_sender = np.repeat(nodes, degree)
         edge_receiver = np.array([r for out in outs for r in out], dtype=np.int32)
-        edges = len(edge_sender)
+        m = len(edge_sender)
         first_edge = (np.cumsum(degree, dtype=np.int32) - degree)[edge_sender]
         kind_count = len(self.kinds)
         draw_pos = [
-            np.arange(edges, dtype=np.int32) + (kind_count - 1) * first_edge + q * degree[edge_sender]
+            np.arange(m, dtype=np.int32) + (kind_count - 1) * first_edge + q * degree[edge_sender]
             for q in range(kind_count)
         ]
-        self._draws = kind_count * edges
+        self._draws = kind_count * m
         self._lags = np.arange(depth, dtype=np.int32)
         self.delays = np.full((depth, self._draws + 1), -1, dtype=np.int32)
         self.delays[:, -1] = 0
-        lag = np.concatenate([np.repeat(self._lags, edges), np.zeros(n, dtype=np.int32)])
+        lag = np.concatenate([np.repeat(self._lags, m), np.zeros(n, dtype=np.int32)])
         sender = np.concatenate([np.tile(edge_sender, depth), nodes])
         receiver = np.concatenate([np.tile(edge_receiver, depth), nodes])
         order = np.lexsort((-lag, sender, receiver))
@@ -1143,7 +1143,7 @@ class TestCounters:
         g, w, y0 = seeded_setup(n=12, seed=30)
         res = run_terminating_consensus(g, w, DelayModel(0), y0, 1e-3, 10_000)
         # every node folds one message of each kind from itself and each in-neighbor per tick
-        assert res.delivered == 2 * res.steps * (len(g.edges) + g.n)
+        assert res.delivered == 2 * res.steps * (len(edges(g)) + g.n)
         assert res.stale_discarded == 0
 
     @pytest.mark.parametrize("tau_bar", [0, 3])
@@ -1154,7 +1154,7 @@ class TestCounters:
         extrema = None if kinds == "ratio" else (y0, y0)
         y0, w = (None, None) if kinds == "extrema" else (y0, w)
         engine = ConsensusEngine(g, DelayModel(tau_bar, seed=31), y0=y0, weights=w, extrema=extrema)
-        width = len(engine.kinds) * (len(g.edges) + g.n)
+        width = len(engine.kinds) * (len(edges(g)) + g.n)
         assert engine.delays.shape == (tau_bar + 1, width)
         assert (engine.delays == -1).all()
 
@@ -1175,7 +1175,7 @@ class TestSharedLinkTable:
             dm = DelayModel(tau_bar, seed=11)  # one delay stream across the instances
             results = []
             for y0 in y0s:
-                h = Digraph(g.n, g.edges) if fresh else g
+                h = Digraph(g.n, edges(g)) if fresh else g
                 trace = []
                 res = run_terminating_consensus(h, build_weights(h), dm, y0, 0.01, 100_000, trace=trace)
                 results.append((res, trace))
@@ -1195,7 +1195,7 @@ class TestSharedLinkTable:
             streams = {tau_bar: DelayModel(tau_bar, seed=12) for tau_bar in (0, 3, 10)}  # one per bound
             states = []
             for steps, (tau_bar, kinds) in enumerate(plan, start=5):
-                h = Digraph(g.n, g.edges) if fresh else g
+                h = Digraph(g.n, edges(g)) if fresh else g
                 y0 = None if kinds == "extrema" else vals[0]
                 extrema = None if kinds == "ratio" else (vals[1], vals[1] + 0.5)
                 weights = None if y0 is None else build_weights(h)
@@ -1245,7 +1245,7 @@ class TestSharedLinkTable:
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", 0)
         # the kept maps keep their block length; a fresh digraph's maps read the patched cap
         kept = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
-        h = Digraph(g.n, g.edges)
+        h = Digraph(g.n, edges(g))
         single = ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=build_weights(h), trace=[])
         assert kept._maps is multi._maps and single._maps is not multi._maps
         assert multi._maps.ticks > 1 and single._maps.ticks == 1
@@ -1260,7 +1260,7 @@ class TestSharedLinkTable:
         engines = []
         for entries in (consensus.BLOCK_ENTRIES, 5 * consensus.BLOCK_ENTRIES, 0):
             monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
-            h = Digraph(g.n, g.edges)  # fresh, so its maps read the patched cap
+            h = Digraph(g.n, edges(g))  # fresh, so its maps read the patched cap
             engines.append(ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=w, extrema=extrema, trace=[]))
         short, long, single = engines
         round_len = 4 * diameter(g)
