@@ -73,9 +73,10 @@ bench-full() {
 }
 
 # the paper-scale grid (about 45 s), rerun from results/paper600/command.txt
-# and compared byte for byte
+# and compared byte for byte; its wall time is printed, so a record can be
+# sized from the CI log
 results() {
-  python -m pytest results -q
+  time python -m pytest results -q
 }
 
 # the [project.scripts] entry point, installed the way a user installs it

@@ -28,6 +28,9 @@ __all__ = ["SolverConfig", "RunRecord", "x_update", "stopping_criterion", "run"]
 _INIT_STREAM = 0
 _DELAY_STREAM = 1
 
+# run.csv's columns: k, then the RunRecord lists of the same names
+RUN_COLUMNS = ("k", "objective", "primal_res", "dual_res", "consensus_steps", "gap", "max_node_err")
+
 
 @dataclass
 class SolverConfig:
@@ -128,17 +131,8 @@ class RunRecord:
         return theta + 0.5 * rho * float(np.linalg.norm(self.truth.x_star - self.z_hist[0])) ** 2
 
     def rows(self):
-        """Per iteration: k, objective, primal_res, dual_res, consensus_steps, gap, max_node_err."""
-        for i in range(self.iterations):
-            yield (
-                i + 1,
-                self.objective[i],
-                self.primal_res[i],
-                self.dual_res[i],
-                self.consensus_steps[i],
-                self.gap[i],
-                self.max_node_err[i],
-            )
+        """One tuple per iteration, in :data:`RUN_COLUMNS` order."""
+        return zip(range(1, self.iterations + 1), *(getattr(self, c) for c in RUN_COLUMNS[1:]))
 
 
 def x_update(

@@ -21,7 +21,6 @@ _GRAPH_STREAM = 2
 _INSTANCE_STREAM = 3
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
-RUN_COLUMNS = ("k", "objective", "primal_res", "dual_res", "consensus_steps", "gap", "max_node_err")
 SUMMARY_COLUMNS = (
     "final_objective",
     "oracle_objective",
@@ -169,7 +168,7 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     elapsed = time.perf_counter() - started
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "run.csv", RUN_COLUMNS, record.rows())
+    _write_csv(out / "run.csv", admm.RUN_COLUMNS, record.rows())
     totals = (record.final_objective, record.truth.f_star, record.relative_error)
     steps = (sum(record.consensus_steps), record.mean_consensus_steps)
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [totals + steps])

@@ -64,7 +64,9 @@ class ConsensusResult:
     min/max, self terms included); ``stale_discarded`` counts the extrema
     among them that arrived from before the latest re-seed and were dropped.
     ``extrema_folds`` counts the ticks whose extrema fold ran: the engine
-    skips the folds that cannot change the extrema.
+    skips the folds that cannot change the extrema, which are those after
+    every node holds one non-zero value per row.  A zero extreme folds on
+    every tick.
     """
 
     z: np.ndarray
@@ -114,9 +116,10 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: int) -> _ColumnMaps:
     receiver, sender = g.links
     cols = len(receiver)
     ticks = max(1, BLOCK_ENTRIES // (depth * cols * kinds))
-    # draw order: sender-major, receivers ascending, each self term in place;
-    # node ids in the smallest unsigned type that holds n, uint16 at n=600
-    order = np.argsort(sender.astype(np.int64) * n + receiver)
+    # draw order: sender-major, receivers ascending (the links' order within
+    # a sender), each self term in place; node ids in the smallest unsigned
+    # type that holds n, uint16 at n=600
+    order = np.argsort(sender, kind="stable")
     receiver, sender = (a[order].astype(np.min_scalar_type(n)) for a in (receiver, sender))
     # two maps of ticks * cols * depth entries, payload offsets (below
     # (ticks + depth) * n) and receivers (below n), each in the smallest
@@ -233,20 +236,18 @@ class ConsensusEngine:
     reproducible bit for bit, signed zeros included, in that fold order
     alone.  A NaN, which no comparison orders, is rejected up front.
 
-    An extrema fold runs only while it can change the extrema.  One rule
-    decides that, at the start, at every re-seed and after every fold:
-    every row holds one bit pattern (the ``+inf`` / ``-inf`` start, a
-    constant re-seed, every node holding the extreme).  Each arrival that
-    passes the epoch filter is a copy of a value some node held in this
-    epoch, and a fold replaces a value only by a larger one (smaller, for
-    ``lo``) or by an equal one, so such a row is the epoch's extreme and
-    stays put.  An equal arrival with other bits is a zero of the other
-    sign, and until the first fold of an epoch every send carries the
-    row's one pattern; so after a fold a row of zeros keeps folding.
-    From then to the round's end the ticks skip the fold and its sends, and
-    a block that starts so builds no fold inputs for the extrema: their
-    slabs are only counted and traced.  Every later reader of those sends
-    is a skipped fold or is cut by the epoch filter.
+    An extrema fold runs only while it can change the extrema.  One value
+    rule decides that, at the start, at every re-seed and after every fold:
+    every node holds one non-zero value per row (the ``+inf`` / ``-inf``
+    start, a constant re-seed, every node holding the extreme).  Within an
+    epoch each node's ``hi`` only grows and its ``lo`` only shrinks, and
+    each arrival that passes the epoch filter is a value some node held in
+    this epoch, so such a row is the epoch's extreme, and a tie with a
+    non-zero value leaves its bytes as they are.  Extrema with a zero row
+    are never fixed.  From then to the round's end the ticks skip the fold
+    and its sends, and a block that starts so builds no fold inputs for the
+    extrema: their slabs are only counted and traced.  Every later reader
+    of those sends is a skipped fold or is cut by the epoch filter.
     ``extrema_folds`` counts the folds that ran.
     """
 
@@ -340,13 +341,10 @@ class ConsensusEngine:
     def lo(self) -> np.ndarray:
         return self._ext[self._hi_rows :].T.copy()
 
-    def _set_extrema(self, ext: np.ndarray, folded: bool = False) -> None:
-        """The extrema state, fixed for the rest of the epoch if no fold can change it."""
+    def _set_extrema(self, ext: np.ndarray) -> None:
+        """The extrema state, fixed for the rest of the epoch if every row is one non-zero value."""
         self._ext = ext
-        bits = ext.view(np.uint64)
-        # one bit pattern per row: every node holds the row's extreme; after
-        # a fold a zero may still meet the other zero in flight
-        self._ext_fixed = bool((bits == bits[:, :1]).all() and not (folded and (ext[:, 0] == 0.0).any()))
+        self._ext_fixed = bool((ext == ext[:, :1]).all() and (ext[:, 0] != 0.0).all())
 
     def reseed_extrema(self) -> None:
         z = self.z.T
@@ -450,7 +448,7 @@ class ConsensusEngine:
             extreme = np.maximum if q < self._hi_rows else np.minimum
             extreme.at(row, receiver, sends_q[source])
         self.extrema_folds += 1
-        self._set_extrema(ext, folded=True)
+        self._set_extrema(ext)
 
     def _trace_lines(self, k0: int, steps: int, arrivals: list[np.ndarray]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
@@ -534,7 +532,8 @@ def run_terminating_consensus(
     re-seeds the extrema from the current ratios, so the earliest possible
     exit is the second boundary.  No extrema fold can change that start, so
     the first round runs none, and a later round stops folding once every
-    node holds its extrema (``ConsensusResult.extrema_folds``).  On success
+    node holds its extrema, unless one of them is zero: a zero extreme
+    never stops folding (``ConsensusResult.extrema_folds``).  On success
     every node stops at the same boundary and the final estimates have
     pairwise spread at most ``eps``.
     If ``step_cap`` updates elapse first, the current estimates are returned

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from asyncadmm import cli
-from asyncadmm.admm import RunRecord, SolverConfig, run, stopping_criterion, x_update
+from asyncadmm.admm import RUN_COLUMNS, RunRecord, SolverConfig, run, stopping_criterion, x_update
 from asyncadmm.consensus import run_terminating_consensus
 from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
@@ -267,7 +267,7 @@ class TestRun:
         cfg = SolverConfig(rho=1.0, eps=0.05, tau_bar=1, k_max=10, seed=34)
         rec = run(inst, g, cfg)
         path = tmp_path / "run.csv"
-        cli._write_csv(path, cli.RUN_COLUMNS, rec.rows())
+        cli._write_csv(path, RUN_COLUMNS, rec.rows())
         lines = path.read_text().splitlines()
         assert lines[0] == "k,objective,primal_res,dual_res,consensus_steps,gap,max_node_err"
         assert len(lines) == rec.iterations + 1

@@ -896,8 +896,8 @@ class TestDrawAhead:
 class FoldEveryTick(ConsensusEngine):
     """The block engine with the extrema folded on every tick, none skipped."""
 
-    def _set_extrema(self, *args, **kwargs):
-        super()._set_extrema(*args, **kwargs)
+    def _set_extrema(self, ext):
+        super()._set_extrema(ext)
         self._ext_fixed = False
 
 
@@ -913,10 +913,10 @@ def assert_same_state(got, want):
 class TestFixedExtrema:
     """Skipping the extrema folds that cannot change the extrema changes no output.
 
-    An epoch's extrema are fixed from its start when every row holds one bit
-    pattern (the +-inf start, a constant input), and from the first fold
-    after which every row holds one bit pattern that is not a zero (every
-    node holds the extreme).
+    An epoch's extrema are fixed, at its start or after any fold, when every
+    node holds one non-zero value per row (the +-inf start, a constant
+    input, every node holding the extreme).  Extrema with a zero row fold
+    on every tick.
     """
 
     @pytest.mark.parametrize("tau_bar", [0, 1, 3, 10])
@@ -983,7 +983,7 @@ class TestFixedExtrema:
             engine.advance(steps)
         assert_same_state(block, ref)
         assert_same_state(block, every)
-        # a zero of the other sign may still be in flight: a tie at a zero extreme folds on every tick
+        # a zero extreme is never fixed: it folds on every tick
         assert block.extrema_folds == steps == every.extrema_folds
 
     def test_a_zero_in_flight_after_the_rows_agree(self):
@@ -1020,21 +1020,25 @@ class TestFixedExtrema:
         g = graph_for(n, 0.2, 7)
         bound = (1 + tau_bar) * diameter(g)
         vals = np.random.default_rng(n).standard_normal((n, 2))
-        constant = np.tile([1.5, -0.0], (n, 1))
+        constant = np.tile([1.5, -2.0], (n, 1))
+        zeros = np.tile([0.0, -0.0], (n, 1))
         steps = bound + 5
         folds = []
-        for hi0, lo0 in ((constant, constant), (vals, vals + 0.5)):
-            block, ref = (
-                cls(g, DelayModel(tau_bar, seed=10), extrema=(hi0, lo0), trace=[]) for cls in (ConsensusEngine, PerTickEngine)
+        for hi0, lo0 in ((constant, constant), (zeros, zeros), (vals, vals + 0.5)):
+            block, ref, every = (
+                cls(g, DelayModel(tau_bar, seed=10), extrema=(hi0, lo0), trace=[])
+                for cls in (ConsensusEngine, PerTickEngine, FoldEveryTick)
             )
-            block.advance(steps)
-            ref.advance(steps)
-            assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
-            assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
-            assert block.trace == ref.trace
+            for engine in (block, ref, every):
+                engine.advance(steps)
+            for other in (ref, every):
+                assert block.hi.tobytes() == other.hi.tobytes() and block.lo.tobytes() == other.lo.tobytes()
+                assert (block.delivered, block.stale_discarded) == (other.delivered, other.stale_discarded)
+                assert block.trace == other.trace
             folds.append(block.extrema_folds)
-        # a constant input folds nothing; distinct inputs saturate within the bound, before steps
-        assert folds[0] == 0 and 0 < folds[1] <= bound
+        # a constant non-zero input folds nothing, a constant zero one folds on
+        # every tick; distinct inputs saturate within the bound, before steps
+        assert folds[:2] == [0, steps] and 0 < folds[2] <= bound
 
 def signed_values(with_zeros):
     values = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda v: v != 0.0)
