@@ -10,7 +10,8 @@
 #   full          as latest, plus the full-size benchmark and the paper-scale
 #                 record (the 3.11 leg: the interpreter the recorded numbers come from)
 # Every leg first prints its machine record: the Python and numpy versions,
-# nproc and the CPU model (the deps step prints the numpy it installed).
+# the OS threads a process has after `import numpy`, nproc and the CPU model
+# (the deps step prints the numpy it installed).
 # With no step, every step of the leg runs, in this order:
 #   deps        install numpy, pytest and hypothesis (needs the network)
 #   tests       the tier-1 suite
@@ -40,12 +41,28 @@ fi
 machine() {
   python -c 'import platform; print("python", platform.python_version())'
   numpy_version
+  numpy_threads
   echo "nproc $(nproc)"
   echo "cpu $(grep -m1 '^model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//')"
 }
 
 numpy_version() {
   python -c 'import numpy; print("numpy", numpy.__version__)' 2>/dev/null || echo "numpy not installed"
+}
+
+# the OS threads of a process that has imported numpy (field 20 of
+# /proc/self/stat): the sweep forks its workers from such a process, and
+# Python 3.12 warns at a fork while more than one thread runs
+numpy_threads() {
+  python -c '
+import numpy
+try:
+    stat = open("/proc/self/stat").read()
+except OSError:
+    print("threads after import numpy unknown")
+else:
+    print("threads after import numpy", stat.rpartition(")")[2].split()[17])
+' 2>/dev/null || echo "threads after import numpy unknown (numpy not installed)"
 }
 
 deps() {

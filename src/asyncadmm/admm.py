@@ -229,6 +229,10 @@ def run(
             lam = lam + cfg.rho * (x - z)
         if not np.isfinite(lam).all():
             raise ValueError(f"rho={cfg.rho!r} overflows the dual step lam + rho * (x - z)")
+        with np.errstate(over="ignore"):  # the residual test's dual threshold reads ||lam||
+            lam_overflows = np.linalg.norm(lam) == np.inf
+        if lam_overflows:
+            raise ValueError(f"rho={cfg.rho!r} overflows the residual test's ||lam||")
 
         sum_x += x
         sum_z += z

@@ -200,12 +200,12 @@ class ConsensusEngine:
     each tick's sends carry the state the previous tick produced.
 
     The history is the engine's one time axis: each tick's sends sit on the
-    row of its delays, per kind as ``[component, row * n + sender]``, written
-    once when the tick folds.  Between blocks rows ``0 .. depth - 1`` hold
-    the last ``depth`` ticks (-1 before time 0, which no lag matches); a
-    block writes its ticks behind them, and one shift at the block's end
-    moves the newest ``depth`` rows, delays and sends together, back to the
-    front.  Tick ``t`` of a block consumes sends from rows
+    row of its delays, per kind as ``[..., row * n + sender]`` behind the
+    state's own leading axes, written once when the tick folds.  Between
+    blocks rows ``0 .. depth - 1`` hold the last ``depth`` ticks (-1 before
+    time 0, which no lag matches); a block writes its ticks behind them, and
+    one shift at the block's end moves the newest ``depth`` rows, delays and
+    sends together, back to the front.  Tick ``t`` of a block consumes sends from rows
     ``t + 1 .. t + depth``, so two unsigned maps over a whole block's
     arrival-table offsets ``(t * cols + c) * depth + j``, shared by the
     kinds, give each arrival's payload offset ``(1 + t + j) * n + sender``
@@ -226,28 +226,32 @@ class ConsensusEngine:
 
     Extrema fold over each receiver's arrivals, which always include its own
     lag-0 term, and drop extrema sent before ``epoch_start``, the latest
-    re-seed.  They travel as values, ``hi`` rows then ``lo`` rows, and like
-    the ratio sums each row folds by scatter: one ``maximum.at`` (``hi``) or
-    ``minimum.at`` (``lo``) of the tick's arrivals into a copy of the
-    receivers' current state, each receiver's arrivals by sender, oldest
-    send first.  Only a ``0.0`` / ``-0.0`` tie has two bit patterns, and
-    which one a tie keeps is numpy's choice (on x86 the arrival:
+    re-seed.  They travel as values, one ``[hi | lo, component, node]``
+    array, and like the ratio sums each row folds by scatter: one
+    ``maximum.at`` (``hi``) or ``minimum.at`` (``lo``) of the tick's
+    arrivals into the receivers' current state, in place (the tick's sends
+    already hold its copy), each receiver's arrivals by sender, oldest send
+    first.  Only a ``0.0`` / ``-0.0`` tie has two bit patterns, and which
+    one a tie keeps is numpy's choice (on x86 the arrival:
     ``np.maximum(-0.0, 0.0)`` is ``0.0``), so ``hi`` and ``lo`` are
     reproducible bit for bit, signed zeros included, in that fold order
     alone.  A NaN, which no comparison orders, is rejected up front.
 
-    An extrema fold runs only while it can change the extrema.  One value
-    rule decides that, at the start, at every re-seed and after every fold:
-    every node holds one non-zero value per row (the ``+inf`` / ``-inf``
-    start, a constant re-seed, every node holding the extreme).  Within an
-    epoch each node's ``hi`` only grows and its ``lo`` only shrinks, and
-    each arrival that passes the epoch filter is a value some node held in
-    this epoch, so such a row is the epoch's extreme, and a tie with a
-    non-zero value leaves its bytes as they are.  Extrema with a zero row
-    are never fixed.  From then to the round's end the ticks skip the fold
-    and its sends, and a block that starts so builds no fold inputs for the
-    extrema: their slabs are only counted and traced.  Every later reader
-    of those sends is a skipped fold or is cut by the epoch filter.
+    One setter, ``_set_extrema``, judges the extrema, at the start, at every
+    re-seed and after every fold, and records both facts that are read
+    about them: they agree, every node holding one value per row, which
+    ``terminate`` requires at each check boundary; and they are fixed,
+    agreeing with no row zero (the ``+inf`` / ``-inf`` start, a constant
+    re-seed, every node holding a non-zero extreme).  An extrema fold runs
+    only while it can change the extrema, which is until they are fixed.
+    Within an epoch each node's ``hi`` only grows and its ``lo`` only
+    shrinks, and each arrival that passes the epoch filter is a value some
+    node held in this epoch, so an agreed row is the epoch's extreme, and a
+    tie with a non-zero value leaves its bytes as they are.  Extrema with a
+    zero row are never fixed.  From then to the round's end the ticks skip
+    the fold and its sends, and a block that starts so builds no fold inputs
+    for the extrema: their slabs are only counted and traced.  Every later
+    reader of those sends is a skipped fold or is cut by the epoch filter.
     ``extrema_folds`` counts the folds that ran.
     """
 
@@ -291,9 +295,8 @@ class ConsensusEngine:
                 raise ValueError(f"extrema hi and lo differ in shape: {hi.shape} and {lo.shape}")
             if np.isnan(hi).any() or np.isnan(lo).any():
                 raise ValueError("extrema must not contain NaN")
-            # the extrema state component-major: hi rows, then lo rows
-            self._hi_rows = hi.shape[1]
-            self._set_extrema(np.vstack([hi.T, lo.T]))
+            # the extrema state as [hi | lo, component, node]
+            self._set_extrema(np.stack([hi.T, lo.T]))
             self.kinds.append(MIN_MAX)
 
         self._cols = cols = len(g.links[0])
@@ -302,13 +305,13 @@ class ConsensusEngine:
 
         # The history, one row per tick: its delays (-1 marks ticks before
         # time 0, which no lag matches) and, per kind, its sends as
-        # [component, row * n + sender] (the scaled ratio pairs, the extrema),
-        # in kind order.  A self term is compared only at lag 0, on
+        # [..., row * n + sender] (the scaled ratio pairs [component, ...],
+        # the extrema [hi | lo, component, ...]), in kind order.  A self term is compared only at lag 0, on
         # a row its block drew, so no pre-start value of it is ever read.
         rows = depth + self._maps.ticks
         self._hist = np.full((rows, len(self.kinds) * cols), -1, dtype=np.min_scalar_type(-depth))
         states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
-        self._sent = [np.zeros((len(s), rows * n), dtype=s.dtype) for s in states]
+        self._sent = [np.zeros((*s.shape[:-1], rows * n), dtype=s.dtype) for s in states]
 
     @property
     def y(self) -> np.ndarray:
@@ -335,20 +338,28 @@ class ConsensusEngine:
 
     @property
     def hi(self) -> np.ndarray:
-        return self._ext[: self._hi_rows].T.copy()
+        return self._ext[0].T.copy()
 
     @property
     def lo(self) -> np.ndarray:
-        return self._ext[self._hi_rows :].T.copy()
+        return self._ext[1].T.copy()
 
     def _set_extrema(self, ext: np.ndarray) -> None:
-        """The extrema state, fixed for the rest of the epoch if every row is one non-zero value."""
+        """The extrema, one ``[hi | lo, component, node]`` array, and the one judgement of them.
+
+        Called at the start, at every re-seed and after every fold, which
+        folds into ``ext`` in place.  ``_ext_agree``: every node holds one
+        value per row, as ``terminate`` requires at a check boundary.
+        ``_ext_fixed``: they agree and no row is zero, so no fold can change
+        them for the rest of the epoch.
+        """
         self._ext = ext
-        self._ext_fixed = bool((ext == ext[:, :1]).all() and (ext[:, 0] != 0.0).all())
+        self._ext_agree = bool((ext == ext[..., :1]).all())
+        self._ext_fixed = self._ext_agree and bool((ext[..., 0] != 0.0).all())
 
     def reseed_extrema(self) -> None:
         z = self.z.T
-        self._set_extrema(np.vstack([z, z]))
+        self._set_extrema(np.stack([z, z]))
         self.epoch_start = self.time
 
     def _arrivals(self, steps: int) -> list[np.ndarray]:
@@ -432,7 +443,7 @@ class ConsensusEngine:
         # the newest depth rows to the front (numpy buffers an overlap)
         hist[:depth] = hist[steps : steps + depth]
         for sent in self._sent:
-            sent[:, : depth * n] = sent[:, steps * n : (steps + depth) * n]
+            sent[..., : depth * n] = sent[..., steps * n : (steps + depth) * n]
 
     def _fold_ratio(self, sent: np.ndarray, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
         sent[:, sends] = self._bw * self._yw
@@ -441,14 +452,13 @@ class ConsensusEngine:
             raise ProtocolError(f"nonpositive mass {self.w.min()} after update")
 
     def _fold_extrema(self, sent: np.ndarray, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
-        sent[:, sends] = self._ext
-        # into each receiver's current state, oldest send first per sender
-        ext = self._ext.copy()
-        for q, (row, sends_q) in enumerate(zip(ext, sent)):
-            extreme = np.maximum if q < self._hi_rows else np.minimum
-            extreme.at(row, receiver, sends_q[source])
+        sent[..., sends] = self._ext
+        # in place, since the sends hold this tick's copy; oldest send first per sender
+        for extreme, half, sent_half in zip((np.maximum, np.minimum), self._ext, sent):
+            for row, sends_q in zip(half, sent_half):
+                extreme.at(row, receiver, sends_q[source])
         self.extrema_folds += 1
-        self._set_extrema(ext)
+        self._set_extrema(self._ext)
 
     def _trace_lines(self, k0: int, steps: int, arrivals: list[np.ndarray]):
         """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
@@ -494,11 +504,10 @@ class ConsensusEngine:
             k = self.time
             converged = False
             if k != 0 and k % round_len == 0:
-                extrema = self._ext
-                if not np.all(extrema == extrema[:, :1]):
+                if not self._ext_agree:
                     raise ProtocolError(f"extrema disagree across nodes at check boundary {k}")
                 check_steps.append(k)
-                hi, lo = extrema[: self._hi_rows, 0], extrema[self._hi_rows :, 0]
+                hi, lo = self._ext[..., 0]
                 converged = float(np.linalg.norm(hi - lo)) < eps
                 if not converged:
                     self.reseed_extrema()

@@ -51,9 +51,11 @@ class LeastSquaresInstance:
 
         One stacked solve of the p-by-p normal systems
         ``(A_i^T A_i + rho I) x_i = A_i^T b_i + rho * targets[i]``, each
-        positive definite for any finite rho > 0.  Finite targets and a rho
-        large enough to overflow either side, or the solution, raise
-        ``ValueError`` naming rho.
+        positive definite for any finite rho > 0 that survives rounding on
+        the diagonal.  Finite targets and a rho large enough to overflow
+        either side, or the solution, raise ``ValueError`` naming rho, and
+        so does a rho below the blocks' rounding (``1 + rho == 1`` beside a
+        unit diagonal) that leaves a rank-deficient block's system singular.
         """
         if not rho > 0.0:  # NaN fails every comparison
             raise ValueError(f"rho must be > 0, got {rho}")
@@ -68,7 +70,10 @@ class LeastSquaresInstance:
             rhs = atb + rho * targets
         if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
             raise ValueError(f"rho={rho!r} overflows the prox system")
-        x = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        try:
+            x = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"rho={rho!r} leaves the prox system singular: {exc}") from exc
         if not np.isfinite(x).all():
             raise ValueError(f"rho={rho!r} overflows the prox output")
         return x

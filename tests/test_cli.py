@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import hashlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -66,6 +67,9 @@ class TestConfigFile:
         path = tmp_path / "config.txt"
         cfg.to_file(path)
         assert ExperimentConfig.from_file(path) == cfg
+        # blank lines and # comments are skipped
+        path.write_text("# a comment\n\n  \nnodes=12\n  # indented\nseed=77\n")
+        assert ExperimentConfig.from_file(path) == ExperimentConfig(nodes=12, seed=77)
 
     def test_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -74,6 +78,7 @@ class TestConfigFile:
             ("nodes=5\nbogus=1\n", "bogus"),
             ("nodes=5\ntrace=ture\n", "trace"),
             ("seed=1\nnodes=5\n seed = 2\n", "repeated config key in .*'seed'"),
+            ("nodes=5\nkmax 3\n", "malformed config line in .*'kmax 3'"),
         ):
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
@@ -120,8 +125,9 @@ class TestSettings:
             ("--tau-bars", "abc", "--tau-bars must be an integer, got 'abc'"),
             ("--tau-bars", "1,2.5", "--tau-bars must be an integer, got '2.5'"),
             ("--epsilons", "0.1,x", "--epsilons must be a number, got 'x'"),
+            ("--epsilons", ",", "sweep needs nonempty epsilon and tau_bar lists"),
         ],
-        ids=["tau_bars_abc", "tau_bars_2.5", "epsilons_x"],
+        ids=["tau_bars_abc", "tau_bars_2.5", "epsilons_x", "epsilons_empty"],
     )
     def test_unparsable_sweep_list_item_exits_1_naming_the_flag(self, tmp_path, capsys, flag, value, message):
         lists = {"--epsilons": "0.1", "--tau-bars": "1", flag: value}
@@ -292,10 +298,14 @@ class TestRunOnce:
         assert "error: rho must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "o" / "run.csv").exists()
 
-    @pytest.mark.parametrize("rho,where", [("1e308", "the prox system"), ("1e-320", "the prox target")])
+    @pytest.mark.parametrize(
+        "rho,where", [("1e308", "the prox system"), ("1e-320", "the prox target"), ("1e200", "the residual test")]
+    )
     def test_extreme_finite_rho_exits_1_and_names_it(self, tmp_path, capsys, rho, where):
-        # rho * targets, or lam / rho, overflows; this suite turns the
-        # RuntimeWarning such an overflow used to print into an error
+        # rho * targets, lam / rho, or the residual test's ||lam|| overflows
+        # (past 1.3e154, and at 1e200 the run used to stop early on an
+        # infinite threshold); this suite turns the RuntimeWarning such an
+        # overflow used to print into an error
         code = run_cli(
             "run", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
             "--seed", "4", "--rho", rho, "--out", str(tmp_path / "o"),
@@ -303,6 +313,26 @@ class TestRunOnce:
         assert code == 1
         assert f"error: rho={float(rho)!r} overflows {where}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_rho_that_overflows_the_dual_step_exits_1_and_names_it(self, tmp_path, capsys):
+        # rho * targets is finite (below 0.99 of the largest float), but at
+        # seed 24 one node's x - z is 1.22 times the largest target
+        code = run_cli(
+            "run", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+            "--seed", "24", "--rho", "8.5e307", "--out", str(tmp_path / "o"),
+        )
+        assert code == 1
+        assert "error: rho=8.5e+307 overflows the dual step lam + rho * (x - z)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rho_1e150_keeps_its_iterations(self, tmp_path):
+        # ||lam|| stays below the overflow of its squares: the whole run, as before that check
+        out = tmp_path / "o"
+        assert run_cli(
+            "run", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
+            "--seed", "4", "--rho", "1e150", "--out", str(out),
+        ) == 0
+        assert len((out / "run.csv").read_text().splitlines()) == 1 + 5
 
     @pytest.mark.parametrize(
         "flags", [["--rho", "inf"], ["--mode", "sync_baseline", "--tau-bar", "-1"]], ids=["rho_inf", "sync_tau_bar"]
@@ -475,13 +505,14 @@ class TestSweep:
         assert "--trace is only written by run" in capsys.readouterr().err
         assert not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
 
-    def test_pooled_rows_equal_in_process_cells(self, tmp_path):
+    def test_pooled_rows_equal_in_process_cells(self, tmp_path, monkeypatch):
         eps_list, tau_list = [0.1, -1.0, 0.05], [1, 3, 2]
         out = tmp_path / "sweep"
-        assert run_cli(
+        args = [
             "sweep", "--nodes", "8", "--edge-prob", "0.3", "--dim", "2", "--kmax", "5",
-            "--seed", "2", "--epsilons", "0.1,-1,0.05", "--tau-bars", "1,3,2", "--out", str(out),
-        ) == 0
+            "--seed", "2", "--epsilons", "0.1,-1,0.05", "--tau-bars", "1,3,2",
+        ]
+        assert run_cli(*args, "--out", str(out)) == 0
         cfg = ExperimentConfig(nodes=8, edge_prob=0.3, dim=2, kmax=5, seed=2)
         solver, g, instance = cli.build_problem(cfg)
         shared = (solver, False, g, instance, oracle.centralized_solution(instance))
@@ -490,6 +521,12 @@ class TestSweep:
         assert (out / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2].startswith("error") for row in rows] == [False] * 3 + [True] * 3 + [False] * 3
+        # where the platform cannot fork, the sweep runs the cells in this process
+        methods = [method for method in multiprocessing.get_all_start_methods() if method != "fork"]
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+        assert run_cli(*args, "--out", str(tmp_path / "here")) == 0
+        assert (tmp_path / "here" / "sweep.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="cells run in-process without fork")
     def test_cells_run_in_worker_processes(self, tmp_path, monkeypatch):

@@ -320,6 +320,24 @@ class TestTerminatingConsensus:
         assert runs[1].steps == runs[0].steps
         assert np.array_equal(runs[0].z, runs[1].z)
 
+    def test_disagreeing_extrema_raise_at_the_check_boundary(self):
+        # a one-tick round is far shorter than (1 + tau_bar) * D: the distinct
+        # values cannot have reached every node by the first boundary
+        g = random_strongly_connected(10, 0.1, seed=3)
+        assert diameter(g) == 7
+        vals = np.arange(10.0)[:, None]
+        engine = ConsensusEngine(g, DelayModel(1, seed=1), extrema=(vals, vals))
+        with pytest.raises(ProtocolError, match="^extrema disagree across nodes at check boundary 1$"):
+            engine.terminate(0.1, 100, 1)
+        assert engine.time == 1
+
+    def test_one_dimensional_y0_is_one_column(self):
+        g, w, y0 = seeded_setup(n=8, seed=5, p=1)
+        flat, column = (run_terminating_consensus(g, w, DelayModel(3, seed=11), y, 0.1, 1000) for y in (y0[:, 0], y0))
+        assert flat.z.shape == (8, 1)
+        assert flat.z.tobytes() == column.z.tobytes()
+        assert (flat.steps, flat.check_steps) == (column.steps, column.check_steps)
+
     def test_golden_extrema_folds(self):
         g = random_strongly_connected(20, 0.2, seed=7)
         y0 = np.random.default_rng(42).standard_normal((20, 3))
@@ -1359,6 +1377,15 @@ class TestRejectsBadInput:
         dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match=r"extrema hi and lo differ in shape: \(3, 2\) and \(3, 1\)"):
             ConsensusEngine(three_cycle(), dm, extrema=(vals, vals[:, :1]))
+        assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))
+
+    @pytest.mark.parametrize("kind", ["y0", "extrema"])
+    def test_rows_of_another_count(self, kind):
+        rows = np.ones((4, 1))
+        given = {"y0": rows, "weights": np.full(3, 0.5)} if kind == "y0" else {"extrema": (rows, rows)}
+        dm = DelayModel(2, seed=0)
+        with pytest.raises(ValueError, match=f"^{kind} has 4 rows for a 3-node digraph$"):
+            ConsensusEngine(three_cycle(), dm, **given)
         assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))
 
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 3)], ids=["2", "4", "3x3"])

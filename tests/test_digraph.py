@@ -2,6 +2,7 @@ from collections import deque
 from pathlib import Path
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ class TestDigraph:
         ):
             with pytest.raises(ValueError, match=r"edge \("):
                 Digraph(3, bad)
+
+    @pytest.mark.parametrize("bad", [np.array([0, 1, 2]), np.zeros((2, 3), dtype=int)], ids=["1d", "3_columns"])
+    def test_rejects_edges_that_are_not_pairs(self, bad):
+        message = f"edges must be (j, i) pairs, got an array of shape {bad.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Digraph(3, bad)
 
     def test_array_tuples_and_repeats_give_the_same_links(self):
         g = random_strongly_connected(30, 0.2, seed=5)

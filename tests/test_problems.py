@@ -48,6 +48,17 @@ class TestLsProx:
         with pytest.raises(ValueError, match=r"^rho=1e\+308 overflows the prox system$"):
             single_node(np.eye(2), np.zeros(2)).prox(np.full((1, 2), 10.0), rho=1e308)
 
+    def test_names_a_rho_whose_solution_overflows(self):
+        # both sides finite; x_1 = 1.5e308 + 1e308 / (2 + rho) is not
+        inst = LeastSquaresInstance(a=np.ones((1, 1, 2)), b=np.full((1, 1), 1e308))
+        with pytest.raises(ValueError, match=r"^rho=0\.001 overflows the prox output$"):
+            inst.prox(np.array([[1.5e308, -1.5e308]]), rho=1e-3)
+
+    def test_names_a_rho_that_leaves_the_system_singular(self):
+        # 1 + 1e-300 == 1: the rank-one block's system is exactly [[1, 1], [1, 1]]
+        with pytest.raises(ValueError, match=r"^rho=1e-300 leaves the prox system singular"):
+            LeastSquaresInstance(a=np.ones((1, 1, 2)), b=np.ones((1, 1))).prox(np.zeros((1, 2)), 1e-300)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_targets(self, bad):
         with pytest.raises(ValueError, match="^prox targets must be finite$"):
@@ -180,3 +191,7 @@ class TestInstanceIO:
     def test_instance_validates_shapes(self):
         with pytest.raises(ValueError):
             LeastSquaresInstance(a=np.zeros((2, 3, 3)), b=np.zeros((3, 3)))
+        # a 2-D a, a 3-D b
+        for a_shape, b_shape in (((3, 3), (3, 3)), ((2, 3, 3), (2, 3, 1))):
+            with pytest.raises(ValueError, match=r"^expected a \(n,q,p\) and b \(n,q\)"):
+                LeastSquaresInstance(a=np.zeros(a_shape), b=np.zeros(b_shape))
