@@ -108,6 +108,9 @@ smoke() {
   asyncadmm run --help
   asyncadmm sweep --help
   asyncadmm run --nodes 8 --kmax 3 --out "$out/run"
+  # the exact-averaging baseline, whose record keeps one z row per iteration
+  asyncadmm run --mode sync_baseline --nodes 8 --kmax 3 --out "$out/sync"
+  test -f "$out/sync/summary.csv"
   asyncadmm sweep --nodes 8 --kmax 3 --epsilons 0.1 --tau-bars 3 --out "$out/sweep"
   # four cells in the worker pool, submitted by tau_bar descending, then epsilon
   # ascending; the rows come back in key order

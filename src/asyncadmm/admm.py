@@ -79,7 +79,9 @@ class RunRecord:
     ``z_hist[k]`` is ``z_k``, ``z_hist[0]`` the random start ``z0``.  The
     iterates ``x_k`` and ``lam_k`` are not kept: they follow from ``lam0``
     and ``z_hist`` as ``x_k = x_update(problem, lam_{k-1}, z_{k-1}, rho)``
-    and ``lam_k = lam_{k-1} + rho * (x_k - z_k)``.
+    and ``lam_k = lam_{k-1} + rho * (x_k - z_k)``.  In exact-averaging mode
+    every node holds one average, so ``z_hist[1:]`` are read-only views of
+    one ``(p,)`` row broadcast to ``(n, p)``: copy one before writing to it.
     """
 
     config: SolverConfig
@@ -219,12 +221,17 @@ def run(
         y0 = x + lam / cfg.rho
         z_prev = z
         if exact_averaging:
-            z = np.tile(oracle_mod.exact_average(y0), (n, 1))
+            avg = oracle_mod.exact_average(y0)
+            # the arithmetic below reads a contiguous z faster; the record
+            # keeps one row, broadcast (read-only) to n
+            z = np.tile(avg, (n, 1))
+            z_kept = np.broadcast_to(avg, (n, p))
             steps, converged = 0, True
         else:
             # on a cap hit the capped estimates are kept and the event recorded
             res = run_terminating_consensus(g, weights, dm, y0, cfg.eps, cfg.step_cap, trace=trace)
             z, steps, converged = res.z, res.steps, res.converged
+            z_kept = z
         with np.errstate(over="ignore"):
             lam = lam + cfg.rho * (x - z)
         if not np.isfinite(lam).all():
@@ -253,7 +260,7 @@ def run(
         record.gap.append(gap)
         record.max_node_err.append(float(np.max(np.linalg.norm(x - truth.x_star, axis=1))))
         record.capped.append(not converged)
-        record.z_hist.append(z)
+        record.z_hist.append(z_kept)
 
         if stopping_criterion(x, z, lam, primal, dual, cfg.eps_abs, cfg.eps_rel):
             record.stopped_early = True

@@ -160,7 +160,10 @@ class ConsensusEngine:
     Each receiver then folds whatever is due.  The ratio kind is present when
     ``y0`` is given, with ``weights`` the ``(n,)`` vector of per-sender
     weights (:func:`~asyncadmm.digraph.build_weights`); the min/max kind is
-    present when ``extrema`` is.  An engine without either is a ``ValueError``.
+    present when ``extrema`` is.  An engine without either is a ``ValueError``,
+    and so are ``y0`` or ``weights`` that are not all finite.  Negative
+    finite weights are accepted; a mass they drive to zero or below raises
+    ``ProtocolError`` at the tick it happens.
 
     The engine steps in blocks: runs of ticks with a fixed ``epoch_start``
     (``terminate`` runs one per round, ``advance`` one per span), each cut
@@ -288,6 +291,9 @@ class ConsensusEngine:
             self._bw = np.asarray(weights, dtype=float)
             if self._bw.shape != (n,):
                 raise ValueError(f"weights has shape {self._bw.shape} for a {n}-node digraph")
+            # a NaN mass would pass the nonpositive-mass check; negative weights stay legal
+            if not np.isfinite(self._bw).all():
+                raise ValueError("weights must be finite")
             self.kinds.append(RATIO)
         if extrema is not None:
             hi, lo = (_rows(a, n, "extrema") for a in extrema)
@@ -553,6 +559,10 @@ def run_terminating_consensus(
     y0 : ndarray, shape (n, p)
         Initial numerator rows, all finite (else ``ValueError``); masses
         start at one.
+    weights : ndarray, shape (n,)
+        Per-sender broadcast weights, all finite (else ``ValueError``).
+        Negative ones are accepted; a mass they drive to zero or below
+        raises ``ProtocolError``.
     eps : float
         Spread tolerance (2-norm over the ``p`` components), must be > 0.
     step_cap : int

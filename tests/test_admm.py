@@ -238,6 +238,18 @@ class TestRun:
         assert floats <= (rec.iterations + 3) * g.n * inst.p + inst.p
         replay(inst, rec)  # the record still holds what x and lam are rebuilt from
 
+    def test_exact_averaging_record_keeps_one_row_per_iteration(self):
+        g, inst = seeded_problem(n=12, graph_seed=41, inst_seed=42)
+        cfg = SolverConfig(rho=1.0, k_max=25, seed=43, eps_abs=0, eps_rel=0)
+        rec = run(inst, g, cfg, exact_averaging=True)
+        assert rec.iterations == 25
+        for z in rec.z_hist[1:]:
+            assert z.shape == (g.n, inst.p)
+            assert z.strides[0] == 0
+            assert not z.flags.writeable
+            assert z.tobytes() == np.tile(z[0], (g.n, 1)).tobytes()
+        replay(inst, rec)
+
     def test_cap_events_recorded_but_run_continues(self):
         g, inst = seeded_problem(n=10, graph_seed=25, inst_seed=26)
         cfg = SolverConfig(rho=1.0, eps=1e-12, tau_bar=3, k_max=8, seed=27, step_cap=20)

@@ -1313,6 +1313,22 @@ class TestRejectsBadInput:
         # no tick ran: the delay stream is untouched
         assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=11).sample_many(50))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weights(self, bad):
+        # unchecked, a NaN mass passes the nonpositive-mass check, and the
+        # terminating run fails late with extrema that disagree at a check boundary
+        g = random_strongly_connected(8, 0.3, seed=1)
+        w = build_weights(g).copy()
+        w[2] = bad
+        y0 = np.random.default_rng(0).standard_normal((8, 3))
+        dm = DelayModel(2, seed=1)
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            run_terminating_consensus(g, w, dm, y0, 0.1, 200)
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            ConsensusEngine(g, dm, y0=y0, weights=w)
+        # no tick ran: the delay stream is untouched
+        assert np.array_equal(dm.sample_many(50), DelayModel(2, seed=1).sample_many(50))
+
     def test_engine_without_kinds(self):
         # it would only keep time: no caller builds one
         dm = DelayModel(3, seed=31)
