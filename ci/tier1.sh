@@ -10,8 +10,10 @@
 #   full          as latest, plus the full-size benchmark and the paper-scale
 #                 record (the 3.11 leg: the interpreter the recorded numbers come from)
 # Every leg first prints its machine record: the Python and numpy versions,
-# the OS threads a process has after `import numpy`, nproc and the CPU model
-# (the deps step prints the numpy it installed).
+# whether Python writes bytecode (with PYTHONDONTWRITEBYTECODE set, every fresh
+# process compiles the package again, inside the benchmark's setup_s), the OS
+# threads a process has after `import numpy`, nproc and the CPU model (the deps
+# step prints the numpy it installed).
 # With no step, every step of the leg runs, in this order:
 #   deps        install numpy, pytest and hypothesis (needs the network)
 #   tests       the tier-1 suite
@@ -41,6 +43,7 @@ fi
 machine() {
   python -c 'import platform; print("python", platform.python_version())'
   numpy_version
+  python -c 'import sys; print("dont_write_bytecode", sys.flags.dont_write_bytecode)'
   numpy_threads
   echo "nproc $(nproc)"
   echo "cpu $(grep -m1 '^model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//')"

@@ -89,16 +89,15 @@ class _ColumnMaps:
     order).  ``payload_of`` and ``receiver_of`` cover the arrival tables of a
     block: offset ``(t * cols + c) * depth + j`` maps to the payload's
     history offset ``(1 + t + j) * n + sender`` and to the receiver.
-    ``col_draw`` maps every history column to its delay's batch position,
-    ``draws`` for a self term (the zero past the batch's end).
+    ``draw_col`` holds the history column of every delay a tick draws, in
+    draw order (sender, then kind, then receiver); no self term is among them.
     """
 
     receiver: np.ndarray
     sender: np.ndarray
     payload_of: np.ndarray
     receiver_of: np.ndarray
-    col_draw: np.ndarray
-    draws: int
+    draw_col: np.ndarray
     ticks: int
 
 
@@ -127,17 +126,14 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: int) -> _ColumnMaps:
     rows = (1 + np.add.outer(np.arange(ticks), np.arange(depth))) * n  # [tick, lag]
     payload_of = (rows[:, None, :] + sender[:, None]).astype(np.min_scalar_type((ticks + depth) * n)).ravel()
     receiver_of = np.tile(np.repeat(receiver, depth), ticks)
-    # delay column -> batch position: the edge columns kind-major, sorted
-    # stably by sender; self-term columns read the zero past the batch's end
+    # batch position -> delay column: the edge columns kind-major, sorted
+    # stably by sender; intp, so a scatter through it copies no index
     edge = np.flatnonzero(receiver != sender)
-    edge_cols = np.add.outer(np.arange(kinds, dtype=np.int32) * cols, edge).ravel()
+    edge_cols = np.add.outer(np.arange(kinds, dtype=np.intp) * cols, edge).ravel()
     draw_col = edge_cols[np.argsort(np.tile(sender[edge], kinds), kind="stable")]
-    draws = len(draw_col)
-    col_draw = np.full(kinds * cols, draws, dtype=np.int32)
-    col_draw[draw_col] = np.arange(draws, dtype=np.int32)
-    for a in (receiver, sender, payload_of, receiver_of, col_draw):
+    for a in (receiver, sender, payload_of, receiver_of, draw_col):
         a.flags.writeable = False
-    maps = _ColumnMaps(receiver, sender, payload_of, receiver_of, col_draw, draws, ticks)
+    maps = _ColumnMaps(receiver, sender, payload_of, receiver_of, draw_col, ticks)
     by_key[tau_bar, kinds] = maps
     return maps
 
@@ -174,15 +170,15 @@ class ConsensusEngine:
     land in a per-tick history whose columns, per kind, are the digraph's
     links (the edges and every node's self term, delay 0), in one order for
     every kind: the draw order (sender, then receiver, each self term in
-    place), as the protocol sends both kinds on one schedule.  One gather
-    through a column-to-draw map writes them, the self terms reading a zero
-    appended to the batch.
+    place), as the protocol sends both kinds on one schedule.  One scatter
+    through a draw-to-column map writes them into zeroed rows, so the self
+    terms stay 0.
 
     The delays never depend on the state, so a span of two or more blocks
     (at n=600, where every block is one tick, any span of two or more
     ticks) draws ahead: its first block draws on the caller's thread, and
-    one helper thread draws and gathers block ``i + 1``'s rows while block
-    ``i`` folds (numpy's bounded-integer fill and ``take`` release the GIL).
+    one helper thread draws and scatters block ``i + 1``'s rows while block
+    ``i`` folds (numpy's bounded-integer fill and the scatter release the GIL).
     The one helper draws the blocks in order, so the stream is consumed as
     on one thread, bit for bit.  A span of one block, such as every round
     at n=20, starts no thread, and the helper is joined when ``advance``
@@ -212,7 +208,7 @@ class ConsensusEngine:
     ``t + 1 .. t + depth``, so two unsigned maps over a whole block's
     arrival-table offsets ``(t * cols + c) * depth + j``, shared by the
     kinds, give each arrival's payload offset ``(1 + t + j) * n + sender``
-    and its receiver.  These maps, the column-to-draw map and the block
+    and its receiver.  These maps, the draw-to-column map and the block
     length, which reads ``BLOCK_ENTRIES``, depend only on the digraph,
     ``tau_bar`` and the number of kinds, so they are built once per such
     triple and kept while the digraph lives: every instance of a solver run
@@ -401,11 +397,11 @@ class ConsensusEngine:
         return maps.payload_of[flat].astype(np.intp), bounds, maps.receiver_of[flat].astype(np.intp)
 
     def _delay_rows(self, steps: int) -> np.ndarray:
-        """The history rows of the next ``steps`` ticks: one batch of delays, gathered into columns."""
-        draws = self._maps.draws
-        drawn = np.zeros((steps, draws + 1), dtype=self._hist.dtype)  # the last column stays 0
-        drawn[:, :draws] = self.dm.sample_many(steps * draws).reshape(steps, draws)
-        return np.take(drawn, self._maps.col_draw, axis=1)
+        """The history rows of the next ``steps`` ticks: one batch of delays, scattered into columns."""
+        draw_col = self._maps.draw_col
+        rows = np.zeros((steps, self._hist.shape[1]), dtype=self._hist.dtype)  # self terms stay 0
+        rows[:, draw_col] = self.dm.sample_many(steps * len(draw_col)).reshape(steps, -1)
+        return rows
 
     def _block(self, steps: int, rows: np.ndarray) -> None:
         """``steps`` ticks on their delay ``rows``: arrivals once, then the per-tick folds."""

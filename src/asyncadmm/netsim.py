@@ -49,10 +49,12 @@ class DelayModel:
 def _integer(value, name: str, low: int | None = None) -> int:
     """``value`` as an int (numpy integers pass), at least ``low`` if given.
 
-    Anything else raises ``ValueError`` naming ``name``: the one integer check
-    of the package.
+    Anything else, a bool included, raises ``ValueError`` naming ``name``: the
+    one integer check of the package.
     """
     try:
+        if isinstance(value, bool):  # operator.index takes True as 1
+            raise TypeError
         value = operator.index(value)  # a cast would truncate 2.5 to 2 silently
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

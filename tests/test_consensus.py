@@ -4,6 +4,7 @@ import hashlib
 import re
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -478,6 +479,22 @@ class TestPaperScale:
         assert got == GOLDEN_PAPER600[tau_bar][:5]
         assert hashlib.sha256(res.z.tobytes()).hexdigest() == GOLDEN_PAPER600[tau_bar][5]
 
+    def test_one_draw_allocates_its_batch_and_rows_only(self, inputs):
+        g, w, y0 = inputs
+        engine = ConsensusEngine(g, DelayModel(3), y0=y0, weights=w, extrema=(y0, y0))
+        cols = len(g.links[0])
+        # one tick's int32 delays, one per edge and kind, and its int8 row over
+        # both kinds' columns, plus 64 KiB: no room for a per-draw index copy (1.17 MB)
+        assert engine._hist.dtype == np.int8
+        bound = 4 * 2 * (cols - g.n) + 2 * cols + (64 << 10)
+        tracemalloc.start()
+        try:
+            engine._delay_rows(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound == 789_086
+
 
 class PerTickEngine:
     """Reference: the engine as it stepped before block stepping.
@@ -517,6 +534,7 @@ class PerTickEngine:
             np.arange(m, dtype=np.int32) + (kind_count - 1) * first_edge + q * degree[edge_sender]
             for q in range(kind_count)
         ]
+        self._draw_pos = draw_pos
         self._draws = kind_count * m
         self._lags = np.arange(depth, dtype=np.int32)
         self.delays = np.full((depth, self._draws + 1), -1, dtype=np.int32)
@@ -760,15 +778,22 @@ class TestBlockBoundaries:
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
 
 
-def history_of(ref, maps):
+def history_of(ref, g):
     """The reference's delay ring as the block engine keeps its history.
 
-    Oldest tick first, each kind's columns in draw order, self terms 0;
-    valid once ``depth`` ticks have run.
+    Oldest tick first; per kind, the columns of ``message_columns(g)``, each
+    edge read at the reference's own draw position for it and each self term
+    at the ring's zero column; valid once ``depth`` ticks have run.
     """
     depth = len(ref._lags)
     ring = ref.delays[(ref.time - depth + np.arange(depth)) % depth]
-    return ring[:, maps.col_draw]
+    is_edge = np.array([r != s for r, s in message_columns(g)])
+    columns = []
+    for pos in ref._draw_pos:  # edges by sender, then receiver: message_columns' order
+        col = np.full(len(is_edge), ref._draws)
+        col[is_edge] = pos
+        columns.append(col)
+    return ring[:, np.concatenate(columns)]
 
 
 class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
@@ -808,11 +833,11 @@ class TestDrawAhead:
         return np.random.default_rng(1).uniform(-0.05, 1.0, g.n)
 
     @staticmethod
-    def assert_same(block, ref):
+    def assert_same(g, block, ref):
         assert block.time == ref.time >= block._depth
         assert block.z.tobytes() == ref.z.tobytes()
         assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
-        assert np.array_equal(block.delays, history_of(ref, block._maps))
+        assert np.array_equal(block.delays, history_of(ref, g))
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
         assert block.trace == ref.trace
         # the helper drew ahead, and each of its draws reads back
@@ -830,18 +855,18 @@ class TestDrawAhead:
         got = block.terminate(1e-3, 10 * round_len, round_len)
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
         assert len(got.check_steps) >= 2
-        self.assert_same(block, ref)
+        self.assert_same(g, block, ref)
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(network=networks, spans=st.lists(st.integers(0, 30), min_size=1, max_size=4))
     def test_advance(self, network, spans):
         n, _, tau_bar, _ = network
         vals = np.random.default_rng(n).standard_normal((n, 2))
-        _, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
+        g, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
         for span in [*spans, tau_bar + 2]:
             block.advance(span)
             ref.advance(span)
-        self.assert_same(block, ref)
+        self.assert_same(g, block, ref)
 
     def test_nonpositive_mass_inside_a_span(self):
         _, (block, ref) = both_engines((20, 0.2, 3, 1), traced=True, weights=self.losing_mass)
@@ -855,7 +880,7 @@ class TestDrawAhead:
         assert block.trace == ref.trace
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
         # the helper drew the next block before the raise: the stream is one block ahead
-        draws = block._maps.draws
+        draws = ref._draws
         assert np.array_equal(block.dm.sample_many(50), ref.dm.sample_many(draws + 50)[draws:])
         assert len(RecordingExecutor.futures) == 7
         for future in RecordingExecutor.futures:
@@ -1251,6 +1276,31 @@ class TestSharedLinkTable:
         engine.advance(5)
         assert np.array_equal(engine._hist[: engine._depth], engine.delays)
         assert engine.delays.shape == (4, 2 * len(message_columns(g)))
+
+    @pytest.mark.parametrize("network", [(20, 0.2, 3, 7), (12, 0.3, 10, 5), (1, 0.0, 3, 2)])
+    @pytest.mark.parametrize("ratio,extrema", [(True, True), (True, False), (False, True)])
+    def test_each_edge_column_draws_once_in_stream_order(self, network, ratio, extrema):
+        n, _, tau_bar, seed = network
+        vals = np.random.default_rng(seed).standard_normal((n, 2))
+        g, (engine,) = both_engines(
+            network, ratio=ratio, extrema=(vals, vals) if extrema else None, classes=(ConsensusEngine,)
+        )
+        columns = message_columns(g)
+        kinds, cols = ratio + extrema, len(columns)
+        self_cols = [q * cols + c for q in range(kinds) for c, (r, s) in enumerate(columns) if r == s]
+        # every edge column of each kind once, no self term, in the stream's
+        # order: sender, then kind, then receiver
+        stream = [
+            q * cols + c for i in range(n) for q in range(kinds) for c, (r, s) in enumerate(columns) if s == i != r
+        ]
+        draw_col = engine._maps.draw_col
+        assert draw_col.tolist() == stream
+        assert draw_col.dtype == np.intp and not draw_col.flags.writeable
+        rows = engine._delay_rows(3)
+        drawn = DelayModel(tau_bar, seed=seed + 1).sample_many(3 * len(stream)).reshape(3, -1)
+        assert rows.shape == (3, kinds * cols) and rows.dtype == engine._hist.dtype
+        assert np.array_equal(rows[:, stream], drawn)
+        assert not rows[:, self_cols].any()
 
     def test_dropping_a_digraph_drops_its_maps(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)

@@ -151,7 +151,7 @@ class TestInteger:
         with pytest.raises(ValueError, match=rf"^x must be >= {low}, got {int(value)}$"):
             _integer(value, "x", low=low)
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, np.float64(1.0)])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None, np.float64(1.0), True, False, np.True_])
     def test_a_non_integer_fails_before_the_bound(self, value):
         with pytest.raises(ValueError, match=rf"^x must be an integer, got {re.escape(repr(value))}$"):
             _integer(value, "x", low=0)
@@ -160,6 +160,7 @@ class TestInteger:
         "call,message",
         [
             (lambda: DelayModel(np.int64(-1)), "tau_bar must be >= 0, got -1"),
+            (lambda: DelayModel(True), "tau_bar must be an integer, got True"),
             (lambda: SolverConfig(k_max=0), "k_max must be >= 1, got 0"),
             (lambda: SolverConfig(step_cap=np.int32(0)), "step_cap must be >= 1, got 0"),
             (lambda: SolverConfig(seed=np.int64(-1)), "seed must be >= 0, got -1"),
@@ -177,7 +178,7 @@ class TestInteger:
             (lambda: random_strongly_connected(np.int64(1), 0.2, 1), "generator needs n >= 2, got 1"),
             (lambda: generate_ls(3, np.int32(0), 2, 1), "dimensions must be >= 1, got n=3, p=0, q=2"),
         ],
-        ids=["delay_tau_bar", "k_max", "step_cap", "seed", "solver_tau_bar", "consensus_step_cap",
+        ids=["delay_tau_bar", "delay_tau_bar_bool", "k_max", "step_cap", "seed", "solver_tau_bar", "consensus_step_cap",
              "graph_diameter", "oracle_k", "oracle_k_float", "digraph_n", "generator_n", "ls_n", "ls_p", "ls_q",
              "digraph_n_range", "generator_n_range", "ls_range"],
     )
