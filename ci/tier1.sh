@@ -16,6 +16,8 @@
 # step prints the numpy it installed).
 # With no step, every step of the leg runs, in this order:
 #   deps        install numpy, pytest and hypothesis (needs the network)
+#   lines       each package module's code lines (ci/code_lines.py: no blank,
+#               comment or docstring lines), the count a simplicity change reports
 #   tests       the tier-1 suite
 #   bench-tiny  the untraced benchmark command on every workload at size tiny
 #   bench-full  the same at full size (full leg only)
@@ -30,9 +32,9 @@ cd "$(dirname "$0")/.."
 leg="${1:?usage: ci/tier1.sh <latest|oldest-numpy|full> [step ...]}"
 shift
 case "$leg" in
-  latest) numpy=">=1.24" steps=(deps tests bench-tiny package smoke) ;;
-  oldest-numpy) numpy="==1.24.*" steps=(deps tests bench-tiny package smoke) ;;
-  full) numpy=">=1.24" steps=(deps tests bench-tiny bench-full results package smoke) ;;
+  latest) numpy=">=1.24" steps=(deps lines tests bench-tiny package smoke) ;;
+  oldest-numpy) numpy="==1.24.*" steps=(deps lines tests bench-tiny package smoke) ;;
+  full) numpy=">=1.24" steps=(deps lines tests bench-tiny bench-full results package smoke) ;;
   *) echo "unknown leg: $leg" >&2; exit 2 ;;
 esac
 if [ "$#" -gt 0 ]; then
@@ -71,6 +73,10 @@ else:
 deps() {
   python -m pip install "numpy$numpy" pytest hypothesis
   numpy_version
+}
+
+lines() {
+  python ci/code_lines.py src/asyncadmm
 }
 
 tests() {
@@ -145,7 +151,7 @@ machine
 echo "::endgroup::"
 for step in "${steps[@]}"; do
   case "$step" in
-    deps | tests | bench-tiny | bench-full | results | package | smoke) ;;
+    deps | lines | tests | bench-tiny | bench-full | results | package | smoke) ;;
     *) echo "unknown step: $step" >&2; exit 2 ;;
   esac
   echo "::group::$step"

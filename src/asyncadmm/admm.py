@@ -20,7 +20,7 @@ import numpy as np
 from . import oracle as oracle_mod
 from .consensus import run_terminating_consensus
 from .digraph import Digraph, build_weights
-from .netsim import DelayModel, _integer
+from .netsim import DelayModel, _integer, _real
 from .problems import LeastSquaresInstance
 
 __all__ = ["SolverConfig", "RunRecord", "x_update", "stopping_criterion", "run"]
@@ -52,6 +52,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("rho", "eps", "eps_abs", "eps_rel"):
+            _real(getattr(self, name), name)
         # "not x > 0", not "x <= 0": NaN fails every comparison
         if not self.rho > 0.0:
             raise ValueError(f"rho must be > 0, got {self.rho}")

@@ -140,7 +140,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[admm.SolverConfig, Digraph, Le
     else:
         g = random_strongly_connected(cfg.nodes, cfg.edge_prob, seed=(cfg.seed, _GRAPH_STREAM))
     try:
-        diameter(g)  # kept on g, so no run and no forked cell squares it again
+        diameter(g)  # kept on g, so no run and no forked cell computes it again
     except ValueError:
         raise ValueError(f"topology {cfg.topology} is not strongly connected") from None
     return solver, g, generate_ls(g.n, cfg.dim, cfg.dim, seed=(cfg.seed, _INSTANCE_STREAM))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import Digraph, diameter
-from .netsim import DelayModel, _integer
+from .netsim import DelayModel, _integer, _real
 
 __all__ = [
     "ProtocolError",
@@ -560,7 +560,8 @@ def run_terminating_consensus(
         Negative ones are accepted; a mass they drive to zero or below
         raises ``ProtocolError``.
     eps : float
-        Spread tolerance (2-norm over the ``p`` components), must be > 0.
+        Spread tolerance (2-norm over the ``p`` components), a real number
+        > 0 (else ``ValueError``; a bool is not one).
     step_cap : int
         Upper bound on ratio updates before giving up.
     graph_diameter : int, optional
@@ -569,6 +570,7 @@ def run_terminating_consensus(
         digraph has one node (else ``ValueError``).  The package passes none:
         it stays only while the benchmark workloads pass one.
     """
+    _real(eps, "eps")
     if not eps > 0.0:  # NaN fails every comparison
         raise ValueError(f"eps must be > 0, got {eps}")
     _integer(step_cap, "step_cap", low=1)

@@ -10,6 +10,7 @@ by :class:`asyncadmm.consensus.ConsensusEngine`.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -61,3 +62,14 @@ def _integer(value, name: str, low: int | None = None) -> int:
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def _real(value, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number.
+
+    numpy floats and integers pass; a Python or numpy bool does not, as in
+    :func:`_integer`: the one real-number check of the package.  Bounds stay
+    with the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # np.bool_ is not Real
+        raise ValueError(f"{name} must be a real number, got {value!r}")

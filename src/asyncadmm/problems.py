@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .netsim import _integer
+from .netsim import _integer, _real
 
 __all__ = ["LeastSquaresInstance", "generate_ls"]
 
@@ -57,6 +57,7 @@ class LeastSquaresInstance:
         so does a rho below the blocks' rounding (``1 + rho == 1`` beside a
         unit diagonal) that leaves a rank-deficient block's system singular.
         """
+        _real(rho, "rho")
         if not rho > 0.0:  # NaN fails every comparison
             raise ValueError(f"rho must be > 0, got {rho}")
         if rho == np.inf:  # inf * I is NaN off the diagonal

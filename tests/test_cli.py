@@ -223,9 +223,9 @@ class TestRunOnce:
 
     def test_reachability_is_squared_once(self, tmp_path, monkeypatch):
         # asyadmm, the default mode: build_problem's connectivity check keeps the D every consensus instance reads
-        calls = _count_calls(tmp_path, monkeypatch, [(digraph, "_reachability_powers")])
+        calls = _count_calls(tmp_path, monkeypatch, [(digraph, "_hops_to_reach_all")])
         assert run_cli("run", *FAST, "--out", str(tmp_path / "out")) == 0
-        assert (calls / "_reachability_powers").read_text() == f"{os.getpid()}\n"
+        assert (calls / "_hops_to_reach_all").read_text() == f"{os.getpid()}\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -565,7 +565,7 @@ class TestSweep:
             (cli, "generate_ls"),
             (oracle, "centralized_solution"),
             (ExperimentConfig, "solver_config"),
-            (digraph, "_reachability_powers"),  # the diameter travels to the cells on the digraph
+            (digraph, "_hops_to_reach_all"),  # the diameter travels to the cells on the digraph
         ]
         calls = _count_calls(tmp_path, monkeypatch, targets)
         assert run_cli(

@@ -145,8 +145,8 @@ class TestConnectivityAndDiameter:
 
     def test_diameter_is_kept_and_a_raise_keeps_nothing(self, monkeypatch):
         passes = []
-        original = digraph._reachability_powers
-        monkeypatch.setattr(digraph, "_reachability_powers", lambda g: passes.append(g) or original(g))
+        original = digraph._hops_to_reach_all
+        monkeypatch.setattr(digraph, "_hops_to_reach_all", lambda g: passes.append(g) or original(g))
         g = random_strongly_connected(12, 0.2, seed=3)
         assert diameter(g) == diameter(g) == diameter(pickle.loads(pickle.dumps(g)))
         assert passes == [g]  # the second call and the pickled copy read the kept value
@@ -154,7 +154,35 @@ class TestConnectivityAndDiameter:
         for _ in range(2):
             with pytest.raises(ValueError, match="not strongly connected"):
                 diameter(path)
-        assert passes == [g, path, path]  # no result was kept, so every call squares
+        assert passes == [g, path, path]  # no result was kept, so every call composes
+
+    @pytest.mark.parametrize(
+        "make,d,products",
+        [
+            (lambda: random_strongly_connected(600, 0.2, seed=(7, 2)), 2, 1),  # paper600, sync600
+            (lambda: random_strongly_connected(600, 0.2, seed=(8, 2)), 2, 1),
+            (lambda: random_strongly_connected(20, 0.2, seed=(5, 2)), 4, 3),  # the sweep workload
+            (lambda: cycle(9), 8, 7),
+            (lambda: complete(5), 1, 0),
+            (lambda: Digraph(1, []), 0, 0),
+        ],
+        ids=["paper600", "n600_seed8", "sweep", "cycle9", "complete5", "one_node"],
+    )
+    def test_diameter_takes_d_minus_one_products(self, monkeypatch, make, d, products):
+        g, taken = make(), []
+
+        class Counted(np.ndarray):
+            """A reachability matrix that counts the products it is the left factor of."""
+
+            def __matmul__(self, other):
+                taken.append(other)
+                return super().__matmul__(other)
+
+        zeros = np.zeros
+        with monkeypatch.context() as m:
+            m.setattr(digraph.np, "zeros", lambda *args, **kwargs: zeros(*args, **kwargs).view(Counted))
+            assert digraph._hops_to_reach_all(g) == d
+        assert len(taken) == products
 
     @pytest.mark.parametrize("seed", range(8))
     def test_diameter_at_most_n_minus_one(self, seed):

@@ -7,7 +7,7 @@ import pytest
 from asyncadmm.admm import SolverConfig
 from asyncadmm.consensus import KIND_NAMES, ConsensusEngine, run_terminating_consensus
 from asyncadmm.digraph import Digraph, build_weights, random_strongly_connected
-from asyncadmm.netsim import DelayModel, _integer
+from asyncadmm.netsim import DelayModel, _integer, _real
 from asyncadmm.oracle import synchronous_ratio_trajectory
 from asyncadmm.problems import generate_ls
 from reference import edges, message_columns, out_lists
@@ -127,9 +127,9 @@ class TestDelayModel:
         assert np.array_equal(a.sample_many(9), split)
 
 
-def _consensus(step_cap=10, **kwargs):
+def _consensus(step_cap=10, eps=0.1, **kwargs):
     g = random_strongly_connected(4, 0.3, seed=0)
-    return run_terminating_consensus(g, build_weights(g), DelayModel(1), np.zeros(4), 0.1, step_cap, **kwargs)
+    return run_terminating_consensus(g, build_weights(g), DelayModel(1), np.zeros(4), eps, step_cap, **kwargs)
 
 
 def _oracle(k):
@@ -185,6 +185,39 @@ class TestInteger:
     def test_every_integer_bound_reads_the_same(self, call, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             call()
+
+
+class TestReal:
+    """``_real``, the package's one real-number check: a bool or a non-number is not a real value."""
+
+    @pytest.mark.parametrize("value", [0, 2.5, -1, float("nan"), float("inf"), np.float32(0.5), np.float64(1.0),
+                                       np.int64(3), np.uint8(0)])
+    def test_numbers_pass_whatever_their_bound(self, value):
+        assert _real(value, "x") is None
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, "1", None, [1.0], np.array(1.0), 1j])
+    def test_a_bool_or_a_non_number_names_the_parameter(self, value):
+        with pytest.raises(ValueError, match=rf"^x must be a real number, got {re.escape(repr(value))}$"):
+            _real(value, "x")
+
+    @pytest.mark.parametrize("value", [True, np.True_, "1"], ids=["bool", "numpy_bool", "str"])
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("rho", lambda x: SolverConfig(rho=x)),
+            ("eps", lambda x: SolverConfig(eps=x)),
+            ("eps_abs", lambda x: SolverConfig(eps_abs=x)),
+            ("eps_rel", lambda x: SolverConfig(eps_rel=x)),
+            ("rho", lambda x: generate_ls(3, 2, 2, 1).prox(np.zeros((3, 2)), x)),
+            ("eps", lambda x: _consensus(eps=x)),
+            ("extra_edge_prob", lambda x: random_strongly_connected(5, x, seed=1)),
+        ],
+        ids=["solver_rho", "solver_eps", "solver_eps_abs", "solver_eps_rel", "prox_rho", "consensus_eps",
+             "extra_edge_prob"],
+    )
+    def test_every_real_parameter_reads_the_same(self, name, call, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            call(value)
 
 
 class TestEventQueue:
