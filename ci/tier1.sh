@@ -120,6 +120,13 @@ smoke() {
   # the exact-averaging baseline, whose record keeps one z row per iteration
   asyncadmm run --mode sync_baseline --nodes 8 --kmax 3 --out "$out/sync"
   test -f "$out/sync/summary.csv"
+  # the delivery trace, replayed from the delay stream after the run
+  asyncadmm run --nodes 8 --kmax 3 --trace --out "$out/traced"
+  test -s "$out/traced/trace.txt"
+  # no consensus runs in the baseline, so its trace is an empty file
+  asyncadmm run --mode sync_baseline --nodes 8 --kmax 3 --trace --out "$out/sync-traced"
+  test -f "$out/sync-traced/trace.txt"
+  test ! -s "$out/sync-traced/trace.txt"
   asyncadmm sweep --nodes 8 --kmax 3 --epsilons 0.1 --tau-bars 3 --out "$out/sweep"
   # four cells in the worker pool, submitted by tau_bar descending, then epsilon
   # ascending; the rows come back in key order

@@ -184,7 +184,6 @@ def run(
     cfg: SolverConfig,
     exact_averaging: bool = False,
     truth: oracle_mod.GroundTruth | None = None,
-    trace: list[str] | None = None,
 ) -> RunRecord:
     """Drive the full solver and record per-iteration diagnostics.
 
@@ -231,7 +230,7 @@ def run(
             steps, converged = 0, True
         else:
             # on a cap hit the capped estimates are kept and the event recorded
-            res = run_terminating_consensus(g, weights, dm, y0, cfg.eps, cfg.step_cap, trace=trace)
+            res = run_terminating_consensus(g, weights, dm, y0, cfg.eps, cfg.step_cap)
             z, steps, converged = res.z, res.steps, res.converged
             z_kept = z
         with np.errstate(over="ignore"):

@@ -159,12 +159,14 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     """One solver run; writes run.csv, summary.csv, config.txt (and trace.txt).
 
     The output directory is made only once the run has succeeded, so a
-    rejected run leaves nothing behind.
+    rejected run leaves nothing behind.  The trace is replayed after the run
+    from the digraph, the run's delay stream and each iteration's consensus
+    steps (:func:`~asyncadmm.consensus.delivery_trace`) and streamed to
+    ``trace.txt``: a traced run solves exactly as an untraced one.
     """
     started = time.perf_counter()
     solver, g, instance = build_problem(cfg)
-    trace: list[str] | None = [] if cfg.trace else None
-    record = admm.run(instance, g, solver, exact_averaging=(cfg.mode == "sync_baseline"), trace=trace)
+    record = admm.run(instance, g, solver, exact_averaging=(cfg.mode == "sync_baseline"))
     elapsed = time.perf_counter() - started
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -174,8 +176,10 @@ def run_once(cfg: ExperimentConfig, out_dir) -> int:
     _write_csv(out / "summary.csv", SUMMARY_COLUMNS, [totals + steps])
     cfg.to_file(out / "config.txt")
     save_edge_list(g, out / "topology.txt")
-    if trace is not None:
-        (out / "trace.txt").write_text("\n".join(trace) + ("\n" if trace else ""))
+    if cfg.trace:  # every iteration of sync_baseline takes 0 steps: an empty file
+        lines = consensus.delivery_trace(g, solver.delay_model(), record.consensus_steps)
+        with open(out / "trace.txt", "w") as f:
+            f.writelines(f"{line}\n" for line in lines)
     print(
         f"iterations={record.iterations} final_objective={record.final_objective!r} "
         f"oracle_objective={record.truth.f_star!r} capped_iterations={record.capped_iterations}"

@@ -29,6 +29,7 @@ mass conservation requires each one to be consumed.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "ConsensusResult",
     "ConsensusEngine",
     "run_terminating_consensus",
+    "delivery_trace",
 ]
 
 RATIO, MIN_MAX = 0, 1  # message kinds; ratio sorts before min/max
@@ -60,9 +62,10 @@ class ProtocolError(RuntimeError):
 class ConsensusResult:
     """Outcome of a terminating consensus instance.
 
-    ``delivered`` counts every delivery the trace would list (ratio and
-    min/max, self terms included); ``stale_discarded`` counts the extrema
-    among them that arrived from before the latest re-seed and were dropped.
+    ``delivered`` counts every delivery, ratio and min/max, self terms
+    included: the lines :func:`delivery_trace` lists for the instance.
+    ``stale_discarded`` counts the extrema among them that arrived from
+    before the latest re-seed and were dropped.
     ``extrema_folds`` counts the ticks whose extrema fold ran: the engine
     skips the folds that cannot change the extrema, which are those after
     every node holds one non-zero value per row.  A zero extreme folds on
@@ -138,6 +141,59 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: int) -> _ColumnMaps:
     return maps
 
 
+def _history(maps: _ColumnMaps, depth: int, width: int) -> np.ndarray:
+    """A delay history: ``depth`` rows of ticks before time 0 (-1, which no lag matches), then a block's."""
+    return np.full((depth + maps.ticks, width), -1, dtype=np.min_scalar_type(-depth))
+
+
+def _delay_rows(maps: _ColumnMaps, dm: DelayModel, steps: int, hist: np.ndarray) -> np.ndarray:
+    """``hist``'s rows of the next ``steps`` ticks: one batch of delays, scattered into columns."""
+    rows = np.zeros((steps, hist.shape[1]), dtype=hist.dtype)  # self terms stay 0
+    rows[:, maps.draw_col] = dm.sample_many(steps * len(maps.draw_col)).reshape(steps, -1)
+    return rows
+
+
+def _arrivals(hist: np.ndarray, depth: int, steps: int) -> list[np.ndarray]:
+    """The lag slabs of the history's next ``steps`` ticks, over every column.
+
+    Slab ``j`` is ``[tick t, column]``: the send on history row ``1 + t + j``,
+    made ``lag = depth - 1 - j`` ticks before tick ``t``, arrives then iff
+    its delay equals ``lag``.
+    """
+    return [hist[1 + j : 1 + j + steps] == depth - 1 - j for j in range(depth)]
+
+
+def delivery_trace(g: Digraph, dm: DelayModel, steps_per_instance: Iterable[int]) -> Iterator[str]:
+    """One ``k,sender,receiver,KIND`` line per delivery of consecutive consensus instances on ``g``.
+
+    Each instance is a two-kind engine's, ratio and min/max, as
+    :func:`run_terminating_consensus` runs one: it starts at ``k = 0`` and
+    steps its count of ticks, drawing its delays from ``dm`` after the
+    instance before it, as the instances of :func:`asyncadmm.admm.run` share
+    one stream.  The delays never depend on the state, so they alone decide
+    every arrival, stale extrema included: the lines are the deliveries
+    ``ConsensusResult.delivered`` counts, by tick, then receiver, sender and
+    kind (ratio first).  An instance of 0 steps draws nothing; a negative
+    count is a ``ValueError``.  The lines are made one block of ticks at a
+    time, so memory does not grow with an instance's length.
+    """
+    maps = _column_maps(g, dm.tau_bar, 2)
+    depth, cols = dm.tau_bar + 1, len(maps.receiver)
+    for steps in steps_per_instance:
+        steps = _integer(steps, "steps", low=0)
+        hist = _history(maps, depth, 2 * cols)
+        for k0 in range(0, steps, maps.ticks):
+            block = min(maps.ticks, steps - k0)
+            hist[depth : depth + block] = _delay_rows(maps, dm, block, hist)
+            t, c = (np.concatenate(a) for a in zip(*map(np.nonzero, _arrivals(hist, depth, block))))
+            kind, c = np.divmod(c, cols)
+            receiver, sender = maps.receiver[c], maps.sender[c]
+            order = np.lexsort((kind, sender, receiver, t))
+            for tt, s, r, q in zip(*(a[order].tolist() for a in (t, sender, receiver, kind))):
+                yield f"{k0 + tt},{s},{r},{KIND_NAMES[q]}"
+            hist[:depth] = hist[block : block + depth]
+
+
 def _rows(a, n: int, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
@@ -190,7 +246,7 @@ class ConsensusEngine:
     Each block decides its arrivals once: the send made ``lag`` ticks ago on
     a column is consumed now iff its delay equals ``lag``, one comparison
     per lag over every kind's columns (a lag slab over the block's ticks).
-    ``delivered`` and the trace read those slabs; then the extrema sent
+    ``delivered`` counts those slabs; then the extrema sent
     before ``epoch_start`` are counted into ``stale_discarded`` and cleared
     from them, the one place the epoch filter runs.  Only for a fold that
     will run is a kind's share of them stacked into an arrival table (tick,
@@ -249,7 +305,7 @@ class ConsensusEngine:
     tie with a non-zero value leaves its bytes as they are.  Extrema with a
     zero row are never fixed.  From then to the round's end the ticks skip
     the fold and its sends, and a block that starts so builds no fold inputs
-    for the extrema: their slabs are only counted and traced.  Every later
+    for the extrema: their slabs are only counted.  Every later
     reader of those sends is a skipped fold or is cut by the epoch filter.
     ``extrema_folds`` counts the folds that ran.
     """
@@ -261,12 +317,10 @@ class ConsensusEngine:
         y0: np.ndarray | None = None,
         weights: np.ndarray | None = None,
         extrema: tuple[np.ndarray, np.ndarray] | None = None,
-        trace: list[str] | None = None,
     ):
         n = g.n
         self.n = n
         self.dm = dm
-        self.trace = trace
         self.time = 0
         self.epoch_start = 0
         self.delivered = 0
@@ -305,15 +359,13 @@ class ConsensusEngine:
         self._depth = depth
         self._maps = _column_maps(g, dm.tau_bar, len(self.kinds))
 
-        # The history, one row per tick: its delays (-1 marks ticks before
-        # time 0, which no lag matches) and, per kind, its sends as
-        # [..., row * n + sender] (the scaled ratio pairs [component, ...],
+        # The history, one row per tick: its delays and, per kind, its sends
+        # as [..., row * n + sender] (the scaled ratio pairs [component, ...],
         # the extrema [hi | lo, component, ...]), in kind order.  A self term is compared only at lag 0, on
         # a row its block drew, so no pre-start value of it is ever read.
-        rows = depth + self._maps.ticks
-        self._hist = np.full((rows, len(self.kinds) * cols), -1, dtype=np.min_scalar_type(-depth))
+        self._hist = _history(self._maps, depth, len(self.kinds) * cols)
         states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
-        self._sent = [np.zeros((*s.shape[:-1], rows * n), dtype=s.dtype) for s in states]
+        self._sent = [np.zeros((*s.shape[:-1], len(self._hist) * n), dtype=s.dtype) for s in states]
 
     @property
     def y(self) -> np.ndarray:
@@ -364,18 +416,6 @@ class ConsensusEngine:
         self._set_extrema(np.stack([z, z]))
         self.epoch_start = self.time
 
-    def _arrivals(self, steps: int) -> list[np.ndarray]:
-        """The lag slabs over the next ``steps`` ticks and every kind's columns, counted.
-
-        Slab ``j`` is ``[tick t, column]``: the send on history row ``1 + t + j``,
-        made ``lag = depth - 1 - j`` ticks before tick ``t``, arrives then iff
-        its delay equals ``lag``.
-        """
-        hist, depth = self._hist, self._depth
-        slabs = [hist[1 + j : 1 + j + steps] == depth - 1 - j for j in range(depth)]
-        self.delivered += sum(np.count_nonzero(slab) for slab in slabs)
-        return slabs
-
     def _fold_inputs(self, q: int, slabs: list[np.ndarray]):
         """Kind ``q``'s arrivals as fold inputs, in the order each receiver folds them.
 
@@ -397,20 +437,14 @@ class ConsensusEngine:
         return maps.payload_of[flat].astype(np.intp), bounds, maps.receiver_of[flat].astype(np.intp)
 
     def _delay_rows(self, steps: int) -> np.ndarray:
-        """The history rows of the next ``steps`` ticks: one batch of delays, scattered into columns."""
-        draw_col = self._maps.draw_col
-        rows = np.zeros((steps, self._hist.shape[1]), dtype=self._hist.dtype)  # self terms stay 0
-        rows[:, draw_col] = self.dm.sample_many(steps * len(draw_col)).reshape(steps, -1)
-        return rows
+        return _delay_rows(self._maps, self.dm, steps, self._hist)
 
     def _block(self, steps: int, rows: np.ndarray) -> None:
         """``steps`` ticks on their delay ``rows``: arrivals once, then the per-tick folds."""
         n, k0, hist, depth = self.n, self.time, self._hist, self._depth
         hist[depth : depth + steps] = rows
-        arrivals = self._arrivals(steps)
-        traced = self.trace is not None
-        if traced:  # the trace lists stale extrema too: read before they are dropped
-            lines, line_bounds = self._trace_lines(k0, steps, arrivals)
+        arrivals = _arrivals(hist, depth, steps)
+        self.delivered += sum(np.count_nonzero(slab) for slab in arrivals)
         if MIN_MAX in self.kinds:
             # count, then drop, the extrema sent before the re-seed (t + j < cut)
             # from the last kind's columns; cut < 0 once a block starts more
@@ -420,7 +454,7 @@ class ConsensusEngine:
                 stale = slab[: cut - j, -self._cols :]
                 self.stale_discarded += np.count_nonzero(stale)
                 stale[...] = False
-        # fixed extrema fold nothing: their arrivals are only counted and traced
+        # fixed extrema fold nothing: their arrivals are only counted
         folds = [
             None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, arrivals)
             for q, kind in enumerate(self.kinds)
@@ -430,8 +464,6 @@ class ConsensusEngine:
             self.time = k0 + t
             # this tick's sends go on its delays' row
             sends = slice((depth + t) * n, (depth + t + 1) * n)
-            if traced:
-                self.trace.extend(lines[line_bounds[t] : line_bounds[t + 1]])
             for kind, sent, fold in zip(self.kinds, self._sent, folds):
                 if kind == MIN_MAX and self._ext_fixed:
                     # no reader of these sends is a fold that runs: later
@@ -461,16 +493,6 @@ class ConsensusEngine:
                 extreme.at(row, receiver, sends_q[source])
         self.extrema_folds += 1
         self._set_extrema(self._ext)
-
-    def _trace_lines(self, k0: int, steps: int, arrivals: list[np.ndarray]):
-        """``k,sender,receiver,KIND`` lines by tick, receiver, sender, kind; per-tick bounds."""
-        t, c = (np.concatenate(a) for a in zip(*map(np.nonzero, arrivals)))
-        kind = np.asarray(self.kinds)[c // self._cols]
-        receiver, sender = (a[c % self._cols] for a in (self._maps.receiver, self._maps.sender))
-        order = np.lexsort((kind, sender, receiver, t))
-        bounds = np.searchsorted(t[order], np.arange(steps + 1))
-        t, sender, receiver, kind = (a[order].tolist() for a in (t, sender, receiver, kind))
-        return [f"{k0 + tt},{s},{r},{KIND_NAMES[q]}" for tt, s, r, q in zip(t, sender, receiver, kind)], bounds
 
     def advance(self, steps: int) -> None:
         steps, ticks = _integer(steps, "steps", low=0), self._maps.ticks
@@ -534,7 +556,6 @@ def run_terminating_consensus(
     eps: float,
     step_cap: int,
     graph_diameter: int | None = None,
-    trace: list[str] | None = None,
 ) -> ConsensusResult:
     """Ratio consensus that halts once all nodes agree they are within ``eps``.
 
@@ -579,5 +600,5 @@ def run_terminating_consensus(
     round_len = (1 + dm.tau_bar) * max(d, 1)
     shape = np.shape(y0)  # the engine converts and checks y0
     extrema = (np.full(shape, np.inf), np.full(shape, -np.inf))
-    engine = ConsensusEngine(g, dm, y0=y0, weights=weights, extrema=extrema, trace=trace)
+    engine = ConsensusEngine(g, dm, y0=y0, weights=weights, extrema=extrema)
     return engine.terminate(eps, step_cap, round_len)

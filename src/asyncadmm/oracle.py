@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, build_weights
-from .netsim import _integer
 from .problems import LeastSquaresInstance, _node_order_totals
 
 __all__ = [
@@ -15,7 +13,6 @@ __all__ = [
     "GroundTruth",
     "centralized_solution",
     "exact_average",
-    "synchronous_ratio_trajectory",
 ]
 
 
@@ -71,32 +68,3 @@ def exact_average(vectors) -> np.ndarray:
     sums = totals[-1] + _node_order_totals(comp)[-1]
     return sums.reshape(arr.shape[1:]) / arr.shape[0]
 
-
-def synchronous_ratio_trajectory(g: Digraph, y0: np.ndarray, k: int) -> list[np.ndarray]:
-    """All undelayed ratio estimates ``[z^0, ..., z^k]`` in one pass.
-
-    Entry ``j`` is ``(P^j y0) / (P^j 1)`` for the column-stochastic ``P``
-    whose entry ``P[r, s]`` is sender ``s``'s weight
-    (:func:`~asyncadmm.digraph.build_weights`) on each link ``(r, s)``,
-    accumulated per receiver in ascending sender order with scale-then-sum:
-    the exact operation order of the simulator's zero-delay path, which it
-    must match bit for bit.  That is the link table's order, so the loop
-    walks its links and never forms ``P``: the reachability matrices of
-    :func:`~asyncadmm.digraph.diameter` are the package's only n x n arrays.
-    """
-    _integer(k, "k", low=0)
-    n = g.n
-    receiver, sender = g.links
-    links = list(zip(receiver.tolist(), sender.tolist(), build_weights(g)[sender]))
-    y = np.array(y0, dtype=float).reshape(n, -1)  # a copy; a vector becomes one column
-    w = np.ones(n)
-    traj = [y / w[:, None]]
-    for _ in range(k):
-        y_next = np.zeros_like(y)
-        w_next = np.zeros(n)
-        for r, s, weight in links:
-            y_next[r] += weight * y[s]
-            w_next[r] += weight * w[s]
-        y, w = y_next, w_next
-        traj.append(y / w[:, None])
-    return traj

@@ -11,11 +11,18 @@ against the generator's per-pair reference loop.
 
 A run record keeps its z trajectory but not its x and lam iterates;
 :func:`replay` rebuilds those and checks them against the record.
+
+:func:`synchronous_ratio_trajectory` is the power-iteration oracle that
+zero-delay consensus must equal bit for bit; it walks ``g.links`` and
+scales by :func:`~asyncadmm.digraph.build_weights`, the engine's own
+weights, since a bit-for-bit match needs the same terms.
 """
 
 import numpy as np
 
 from asyncadmm.admm import stopping_criterion, x_update
+from asyncadmm.digraph import build_weights
+from asyncadmm.netsim import _integer
 
 
 def edges(g):
@@ -63,3 +70,33 @@ def replay(problem, record):
         stops = stopping_criterion(x[k], z[k], lam[k], *residuals, cfg.eps_abs, cfg.eps_rel)
         assert stops == (record.stopped_early and k == record.iterations), f"iteration {k}"
     return x, lam
+
+
+def synchronous_ratio_trajectory(g, y0, k):
+    """All undelayed ratio estimates ``[z^0, ..., z^k]`` in one pass.
+
+    Entry ``j`` is ``(P^j y0) / (P^j 1)`` for the column-stochastic ``P``
+    whose entry ``P[r, s]`` is sender ``s``'s weight
+    (:func:`~asyncadmm.digraph.build_weights`) on each link ``(r, s)``,
+    accumulated per receiver in ascending sender order with scale-then-sum:
+    the exact operation order of the simulator's zero-delay path, which it
+    must match bit for bit.  That is the link table's order, so the loop
+    walks its links and never forms ``P``: the reachability matrices of
+    :func:`~asyncadmm.digraph.diameter` are the package's only n x n arrays.
+    """
+    _integer(k, "k", low=0)
+    n = g.n
+    receiver, sender = g.links
+    links = list(zip(receiver.tolist(), sender.tolist(), build_weights(g)[sender]))
+    y = np.array(y0, dtype=float).reshape(n, -1)  # a copy; a vector becomes one column
+    w = np.ones(n)
+    traj = [y / w[:, None]]
+    for _ in range(k):
+        y_next = np.zeros_like(y)
+        w_next = np.zeros(n)
+        for r, s, weight in links:
+            y_next[r] += weight * y[s]
+            w_next[r] += weight * w[s]
+        y, w = y_next, w_next
+        traj.append(y / w[:, None])
+    return traj

@@ -15,9 +15,9 @@ from asyncadmm.cli import main as cli_main
 from asyncadmm.consensus import ConsensusEngine, run_terminating_consensus
 from asyncadmm.digraph import build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
-from asyncadmm.oracle import centralized_solution, exact_average, synchronous_ratio_trajectory
+from asyncadmm.oracle import centralized_solution, exact_average
 from asyncadmm.problems import generate_ls
-from reference import replay
+from reference import replay, synchronous_ratio_trajectory
 
 TRIAL_SIZES = (5, 10, 20)
 TRIAL_TAUS = (0, 1, 3, 5)

@@ -357,6 +357,19 @@ class TestRunOnce:
         assert kind in ("RATIO_PAIR", "MIN_MAX_PAIR")
         int(k), int(sender), int(receiver)
 
+    def test_trace_leaves_the_csvs_as_they_are(self, tmp_path):
+        # the trace is replayed after the run: the solver ran as it runs untraced
+        for name, flags in (("traced", ["--trace"]), ("plain", [])):
+            assert run_cli("run", *FAST, *flags, "--out", str(tmp_path / name)) == 0
+        assert not (tmp_path / "plain" / "trace.txt").exists()
+        for csv in ("run.csv", "summary.csv"):
+            assert (tmp_path / "traced" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
+
+    def test_sync_baseline_trace_is_empty(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", *FAST, "--mode", "sync_baseline", "--trace", "--out", str(out)) == 0
+        assert (out / "trace.txt").read_bytes() == b""
+
     def test_outputs_match_golden_digests(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("run", *FAST, "--trace", "--out", str(out)) == 0

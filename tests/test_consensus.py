@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import hashlib
+import itertools
 import re
 import sys
 import threading
@@ -20,12 +21,13 @@ from asyncadmm.consensus import (
     ConsensusEngine,
     ConsensusResult,
     ProtocolError,
+    delivery_trace,
     run_terminating_consensus,
 )
 from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
-from asyncadmm.oracle import exact_average, synchronous_ratio_trajectory
-from reference import edges, message_columns, out_lists
+from asyncadmm.oracle import exact_average
+from reference import edges, message_columns, out_lists, synchronous_ratio_trajectory
 
 # frozen once from the seeded run below; re-runs must reproduce it exactly
 GOLDEN_N20_TAU3_EPS01_STEPS = 32
@@ -647,19 +649,32 @@ networks = st.tuples(
 )
 
 
+def delays_of(network):
+    """The delay stream of ``network``'s engines, from its start."""
+    _, _, tau_bar, seed = network
+    return DelayModel(tau_bar, seed=seed + 1)
+
+
 def both_engines(
     network, p=2, ratio=True, extrema=None, traced=False, weights=None, classes=(ConsensusEngine, PerTickEngine)
 ):
-    """The block engine and the per-tick reference on the same inputs and delay seed."""
-    n, edge_prob, tau_bar, seed = network
+    """The block engine and the per-tick reference on the same inputs and delay seed.
+
+    ``traced`` keeps the reference's trace: the block engine keeps none.
+    """
+    n, edge_prob, _, seed = network
     g = graph_for(n, edge_prob, seed)
     y0 = np.random.default_rng(seed).standard_normal((n, p)) if ratio else None
     w = (weights or build_weights)(g) if ratio else None
-    engines = [
-        cls(g, DelayModel(tau_bar, seed=seed + 1), y0=y0, weights=w, extrema=extrema, trace=[] if traced else None)
-        for cls in classes
-    ]
+    engines = [cls(g, delays_of(network), y0=y0, weights=w, extrema=extrema) for cls in classes]
+    if traced:
+        engines[classes.index(PerTickEngine)].trace = []
     return g, engines
+
+
+def assert_replayed(g, dm, ref):
+    """``delivery_trace`` of the reference's one two-kind instance, on a fresh stream ``dm``, is its trace."""
+    assert list(delivery_trace(g, dm, [ref.time])) == ref.trace
 
 
 def assert_same_result(got, want):
@@ -683,8 +698,8 @@ class TestBlockMatchesPerTick:
         got = block.terminate(eps, step_cap, round_len)
         want = ref.terminate(eps, step_cap, round_len)
         assert_same_result(got, want)
-        assert block.trace == ref.trace
-        assert got.delivered == len(block.trace)
+        assert_replayed(g, delays_of(network), ref)
+        assert got.delivered == len(ref.trace)
 
     @pytest.mark.parametrize("tau_bar", [1, 3, 10])
     def test_step_cap_mid_round(self, tau_bar):
@@ -696,12 +711,12 @@ class TestBlockMatchesPerTick:
         got = block.terminate(1e-12, cap, round_len)
         assert_same_result(got, ref.terminate(1e-12, cap, round_len))
         assert not got.converged and got.steps == cap and got.check_steps == [round_len, 2 * round_len]
-        assert block.trace == ref.trace
+        assert_replayed(g, delays_of(network), ref)
 
     @settings(max_examples=30, deadline=None)
     @given(network=networks, spans=st.lists(st.integers(0, 40), min_size=1, max_size=4))
     def test_advance_and_trajectory(self, network, spans):
-        _, (block, ref) = both_engines(network, traced=True)
+        _, (block, ref) = both_engines(network)
         for span in spans:
             block.advance(span)
             ref.advance(span)
@@ -711,13 +726,12 @@ class TestBlockMatchesPerTick:
             block.advance(1)
             ref.advance(1)
             assert block.z.tobytes() == ref.z.tobytes()
-        assert block.trace == ref.trace
-        assert block.delivered == ref.delivered == len(block.trace)
+        assert block.delivered == ref.delivered
 
     @staticmethod
     def raise_tick(network, sender_weight):
         """Advance both engines over weights that may lose mass; the tick each stopped at."""
-        _, (block, ref) = both_engines(network, traced=True, weights=lambda g: sender_weight)
+        _, (block, ref) = both_engines(network, weights=lambda g: sender_weight)
         outcomes = []
         for engine in (block, ref):
             try:
@@ -727,7 +741,6 @@ class TestBlockMatchesPerTick:
                 outcomes.append(("raised", str(err)))
         assert outcomes[0] == outcomes[1]
         assert block.time == ref.time
-        assert block.trace == ref.trace
         return block.time if outcomes[0][0] == "raised" else None
 
     @settings(max_examples=30, deadline=None)
@@ -764,7 +777,7 @@ class TestBlockBoundaries:
         got = block.terminate(1e-3, 10 * round_len, round_len)
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
         assert len(got.check_steps) >= 2
-        assert block.trace == ref.trace
+        assert_replayed(g, delays_of(network), ref)
         # distinct starting extrema: a value lost at a block end shows while they spread
         vals = np.random.default_rng(n).standard_normal((n, 2))
         _, (block, ref) = both_engines(network, extrema=(vals, vals + 0.5), traced=True)
@@ -774,7 +787,7 @@ class TestBlockBoundaries:
             assert block.time == ref.time
             assert block.z.tobytes() == ref.z.tobytes()
             assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
-        assert block.trace == ref.trace
+        assert_replayed(g, delays_of(network), ref)
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
 
 
@@ -833,13 +846,13 @@ class TestDrawAhead:
         return np.random.default_rng(1).uniform(-0.05, 1.0, g.n)
 
     @staticmethod
-    def assert_same(g, block, ref):
+    def assert_same(g, network, block, ref):
         assert block.time == ref.time >= block._depth
         assert block.z.tobytes() == ref.z.tobytes()
         assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
         assert np.array_equal(block.delays, history_of(ref, g))
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
-        assert block.trace == ref.trace
+        assert_replayed(g, delays_of(network), ref)
         # the helper drew ahead, and each of its draws reads back
         assert RecordingExecutor.futures
         for future in RecordingExecutor.futures:
@@ -855,7 +868,7 @@ class TestDrawAhead:
         got = block.terminate(1e-3, 10 * round_len, round_len)
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
         assert len(got.check_steps) >= 2
-        self.assert_same(g, block, ref)
+        self.assert_same(g, network, block, ref)
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(network=networks, spans=st.lists(st.integers(0, 30), min_size=1, max_size=4))
@@ -866,10 +879,10 @@ class TestDrawAhead:
         for span in [*spans, tau_bar + 2]:
             block.advance(span)
             ref.advance(span)
-        self.assert_same(g, block, ref)
+        self.assert_same(g, network, block, ref)
 
     def test_nonpositive_mass_inside_a_span(self):
-        _, (block, ref) = both_engines((20, 0.2, 3, 1), traced=True, weights=self.losing_mass)
+        _, (block, ref) = both_engines((20, 0.2, 3, 1), weights=self.losing_mass)
         errors = []
         for engine in (block, ref):
             with pytest.raises(ProtocolError, match="^nonpositive mass ") as raised:
@@ -877,7 +890,6 @@ class TestDrawAhead:
             errors.append(str(raised.value))
         assert errors[0] == errors[1]
         assert block.time == ref.time == 6
-        assert block.trace == ref.trace
         assert (block.delivered, block.stale_discarded) == (ref.delivered, ref.stale_discarded)
         # the helper drew the next block before the raise: the stream is one block ahead
         draws = ref._draws
@@ -945,12 +957,11 @@ class FoldEveryTick(ConsensusEngine):
 
 
 def assert_same_state(got, want):
-    """Time, z, the hi and lo bytes, counters and trace."""
+    """Time, z, the hi and lo bytes and counters."""
     assert got.time == want.time
     assert got.z.tobytes() == want.z.tobytes()
     assert got.hi.tobytes() == want.hi.tobytes() and got.lo.tobytes() == want.lo.tobytes()
     assert (got.delivered, got.stale_discarded) == (want.delivered, want.stale_discarded)
-    assert got.trace == want.trace
 
 
 class TestFixedExtrema:
@@ -966,7 +977,8 @@ class TestFixedExtrema:
     def test_infinite_start(self, tau_bar):
         n = 20
         extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
-        g, (block, ref) = both_engines((n, 0.2, tau_bar, 7), extrema=extrema, traced=True)
+        network = (n, 0.2, tau_bar, 7)
+        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
         round_len = (1 + tau_bar) * diameter(g)
         block.advance(round_len)
         ref.advance(round_len)
@@ -975,6 +987,7 @@ class TestFixedExtrema:
         got = block.terminate(0.01, 100_000, round_len)
         assert_same_result(got, ref.terminate(0.01, 100_000, round_len))
         assert_same_state(block, ref)
+        assert_replayed(g, delays_of(network), ref)
         # every later round folds until it saturates, then skips
         rounds = len(got.check_steps) - 1
         assert rounds <= got.extrema_folds < rounds * round_len
@@ -993,6 +1006,7 @@ class TestFixedExtrema:
         block.advance(3 * round_len)
         ref.advance(3 * round_len)
         assert_same_state(block, ref)
+        assert_replayed(g, delays_of(network), ref)
         # the first skipped tick, extrema_folds, is inside a block when blocks are longer than one tick
         assert 0 < block.extrema_folds <= round_len
         assert cap == 1 or block.extrema_folds % cap != 0
@@ -1001,6 +1015,7 @@ class TestFixedExtrema:
         got = block.terminate(1e-3, 10 * round_len, round_len)
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
         assert_same_state(block, ref)
+        assert_replayed(g, delays_of(network), ref)
         assert got.extrema_folds < got.steps - round_len
 
     @pytest.mark.parametrize("all_tied", [False, True])
@@ -1019,13 +1034,14 @@ class TestFixedExtrema:
             hi0[::3] = 0.0 * signs[::3]
         lo0 = np.full((n, 2), -5.0)  # already agreed: only hi decides whether the folds stop
         steps = 3 * (1 + tau_bar) * diameter(graph_for(n, 0.2, 7))
-        _, (block, ref, every) = both_engines(
+        g, (block, ref, every) = both_engines(
             network, extrema=(hi0, lo0), traced=True, classes=(ConsensusEngine, PerTickEngine, FoldEveryTick)
         )
         for engine in (block, ref, every):
             engine.advance(steps)
         assert_same_state(block, ref)
         assert_same_state(block, every)
+        assert_replayed(g, delays_of(network), ref)
         # a zero extreme is never fixed: it folds on every tick
         assert block.extrema_folds == steps == every.extrema_folds
 
@@ -1046,14 +1062,13 @@ class TestFixedExtrema:
         g, w, _ = seeded_setup(n=6, seed=8)
         y0 = np.tile([1.0, 2.0], (g.n, 1))
         extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
-        block, ref = (
-            cls(g, DelayModel(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema, trace=[])
-            for cls in (ConsensusEngine, PerTickEngine)
-        )
+        block = ConsensusEngine(g, DelayModel(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema)
+        ref = PerTickEngine(g, DelayModel(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema, trace=[])
         round_len = (1 + tau_bar) * diameter(g)
         got = block.terminate(1e-6, 100_000, round_len)
         assert_same_result(got, ref.terminate(1e-6, 100_000, round_len))
         assert_same_state(block, ref)
+        assert_replayed(g, DelayModel(tau_bar, seed=9), ref)
         assert got.check_steps == [round_len, 2 * round_len]
         assert got.extrema_folds == 0 and got.stale_discarded > 0
 
@@ -1069,7 +1084,7 @@ class TestFixedExtrema:
         folds = []
         for hi0, lo0 in ((constant, constant), (zeros, zeros), (vals, vals + 0.5)):
             block, ref, every = (
-                cls(g, DelayModel(tau_bar, seed=10), extrema=(hi0, lo0), trace=[])
+                cls(g, DelayModel(tau_bar, seed=10), extrema=(hi0, lo0))
                 for cls in (ConsensusEngine, PerTickEngine, FoldEveryTick)
             )
             for engine in (block, ref, every):
@@ -1077,7 +1092,6 @@ class TestFixedExtrema:
             for other in (ref, every):
                 assert block.hi.tobytes() == other.hi.tobytes() and block.lo.tobytes() == other.lo.tobytes()
                 assert (block.delivered, block.stale_discarded) == (other.delivered, other.stale_discarded)
-                assert block.trace == other.trace
             folds.append(block.extrema_folds)
         # a constant non-zero input folds nothing, a constant zero one folds on
         # every tick; distinct inputs saturate within the bound, before steps
@@ -1134,7 +1148,7 @@ class TestExtremaFold:
         assert_same_result(got, ref.terminate(0.01, 100_000, round_len))
         assert len(got.check_steps) >= 3 and got.stale_discarded > 0
         assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
-        assert block.trace == ref.trace
+        assert_replayed(g, delays_of(network), ref)
 
 
 class TestRankFold:
@@ -1181,9 +1195,12 @@ class TestInFlightMass:
 class TestCounters:
     def test_counts_deliveries_and_stale_extrema(self):
         g, w, y0 = seeded_setup(n=12, seed=30)
-        trace = []
-        res = run_terminating_consensus(g, w, DelayModel(3, seed=31), y0, 1e-3, 10_000, trace=trace)
-        assert res.delivered == len(trace)
+        res = run_terminating_consensus(g, w, DelayModel(3, seed=31), y0, 1e-3, 10_000)
+        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+        ref = PerTickEngine(g, DelayModel(3, seed=31), y0=y0, weights=w, extrema=extrema, trace=[])
+        assert_same_result(res, ref.terminate(1e-3, 10_000, 4 * diameter(g)))
+        assert_replayed(g, DelayModel(3, seed=31), ref)
+        assert res.delivered == len(ref.trace)
         assert 0 < res.stale_discarded < res.delivered
 
     def test_nothing_stale_without_delays(self):
@@ -1206,6 +1223,61 @@ class TestCounters:
         assert (engine.delays == -1).all()
 
 
+class TestDeliveryTrace:
+    """``delivery_trace`` rebuilds the per-tick reference's trace from the digraph and the delay stream alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        network=networks,
+        eps=st.sampled_from([1.0, 0.1, 0.01]),
+        caps=st.lists(st.integers(1, 200), min_size=2, max_size=2),
+    )
+    @example(network=(1, 0.0, 0, 3), eps=0.1, caps=[5, 7])
+    @example(network=(1, 0.0, 3, 3), eps=0.1, caps=[5, 7])
+    @example(network=(12, 0.3, 0, 4), eps=0.01, caps=[200, 200])
+    def test_consecutive_terminate_instances_on_one_stream(self, network, eps, caps):
+        # two instances drawing from one stream in turn, as admm.run's do
+        n, edge_prob, tau_bar, seed = network
+        g = graph_for(n, edge_prob, seed)
+        w = build_weights(g)
+        round_len = (1 + tau_bar) * max(diameter(g), 1)
+        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
+        block_dm, ref_dm = delays_of(network), delays_of(network)
+        traces, steps = [], []
+        for y0, cap in zip(np.random.default_rng(seed).standard_normal((2, n, 2)), caps):
+            got = run_terminating_consensus(g, w, block_dm, y0, eps, cap)
+            ref = PerTickEngine(g, ref_dm, y0=y0, weights=w, extrema=extrema, trace=[])
+            assert_same_result(got, ref.terminate(eps, cap, round_len))
+            assert got.delivered == len(ref.trace)
+            traces.append(ref.trace)
+            steps.append(got.steps)
+        lines = delivery_trace(g, delays_of(network), steps)
+        for trace in traces:
+            assert list(itertools.islice(lines, len(trace))) == trace
+        assert next(lines, None) is None
+
+    @pytest.mark.parametrize("tau_bar", [0, 3])
+    def test_a_zero_step_instance_draws_nothing(self, tau_bar):
+        g = graph_for(12, 0.3, 5)
+        dm = DelayModel(tau_bar, seed=6)
+        assert list(delivery_trace(g, dm, [0, 0])) == []
+        assert np.array_equal(dm.sample_many(50), DelayModel(tau_bar, seed=6).sample_many(50))
+        # and leaves the next instance's lines as they are
+        between = list(delivery_trace(g, DelayModel(tau_bar, seed=6), [9, 0, 7]))
+        assert between == list(delivery_trace(g, DelayModel(tau_bar, seed=6), [9, 7]))
+        with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+            list(delivery_trace(g, dm, [-1]))
+
+    def test_lines_come_one_block_at_a_time(self):
+        # an instance of 10**9 ticks: its first line needs only its first block's draws
+        g = graph_for(20, 0.2, 7)
+        dm = DelayModel(3, seed=8)
+        assert next(delivery_trace(g, dm, [10**9])) == "0,0,0,RATIO_PAIR"
+        maps = consensus._column_maps(g, 3, 2)
+        drawn = maps.ticks * len(maps.draw_col)
+        assert np.array_equal(dm.sample_many(10), DelayModel(3, seed=8).sample_many(drawn + 10)[drawn:])
+
+
 class TestSharedLinkTable:
     """Engines built on one digraph share its link table and its column maps.
 
@@ -1223,15 +1295,22 @@ class TestSharedLinkTable:
             results = []
             for y0 in y0s:
                 h = Digraph(g.n, edges(g)) if fresh else g
-                trace = []
-                res = run_terminating_consensus(h, build_weights(h), dm, y0, 0.01, 100_000, trace=trace)
-                results.append((res, trace))
+                results.append(run_terminating_consensus(h, build_weights(h), dm, y0, 0.01, 100_000))
             runs.append(results)
-        for (got, got_trace), (want, want_trace) in zip(*runs):
+        for got, want in zip(*runs):
             assert got.z.tobytes() == want.z.tobytes()
             assert (got.steps, got.check_steps) == (want.steps, want.check_steps)
             assert (got.delivered, got.stale_discarded) == (want.delivered, want.stale_discarded)
-            assert got_trace == want_trace
+        # the reference's instances on one stream, traced into one list, and
+        # the replay of them over the kept maps and over a fresh digraph's
+        dm, trace = DelayModel(tau_bar, seed=11), []
+        extrema = (np.full((g.n, 3), np.inf), np.full((g.n, 3), -np.inf))
+        for y0, got in zip(y0s, runs[0]):
+            ref = PerTickEngine(g, dm, y0=y0, weights=w, extrema=extrema, trace=trace)
+            assert_same_result(got, ref.terminate(0.01, 100_000, (1 + tau_bar) * diameter(g)))
+        steps = [got.steps for got in runs[0]]
+        for h in (g, Digraph(g.n, edges(g))):
+            assert list(delivery_trace(h, DelayModel(tau_bar, seed=11), steps)) == trace
 
     def test_interleaved_bounds_and_kinds_equal_fresh_digraphs(self):
         g, _, _ = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
@@ -1246,11 +1325,11 @@ class TestSharedLinkTable:
                 y0 = None if kinds == "extrema" else vals[0]
                 extrema = None if kinds == "ratio" else (vals[1], vals[1] + 0.5)
                 weights = None if y0 is None else build_weights(h)
-                engine = ConsensusEngine(h, streams[tau_bar], y0=y0, weights=weights, extrema=extrema, trace=[])
+                engine = ConsensusEngine(h, streams[tau_bar], y0=y0, weights=weights, extrema=extrema)
                 if not fresh:
                     maps[tau_bar, kinds] = engine._maps
                 engine.advance(steps)
-                state = [engine.time, engine.delays.tobytes(), engine.trace]
+                state = [engine.time, engine.delays.tobytes()]
                 state += [engine.delivered, engine.stale_discarded, engine.extrema_folds]
                 state += [] if y0 is None else [engine.z.tobytes()]
                 state += [] if extrema is None else [engine.hi.tobytes(), engine.lo.tobytes()]
@@ -1313,18 +1392,18 @@ class TestSharedLinkTable:
 
     def test_block_entries_patched_after_the_maps_exist(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
-        multi = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
+        multi = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w)
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", 0)
         # the kept maps keep their block length; a fresh digraph's maps read the patched cap
-        kept = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w, trace=[])
+        kept = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w)
         h = Digraph(g.n, edges(g))
-        single = ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=build_weights(h), trace=[])
+        single = ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=build_weights(h))
         assert kept._maps is multi._maps and single._maps is not multi._maps
         assert multi._maps.ticks > 1 and single._maps.ticks == 1
         for engine in (multi, kept, single):
             engine.advance(40)
         for engine in (kept, single):
-            assert engine.z.tobytes() == multi.z.tobytes() and engine.trace == multi.trace
+            assert engine.z.tobytes() == multi.z.tobytes() and engine.delivered == multi.delivered
 
     def test_short_long_and_one_tick_blocks_step_alike(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
@@ -1333,7 +1412,7 @@ class TestSharedLinkTable:
         for entries in (consensus.BLOCK_ENTRIES, 5 * consensus.BLOCK_ENTRIES, 0):
             monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
             h = Digraph(g.n, edges(g))  # fresh, so its maps read the patched cap
-            engines.append(ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=w, extrema=extrema, trace=[]))
+            engines.append(ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=w, extrema=extrema))
         short, long, single = engines
         round_len = 4 * diameter(g)
         assert single._maps.ticks == 1 < short._maps.ticks < long._maps.ticks

@@ -1,3 +1,4 @@
+import copy
 import re
 from collections import Counter
 
@@ -5,12 +6,11 @@ import numpy as np
 import pytest
 
 from asyncadmm.admm import SolverConfig
-from asyncadmm.consensus import KIND_NAMES, ConsensusEngine, run_terminating_consensus
+from asyncadmm.consensus import KIND_NAMES, ConsensusEngine, delivery_trace, run_terminating_consensus
 from asyncadmm.digraph import Digraph, build_weights, random_strongly_connected
 from asyncadmm.netsim import DelayModel, _integer, _real
-from asyncadmm.oracle import synchronous_ratio_trajectory
 from asyncadmm.problems import generate_ls
-from reference import edges, message_columns, out_lists
+from reference import edges, message_columns, out_lists, synchronous_ratio_trajectory
 
 
 class FixedDelays(DelayModel):
@@ -20,20 +20,22 @@ class FixedDelays(DelayModel):
         return np.full(count, self.tau_bar, dtype=np.int64)
 
 
-def engine_for(g, dm, trace=None):
+def engine_for(g, dm):
     """A terminating-consensus engine: ratio and min/max kinds both present."""
     y0 = np.random.default_rng(0).standard_normal((g.n, 2))
-    return ConsensusEngine(g, dm, y0=y0, weights=build_weights(g), extrema=(y0, y0), trace=trace)
+    return ConsensusEngine(g, dm, y0=y0, weights=build_weights(g), extrema=(y0, y0))
 
 
 def run_logged(g, dm, steps):
     """Step an engine; return its trace lines and every non-self send.
 
-    Sends are ``(sent_at, sender, receiver, kind, delay)``, read from the
-    engine's newest delay row right after the tick that drew them.
+    The trace is :func:`delivery_trace` over a copy of ``dm`` taken before
+    the first tick, and lists as many lines as the engine counts
+    deliveries.  Sends are ``(sent_at, sender, receiver, kind, delay)``,
+    read from the engine's newest delay row right after the tick that drew them.
     """
-    trace = []
-    engine = engine_for(g, dm, trace)
+    trace = list(delivery_trace(g, copy.deepcopy(dm), [steps]))
+    engine = engine_for(g, dm)
     columns = message_columns(g)
     sends = []
     for k in range(steps):
@@ -45,6 +47,7 @@ def run_logged(g, dm, steps):
             for (r, s), d in zip(columns, kind_row):
                 if r != s:
                     sends.append((k, s, r, KIND_NAMES[kind], d))
+    assert engine.delivered == len(trace)
     return engine, trace, sends
 
 
@@ -227,24 +230,20 @@ class TestEventQueue:
         self.g = random_strongly_connected(6, 0.3, seed=4)
 
     def test_delay_two_delivered_at_two_not_before(self):
-        trace = []
-        engine = engine_for(self.g, FixedDelays(2), trace)
-        engine.advance(3)
+        _, trace, _ = run_logged(self.g, FixedDelays(2), 3)
         for k in (0, 1):
             assert all(is_self(line) for line in lines_at(trace, k))
         sent_on_edges = {line.rsplit(",", 1)[0] for line in lines_at(trace, 2) if not is_self(line)}
         assert sent_on_edges == {f"2,{i},{j}" for j, i in edges(self.g)}
 
     def test_zero_delay_is_synchronous(self):
-        trace = []
-        engine_for(self.g, DelayModel(0), trace).advance(1)
+        _, trace, _ = run_logged(self.g, DelayModel(0), 1)
         assert len(trace) == 2 * (len(edges(self.g)) + self.g.n)
 
     def test_empty_advance_returns_empty(self):
         # nothing was sent before time 0: while every delay is tau_bar, the
         # first tau_bar ticks deliver only the undelayed self terms
-        trace = []
-        engine_for(self.g, FixedDelays(3), trace).advance(3)
+        _, trace, _ = run_logged(self.g, FixedDelays(3), 3)
         assert len(trace) == 3 * 2 * self.g.n
         assert all(is_self(line) for line in trace)
 
@@ -259,14 +258,13 @@ class TestEventQueue:
 
 
 class TestBroadcast:
-    """Each node's per-tick broadcast, as the engine's arrays and trace record it."""
+    """Each node's per-tick broadcast, as the engine's arrays and the replayed trace record it."""
 
     def setup_method(self):
         self.g = random_strongly_connected(8, 0.3, seed=2)
 
     def test_enqueues_out_neighbors_plus_self(self):
-        trace = []
-        engine_for(self.g, DelayModel(0), trace).advance(1)
+        _, trace, _ = run_logged(self.g, DelayModel(0), 1)
         outs = out_lists(self.g)
         for j in range(self.g.n):
             from_j = [line.split(",") for line in trace if line.startswith(f"0,{j},")]
@@ -316,8 +314,7 @@ class TestBroadcast:
         assert Counter(trace) == expected_lines(self.g, sends, 40)
 
     def test_trace_lines(self):
-        trace = []
-        engine_for(self.g, DelayModel(0), trace).advance(1)
+        _, trace, _ = run_logged(self.g, DelayModel(0), 1)
         assert trace and all(line.startswith("0,") for line in trace)
         fields = trace[0].split(",")
         assert len(fields) == 4 and fields[3] == "RATIO_PAIR"

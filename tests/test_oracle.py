@@ -9,9 +9,9 @@ from asyncadmm.oracle import (
     SingularProblemError,
     centralized_solution,
     exact_average,
-    synchronous_ratio_trajectory,
 )
 from asyncadmm.problems import LeastSquaresInstance, generate_ls
+from reference import synchronous_ratio_trajectory
 
 
 class TestCentralizedSolution:
