@@ -18,7 +18,7 @@
 #   deps        install numpy, pytest and hypothesis (needs the network)
 #   lines       each package module's code lines (ci/code_lines.py: no blank,
 #               comment or docstring lines), the count a simplicity change reports
-#   tests       the tier-1 suite
+#   tests       the tier-1 suite, timed
 #   bench-tiny  the untraced benchmark command on every workload at size tiny
 #   bench-full  the same at full size (full leg only)
 #   results     the paper-scale record (full leg only)
@@ -80,7 +80,7 @@ lines() {
 }
 
 tests() {
-  PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -m pytest -q --continue-on-collection-errors --durations=10
+  time PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -m pytest -q --continue-on-collection-errors --durations=10
 }
 
 # a failed check exits nonzero

@@ -79,7 +79,12 @@ class ExperimentConfig:
         )
 
     def to_file(self, path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+        """One ``key=value`` line per field.
+
+        A file topology replaces ``nodes`` and ``edge_prob``, so its config leaves both out.
+        """
+        unused = ("nodes", "edge_prob") if self.topology.startswith("file:") else ()
+        lines = [f"{f.name}={getattr(self, f.name)}" for f in fields(self) if f.name not in unused]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod

@@ -83,15 +83,16 @@ class ConsensusResult:
 
 @dataclass(frozen=True, eq=False)
 class _ColumnMaps:
-    """The engine's maps that depend only on the digraph, ``tau_bar`` and the kind count.
+    """The engine's maps that depend only on the digraph and ``tau_bar``.
 
-    Built by :func:`_column_maps` once per digraph and key, all read-only.
-    ``ticks`` is the block length: the most ticks whose arrival tables fit in
-    ``BLOCK_ENTRIES`` entries, at least one.  ``receiver`` and ``sender``
-    name every kind's history columns, all in one order (the delay draw
-    order).  ``payload_of`` and ``receiver_of`` cover the arrival tables of a
-    block: offset ``(t * cols + c) * depth + j`` maps to the payload's
-    history offset ``(1 + t + j) * n + sender`` and to the receiver.
+    Built by :func:`_column_maps` once per digraph and ``tau_bar``, all
+    read-only.  ``ticks`` is the block length: the most ticks whose arrival
+    tables fit in ``BLOCK_ENTRIES`` entries, at least one.  ``receiver`` and
+    ``sender`` name the history columns of either kind, in one order (the
+    delay draw order).  ``payload_of`` and ``receiver_of`` cover the arrival
+    tables of a block: offset ``(t * cols + c) * depth + j`` maps to the
+    payload's history offset ``(1 + t + j) * n + sender`` and to the
+    receiver.
     ``draw_col`` holds the history column of every delay a tick draws, in
     draw order (sender, then kind, then receiver); no self term is among them.
     """
@@ -104,20 +105,20 @@ class _ColumnMaps:
     ticks: int
 
 
-# Each digraph's maps by (tau_bar, kind count), kept while the digraph lives:
+# Each digraph's maps by tau_bar, kept while the digraph lives:
 # every instance of a solver run shares them, and the maps hold no reference back.
 _maps_by_digraph: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _column_maps(g: Digraph, tau_bar: int, kinds: int) -> _ColumnMaps:
-    """The maps of engines on ``g`` with ``tau_bar`` and ``kinds`` message kinds, built on first use."""
-    by_key = _maps_by_digraph.setdefault(g, {})
-    if (tau_bar, kinds) in by_key:
-        return by_key[tau_bar, kinds]
+def _column_maps(g: Digraph, tau_bar: int) -> _ColumnMaps:
+    """The maps of engines on ``g`` with ``tau_bar``, built on first use."""
+    by_bound = _maps_by_digraph.setdefault(g, {})
+    if tau_bar in by_bound:
+        return by_bound[tau_bar]
     n, depth = g.n, tau_bar + 1
     receiver, sender = g.links
     cols = len(receiver)
-    ticks = max(1, BLOCK_ENTRIES // (depth * cols * kinds))
+    ticks = max(1, BLOCK_ENTRIES // (depth * 2 * cols))
     # draw order: sender-major, receivers ascending (the links' order within
     # a sender), each self term in place; node ids in the smallest unsigned
     # type that holds n, uint16 at n=600
@@ -129,21 +130,25 @@ def _column_maps(g: Digraph, tau_bar: int, kinds: int) -> _ColumnMaps:
     rows = (1 + np.add.outer(np.arange(ticks), np.arange(depth))) * n  # [tick, lag]
     payload_of = (rows[:, None, :] + sender[:, None]).astype(np.min_scalar_type((ticks + depth) * n)).ravel()
     receiver_of = np.tile(np.repeat(receiver, depth), ticks)
-    # batch position -> delay column: the edge columns kind-major, sorted
-    # stably by sender; intp, so a scatter through it copies no index
+    # batch position -> delay column: the edge columns of the ratio kind,
+    # then of the min/max kind, sorted stably by sender; intp, so a scatter
+    # through it copies no index
     edge = np.flatnonzero(receiver != sender)
-    edge_cols = np.add.outer(np.arange(kinds, dtype=np.intp) * cols, edge).ravel()
-    draw_col = edge_cols[np.argsort(np.tile(sender[edge], kinds), kind="stable")]
+    edge_cols = np.add.outer(np.array([0, cols], dtype=np.intp), edge).ravel()
+    draw_col = edge_cols[np.argsort(np.tile(sender[edge], 2), kind="stable")]
     for a in (receiver, sender, payload_of, receiver_of, draw_col):
         a.flags.writeable = False
     maps = _ColumnMaps(receiver, sender, payload_of, receiver_of, draw_col, ticks)
-    by_key[tau_bar, kinds] = maps
+    by_bound[tau_bar] = maps
     return maps
 
 
-def _history(maps: _ColumnMaps, depth: int, width: int) -> np.ndarray:
-    """A delay history: ``depth`` rows of ticks before time 0 (-1, which no lag matches), then a block's."""
-    return np.full((depth + maps.ticks, width), -1, dtype=np.min_scalar_type(-depth))
+def _history(maps: _ColumnMaps, depth: int) -> np.ndarray:
+    """A delay history over both kinds' columns.
+
+    ``depth`` rows of ticks before time 0 (-1, which no lag matches), then a block's.
+    """
+    return np.full((depth + maps.ticks, 2 * len(maps.receiver)), -1, dtype=np.min_scalar_type(-depth))
 
 
 def _delay_rows(maps: _ColumnMaps, dm: DelayModel, steps: int, hist: np.ndarray) -> np.ndarray:
@@ -166,22 +171,21 @@ def _arrivals(hist: np.ndarray, depth: int, steps: int) -> list[np.ndarray]:
 def delivery_trace(g: Digraph, dm: DelayModel, steps_per_instance: Iterable[int]) -> Iterator[str]:
     """One ``k,sender,receiver,KIND`` line per delivery of consecutive consensus instances on ``g``.
 
-    Each instance is a two-kind engine's, ratio and min/max, as
-    :func:`run_terminating_consensus` runs one: it starts at ``k = 0`` and
-    steps its count of ticks, drawing its delays from ``dm`` after the
-    instance before it, as the instances of :func:`asyncadmm.admm.run` share
-    one stream.  The delays never depend on the state, so they alone decide
+    Each instance is an engine's, as :func:`run_terminating_consensus` runs
+    one: it starts at ``k = 0`` and steps its count of ticks, drawing its
+    delays from ``dm`` after the instance before it, as the instances of
+    :func:`asyncadmm.admm.run` share one stream.  The delays never depend on the state, so they alone decide
     every arrival, stale extrema included: the lines are the deliveries
     ``ConsensusResult.delivered`` counts, by tick, then receiver, sender and
     kind (ratio first).  An instance of 0 steps draws nothing; a negative
     count is a ``ValueError``.  The lines are made one block of ticks at a
     time, so memory does not grow with an instance's length.
     """
-    maps = _column_maps(g, dm.tau_bar, 2)
+    maps = _column_maps(g, dm.tau_bar)
     depth, cols = dm.tau_bar + 1, len(maps.receiver)
     for steps in steps_per_instance:
         steps = _integer(steps, "steps", low=0)
-        hist = _history(maps, depth, 2 * cols)
+        hist = _history(maps, depth)
         for k0 in range(0, steps, maps.ticks):
             block = min(maps.ticks, steps - k0)
             hist[depth : depth + block] = _delay_rows(maps, dm, block, hist)
@@ -204,16 +208,18 @@ def _rows(a, n: int, name: str) -> np.ndarray:
 
 
 class ConsensusEngine:
-    """One network of ratio and/or extrema states, stepped in lockstep over arrays.
+    """One network's ratio and extrema states, stepped in lockstep over arrays.
 
     Each tick every node ships its ratio pair ``(y, w)``, scaled by its
     broadcast weight, and its extrema pair ``(hi, lo)`` to each out-neighbor
-    with an independent delay in ``[0, tau_bar]``, and to itself undelayed.
-    Each receiver then folds whatever is due.  The ratio kind is present when
-    ``y0`` is given, with ``weights`` the ``(n,)`` vector of per-sender
-    weights (:func:`~asyncadmm.digraph.build_weights`); the min/max kind is
-    present when ``extrema`` is.  An engine without either is a ``ValueError``,
-    and so are ``y0`` or ``weights`` that are not all finite.  Negative
+    with an independent delay in ``[0, tau_bar]``, and to itself undelayed:
+    the termination protocol needs both, so every engine runs both kinds.
+    Each receiver then folds whatever is due.  ``y0`` holds the initial
+    numerators, ``weights`` the ``(n,)`` vector of per-sender weights
+    (:func:`~asyncadmm.digraph.build_weights`) and ``extrema`` the starting
+    ``(hi, lo)`` pair, each of ``y0``'s shape; at ``+inf`` / ``-inf`` no
+    extrema fold runs.  ``y0`` or ``weights`` that are not all finite, NaN
+    extrema and extrema of another shape are a ``ValueError``.  Negative
     finite weights are accepted; a mass they drive to zero or below raises
     ``ProtocolError`` at the tick it happens.
 
@@ -245,7 +251,7 @@ class ConsensusEngine:
 
     Each block decides its arrivals once: the send made ``lag`` ticks ago on
     a column is consumed now iff its delay equals ``lag``, one comparison
-    per lag over every kind's columns (a lag slab over the block's ticks).
+    per lag over both kinds' columns (a lag slab over the block's ticks).
     ``delivered`` counts those slabs; then the extrema sent
     before ``epoch_start`` are counted into ``stale_discarded`` and cleared
     from them, the one place the epoch filter runs.  Only for a fold that
@@ -265,11 +271,11 @@ class ConsensusEngine:
     arrival-table offsets ``(t * cols + c) * depth + j``, shared by the
     kinds, give each arrival's payload offset ``(1 + t + j) * n + sender``
     and its receiver.  These maps, the draw-to-column map and the block
-    length, which reads ``BLOCK_ENTRIES``, depend only on the digraph,
-    ``tau_bar`` and the number of kinds, so they are built once per such
-    triple and kept while the digraph lives: every instance of a solver run
-    shares them.  ``delays`` returns the history's first ``depth`` rows as
-    stored, each kind's columns in draw order.
+    length, which reads ``BLOCK_ENTRIES``, depend only on the digraph and
+    ``tau_bar``, so they are built once per such pair and kept while the
+    digraph lives: every instance of a solver run shares them.  ``delays``
+    returns the history's first ``depth`` rows as stored, the ratio
+    columns, then the min/max ones, each in draw order.
 
     Ratio sums fold sequentially with ``bincount`` in column order: each
     receiver's arrivals come by sender, oldest send first, so results are
@@ -314,58 +320,45 @@ class ConsensusEngine:
         self,
         g: Digraph,
         dm: DelayModel,
-        y0: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-        extrema: tuple[np.ndarray, np.ndarray] | None = None,
+        y0: np.ndarray,
+        weights: np.ndarray,
+        extrema: tuple[np.ndarray, np.ndarray],
     ):
-        n = g.n
-        self.n = n
+        n = self.n = g.n
         self.dm = dm
-        self.time = 0
-        self.epoch_start = 0
-        self.delivered = 0
-        self.stale_discarded = 0
-        self.extrema_folds = 0
-        self.kinds = []
-        depth = dm.tau_bar + 1
-        if y0 is None and extrema is None:
-            raise ValueError("an engine needs y0, extrema or both")
-        if y0 is not None:
-            if weights is None:
-                raise ValueError("y0 needs weights")
-            y0 = _rows(y0, n, "y0")
-            if not np.isfinite(y0).all():
-                raise ValueError("y0 must be finite")
-            # the ratio state component-major: numerator rows, then the mass
-            self._yw = np.vstack([y0.T, np.ones(n)])
-            self._bw = np.asarray(weights, dtype=float)
-            if self._bw.shape != (n,):
-                raise ValueError(f"weights has shape {self._bw.shape} for a {n}-node digraph")
-            # a NaN mass would pass the nonpositive-mass check; negative weights stay legal
-            if not np.isfinite(self._bw).all():
-                raise ValueError("weights must be finite")
-            self.kinds.append(RATIO)
-        if extrema is not None:
-            hi, lo = (_rows(a, n, "extrema") for a in extrema)
-            if hi.shape != lo.shape:
-                raise ValueError(f"extrema hi and lo differ in shape: {hi.shape} and {lo.shape}")
-            if np.isnan(hi).any() or np.isnan(lo).any():
-                raise ValueError("extrema must not contain NaN")
-            # the extrema state as [hi | lo, component, node]
-            self._set_extrema(np.stack([hi.T, lo.T]))
-            self.kinds.append(MIN_MAX)
+        self.time = self.epoch_start = 0
+        self.delivered = self.stale_discarded = self.extrema_folds = 0
+        y0 = _rows(y0, n, "y0")
+        if not np.isfinite(y0).all():
+            raise ValueError("y0 must be finite")
+        # the ratio state component-major: numerator rows, then the mass
+        self._yw = np.vstack([y0.T, np.ones(n)])
+        self._bw = np.asarray(weights, dtype=float)
+        if self._bw.shape != (n,):
+            raise ValueError(f"weights has shape {self._bw.shape} for a {n}-node digraph")
+        # a NaN mass would pass the nonpositive-mass check; negative weights stay legal
+        if not np.isfinite(self._bw).all():
+            raise ValueError("weights must be finite")
+        hi, lo = (_rows(a, n, "extrema") for a in extrema)
+        if hi.shape != lo.shape:
+            raise ValueError(f"extrema hi and lo differ in shape: {hi.shape} and {lo.shape}")
+        if hi.shape != y0.shape:
+            raise ValueError(f"extrema have shape {hi.shape} for y0 of shape {y0.shape}")
+        if np.isnan(hi).any() or np.isnan(lo).any():
+            raise ValueError("extrema must not contain NaN")
+        # the extrema state as [hi | lo, component, node]
+        self._set_extrema(np.stack([hi.T, lo.T]))
 
-        self._cols = cols = len(g.links[0])
-        self._depth = depth
-        self._maps = _column_maps(g, dm.tau_bar, len(self.kinds))
-
+        self._depth = depth = dm.tau_bar + 1
+        self._maps = _column_maps(g, dm.tau_bar)
+        self._cols = len(self._maps.receiver)
         # The history, one row per tick: its delays and, per kind, its sends
         # as [..., row * n + sender] (the scaled ratio pairs [component, ...],
-        # the extrema [hi | lo, component, ...]), in kind order.  A self term is compared only at lag 0, on
-        # a row its block drew, so no pre-start value of it is ever read.
-        self._hist = _history(self._maps, depth, len(self.kinds) * cols)
-        states = [self._yw if kind == RATIO else self._ext for kind in self.kinds]
-        self._sent = [np.zeros((*s.shape[:-1], len(self._hist) * n), dtype=s.dtype) for s in states]
+        # then the extrema [hi | lo, component, ...]).  A self term is
+        # compared only at lag 0, on a row its block drew, so no pre-start
+        # value of it is ever read.
+        self._hist = _history(self._maps, depth)
+        self._sent = [np.zeros((*state.shape[:-1], len(self._hist) * n)) for state in (self._yw, self._ext)]
 
     @property
     def y(self) -> np.ndarray:
@@ -385,8 +378,9 @@ class ConsensusEngine:
         """The delays drawn over the last ``depth`` ticks, one row per tick.
 
         Rows run oldest first: row ``-1 - age`` holds the draws of tick
-        ``time - 1 - age``; -1 marks ticks before time 0.  Columns run by
-        kind, then in draw order (sender, then receiver).
+        ``time - 1 - age``; -1 marks ticks before time 0.  The ratio
+        columns come first, then the min/max ones, each in draw order
+        (sender, then receiver).
         """
         return self._hist[: self._depth].copy()
 
@@ -416,12 +410,12 @@ class ConsensusEngine:
         self._set_extrema(np.stack([z, z]))
         self.epoch_start = self.time
 
-    def _fold_inputs(self, q: int, slabs: list[np.ndarray]):
-        """Kind ``q``'s arrivals as fold inputs, in the order each receiver folds them.
+    def _fold_inputs(self, q: int, slabs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Kind ``q``'s arrivals as fold inputs, per tick, in the order each receiver folds them.
 
-        Returns each arrival's payload offset (history row times ``n`` plus
-        sender), per-tick bounds into them, and its receiver as ``intp``:
-        every fold gathers the payloads and scatters them into their receivers.
+        Each tick's are its arrivals' payload offsets (history row times
+        ``n`` plus sender) and receivers, as ``intp``: every fold gathers
+        the payloads and scatters them into their receivers.
         """
         cols, depth, maps = self._cols, self._depth, self._maps
         steps = len(slabs[0])
@@ -431,10 +425,11 @@ class ConsensusEngine:
         # reads the sends of ticks k0 + t - (depth - 1) .. k0 + t, history
         # rows t + 1 .. t + depth.
         flat = np.flatnonzero(table)
-        bounds = np.searchsorted(flat, np.arange(steps + 1) * cols * depth)
+        bounds = np.searchsorted(flat, np.arange(steps + 1) * cols * depth).tolist()
         # cast once here, not once per component: each fold gathers with the
         # offsets, and bincount and maximum.at want intp receivers
-        return maps.payload_of[flat].astype(np.intp), bounds, maps.receiver_of[flat].astype(np.intp)
+        source, receiver = maps.payload_of[flat].astype(np.intp), maps.receiver_of[flat].astype(np.intp)
+        return [(source[i:j], receiver[i:j]) for i, j in zip(bounds, bounds[1:])]
 
     def _delay_rows(self, steps: int) -> np.ndarray:
         return _delay_rows(self._maps, self.dm, steps, self._hist)
@@ -445,47 +440,42 @@ class ConsensusEngine:
         hist[depth : depth + steps] = rows
         arrivals = _arrivals(hist, depth, steps)
         self.delivered += sum(np.count_nonzero(slab) for slab in arrivals)
-        if MIN_MAX in self.kinds:
-            # count, then drop, the extrema sent before the re-seed (t + j < cut)
-            # from the last kind's columns; cut < 0 once a block starts more
-            # than depth - 1 ticks after it, and then nothing is stale
-            cut = self.epoch_start - k0 + depth - 1
-            for j, slab in enumerate(arrivals[: max(cut, 0)]):
-                stale = slab[: cut - j, -self._cols :]
-                self.stale_discarded += np.count_nonzero(stale)
-                stale[...] = False
+        # count, then drop, the extrema sent before the re-seed (t + j < cut)
+        # from the min/max columns; cut < 0 once a block starts more than
+        # depth - 1 ticks after it, and then nothing is stale
+        cut = self.epoch_start - k0 + depth - 1
+        for j, slab in enumerate(arrivals[: max(cut, 0)]):
+            stale = slab[: cut - j, self._cols :]
+            self.stale_discarded += np.count_nonzero(stale)
+            stale[...] = False
+        ratio = self._fold_inputs(RATIO, arrivals)
         # fixed extrema fold nothing: their arrivals are only counted
-        folds = [
-            None if kind == MIN_MAX and self._ext_fixed else self._fold_inputs(q, arrivals)
-            for q, kind in enumerate(self.kinds)
-        ]
+        extrema = None if self._ext_fixed else self._fold_inputs(MIN_MAX, arrivals)
 
         for t in range(steps):
             self.time = k0 + t
             # this tick's sends go on its delays' row
             sends = slice((depth + t) * n, (depth + t + 1) * n)
-            for kind, sent, fold in zip(self.kinds, self._sent, folds):
-                if kind == MIN_MAX and self._ext_fixed:
-                    # no reader of these sends is a fold that runs: later
-                    # ticks of this epoch skip theirs, the epoch filter cuts the rest
-                    continue
-                source, bounds, receiver = fold
-                at = slice(bounds[t], bounds[t + 1])
-                fold_kind = self._fold_ratio if kind == RATIO else self._fold_extrema
-                fold_kind(sent, sends, source[at], receiver[at])
+            self._fold_ratio(sends, *ratio[t])
+            # once the extrema are fixed, no reader of their sends is a fold that
+            # runs: later ticks of this epoch skip theirs, the epoch filter cuts the rest
+            if not self._ext_fixed:
+                self._fold_extrema(sends, *extrema[t])
         self.time = k0 + steps
         # the newest depth rows to the front (numpy buffers an overlap)
         hist[:depth] = hist[steps : steps + depth]
         for sent in self._sent:
             sent[..., : depth * n] = sent[..., steps * n : (steps + depth) * n]
 
-    def _fold_ratio(self, sent: np.ndarray, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
+    def _fold_ratio(self, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
+        sent = self._sent[RATIO]
         sent[:, sends] = self._bw * self._yw
         self._yw = np.array([np.bincount(receiver, weights=row[source], minlength=self.n) for row in sent])
         if (self.w <= 0.0).any():
             raise ProtocolError(f"nonpositive mass {self.w.min()} after update")
 
-    def _fold_extrema(self, sent: np.ndarray, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
+    def _fold_extrema(self, sends: slice, source: np.ndarray, receiver: np.ndarray) -> None:
+        sent = self._sent[MIN_MAX]
         sent[..., sends] = self._ext
         # in place, since the sends hold this tick's copy; oldest send first per sender
         for extreme, half, sent_half in zip((np.maximum, np.minimum), self._ext, sent):
@@ -600,5 +590,5 @@ def run_terminating_consensus(
     round_len = (1 + dm.tau_bar) * max(d, 1)
     shape = np.shape(y0)  # the engine converts and checks y0
     extrema = (np.full(shape, np.inf), np.full(shape, -np.inf))
-    engine = ConsensusEngine(g, dm, y0=y0, weights=weights, extrema=extrema)
+    engine = ConsensusEngine(g, dm, y0, weights, extrema)
     return engine.terminate(eps, step_cap, round_len)

@@ -15,7 +15,9 @@ A run record keeps its z trajectory but not its x and lam iterates;
 :func:`synchronous_ratio_trajectory` is the power-iteration oracle that
 zero-delay consensus must equal bit for bit; it walks ``g.links`` and
 scales by :func:`~asyncadmm.digraph.build_weights`, the engine's own
-weights, since a bit-for-bit match needs the same terms.
+weights, since a bit-for-bit match needs the same terms.  An engine checked
+against it starts its extrema at :func:`unbounded`'s ``+inf`` / ``-inf``,
+where no extrema fold runs.
 """
 
 import numpy as np
@@ -100,3 +102,8 @@ def synchronous_ratio_trajectory(g, y0, k):
         y, w = y_next, w_next
         traj.append(y / w[:, None])
     return traj
+
+
+def unbounded(shape):
+    """Extrema ``(hi, lo)`` of ``shape`` at ``+inf`` / ``-inf``: fixed from the start, so no extrema fold runs."""
+    return np.full(shape, np.inf), np.full(shape, -np.inf)

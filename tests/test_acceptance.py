@@ -17,7 +17,7 @@ from asyncadmm.digraph import build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import centralized_solution, exact_average
 from asyncadmm.problems import generate_ls
-from reference import replay, synchronous_ratio_trajectory
+from reference import replay, synchronous_ratio_trajectory, unbounded
 
 TRIAL_SIZES = (5, 10, 20)
 TRIAL_TAUS = (0, 1, 3, 5)
@@ -100,7 +100,7 @@ def test_criterion_1_ratio_consensus_correctness(trial_set):
     for t, g, w, _, tau in trial_set:
         rng = np.random.default_rng(2000 + t)
         y0 = rng.standard_normal((g.n, 2))
-        engine = ConsensusEngine(g, DelayModel(tau, seed=3000 + t), y0=y0, weights=w)
+        engine = ConsensusEngine(g, DelayModel(tau, seed=3000 + t), y0=y0, weights=w, extrema=unbounded(y0.shape))
         engine.advance(2000)
         err = np.max(np.linalg.norm(engine.z - exact_average(y0), axis=1))
         assert err <= 1e-8, f"trial {t}: n={g.n} tau={tau} err={err}"
@@ -108,10 +108,11 @@ def test_criterion_1_ratio_consensus_correctness(trial_set):
 
 @criterion(2, "max/min consensus settles within (1+tau)*D steps on every trial")
 def test_criterion_2_minmax_finite_time_bound(trial_set):
-    for t, g, _, d, tau in trial_set:
+    for t, g, w, d, tau in trial_set:
         rng = np.random.default_rng(4000 + t)
         vals = rng.standard_normal((g.n, 2))
-        engine = ConsensusEngine(g, DelayModel(tau, seed=5000 + t), extrema=(vals, vals))
+        # the extrema of the ratio inputs, as a re-seed starts them
+        engine = ConsensusEngine(g, DelayModel(tau, seed=5000 + t), y0=vals, weights=w, extrema=(vals, vals))
         engine.advance((1 + tau) * d)
         assert np.array_equal(engine.hi, np.tile(vals.max(axis=0), (g.n, 1))), f"trial {t}"
         assert np.array_equal(engine.lo, np.tile(vals.min(axis=0), (g.n, 1))), f"trial {t}"
@@ -142,7 +143,7 @@ def test_criterion_4_synchronous_equivalence():
         g = random_strongly_connected(5 + gi, 0.3, seed=7000 + gi)
         w = build_weights(g)
         y0 = np.random.default_rng(7100 + gi).standard_normal((g.n, 2))
-        engine = ConsensusEngine(g, DelayModel(0), y0=y0, weights=w)
+        engine = ConsensusEngine(g, DelayModel(0), y0=y0, weights=w, extrema=unbounded(y0.shape))
         ref = synchronous_ratio_trajectory(g, y0, 200)
         for k in range(201):
             assert np.abs(engine.z - ref[k]).max() <= 1e-12, f"graph {gi}, step {k}"

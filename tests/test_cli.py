@@ -266,6 +266,20 @@ class TestRunOnce:
         ) == 0
         assert (out / "topology.txt").read_text() == topo.read_text()
 
+    def test_file_topology_config_leaves_out_nodes_and_edge_prob(self, tmp_path):
+        # the file's 20-node digraph replaces --nodes and --edge-prob, so config.txt records neither
+        topo = Path(__file__).parent / "data" / "digraph_n20_p02_s7.txt"
+        flags = ["--topology", f"file:{topo}", "--nodes", "30", "--edge-prob", "0.9", "--kmax", "2"]
+        out_a, out_b, grid = tmp_path / "a", tmp_path / "b", tmp_path / "grid"
+        assert run_cli("run", *flags, "--out", str(out_a)) == 0
+        config = (out_a / "config.txt").read_text()
+        assert not {"nodes", "edge_prob"} & {line.partition("=")[0] for line in config.splitlines()}
+        assert run_cli("run", "--config", str(out_a / "config.txt"), "--out", str(out_b)) == 0
+        for name in ("run.csv", "config.txt"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert run_cli("sweep", *flags, "--epsilons", "0.1", "--tau-bars", "1", "--out", str(grid)) == 0
+        assert (grid / "config.txt").read_text() == config
+
     @pytest.mark.parametrize("mode", ["asyadmm", "sync_baseline"])
     def test_zero_optimum_gives_an_infinite_relative_error(self, tmp_path, mode):
         out = tmp_path / "out"

@@ -27,7 +27,7 @@ from asyncadmm.consensus import (
 from asyncadmm.digraph import Digraph, build_weights, diameter, random_strongly_connected
 from asyncadmm.netsim import DelayModel
 from asyncadmm.oracle import exact_average
-from reference import edges, message_columns, out_lists, synchronous_ratio_trajectory
+from reference import edges, message_columns, out_lists, synchronous_ratio_trajectory, unbounded
 
 # frozen once from the seeded run below; re-runs must reproduce it exactly
 GOLDEN_N20_TAU3_EPS01_STEPS = 32
@@ -129,12 +129,22 @@ def seeded_setup(n=10, edge_prob=0.3, seed=1, p=2):
     return g, w, y0
 
 
+def ratio_engine(g, dm, y0, weights):
+    """An engine whose extrema start at +-inf, where no extrema fold runs: only the ratios mix."""
+    return ConsensusEngine(g, dm, y0=y0, weights=weights, extrema=unbounded(np.shape(y0)))
+
+
+def extrema_engine(g, dm, hi, lo, cls=ConsensusEngine):
+    """An engine whose extrema start at ``(hi, lo)``; its ratios start at 0 and are not read."""
+    return cls(g, dm, y0=np.zeros(np.shape(hi)), weights=build_weights(g), extrema=(hi, lo))
+
+
 class TestRatioStep:
     def test_two_node_hand_iteration(self):
         # symmetric half weights: one step lands both nodes on the average
         g = two_cycle()
         w = build_weights(g)
-        engine = ConsensusEngine(g, DelayModel(0), y0=np.array([[0.0], [4.0]]), weights=w)
+        engine = ratio_engine(g, DelayModel(0), np.array([[0.0], [4.0]]), w)
         engine.advance(1)
         assert engine.z[0, 0] == 2.0 and engine.z[1, 0] == 2.0
 
@@ -143,7 +153,7 @@ class TestRatioStep:
         # sequentially, by sender and then by send time
         g, w, y0 = seeded_setup(n=8, seed=3)
         dm = DelayModel(3, seed=4)
-        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        engine = ratio_engine(g, dm, y0, w)
         depth = dm.tau_bar + 1
         columns = message_columns(g)
         sent = []
@@ -169,10 +179,11 @@ class TestRatioStep:
     def test_sum_order_with_pinned_delays(self):
         # receiver 2 hears from senders 0 and 1: their tick-0 sends with delay
         # 1 and their tick-1 sends with delay 0 all arrive at tick 1, beside
-        # its own send; sums of 1e16-sized terms round differently per order
+        # its own send; sums of 1e16-sized terms round differently per order.
+        # Each sender draws its ratio delay, then its min/max one.
         g = Digraph(3, [(2, 0), (2, 1)])
         w = build_weights(g)
-        engine = ConsensusEngine(g, ScriptedDelays(1, [1, 1, 0, 0]), y0=np.array([[3.0], [4e16], [-4e16]]), weights=w)
+        engine = ratio_engine(g, ScriptedDelays(1, [1, 1, 1, 1, 0, 0, 0, 0]), np.array([[3.0], [4e16], [-4e16]]), w)
         sent = []
         for _ in range(2):
             sent.append((w * engine.y[:, 0]).tolist())
@@ -193,14 +204,12 @@ class TestRatioStep:
         g, w, _ = seeded_setup()
         y0 = np.tile([2.5, -1.0], (g.n, 1))
         for dm in (DelayModel(0), DelayModel(3, seed=4)):
-            engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+            engine = ratio_engine(g, dm, y0, w)
             engine.advance(40)
             assert np.allclose(engine.z, y0, rtol=1e-12, atol=1e-12)
 
     def test_nonpositive_mass_raises(self):
-        engine = ConsensusEngine(
-            two_cycle(), DelayModel(0), y0=np.array([[1.0], [2.0]]), weights=np.array([-0.5, -0.5])
-        )
+        engine = ratio_engine(two_cycle(), DelayModel(0), np.array([[1.0], [2.0]]), np.array([-0.5, -0.5]))
         with pytest.raises(ProtocolError):
             engine.advance(1)
 
@@ -210,7 +219,7 @@ class TestMassConservation:
     def test_state_plus_in_flight_is_constant(self, tau_bar):
         g, w, y0 = seeded_setup(n=8, seed=5)
         dm = DelayModel(tau_bar, seed=6)
-        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        engine = ratio_engine(g, dm, y0, w)
         depth = tau_bar + 1
         col_sender = np.array([s for _, s in message_columns(g)])
         sent = []
@@ -221,9 +230,10 @@ class TestMassConservation:
             y_mass = engine.y.sum(axis=0).copy()
             w_mass = float(engine.w.sum())
             # in flight: sends of the last depth ticks whose delay exceeds
-            # their age (a self term has delay 0, so it is never late)
+            # their age (a self term has delay 0, so it is never late); the
+            # ratio columns come first
             for lag in range(min(depth, k + 1)):
-                late = engine.delays[-1 - lag] > lag
+                late = engine.delays[-1 - lag, : len(col_sender)] > lag
                 senders = col_sender[late]
                 y_mass += sent[k - lag][0][senders].sum(axis=0)
                 w_mass += float(sent[k - lag][1][senders].sum())
@@ -236,7 +246,7 @@ class TestAsymptoticAverage:
     def test_converges_to_exact_average(self, tau_bar):
         g, w, y0 = seeded_setup(n=12, seed=2)
         dm = DelayModel(tau_bar, seed=3)
-        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        engine = ratio_engine(g, dm, y0, w)
         engine.advance(800)
         assert np.abs(engine.z - exact_average(y0)).max() < 1e-10
 
@@ -244,7 +254,7 @@ class TestAsymptoticAverage:
 class TestSynchronousEquivalence:
     def test_bit_for_bit_against_power_iteration(self):
         g, w, y0 = seeded_setup(n=9, seed=7, p=3)
-        engine = ConsensusEngine(g, DelayModel(0), y0=y0, weights=w)
+        engine = ratio_engine(g, DelayModel(0), y0, w)
         ref = synchronous_ratio_trajectory(g, y0, 80)
         for k in (0, 1, 2, 5, 20, 80):
             engine.advance(k - engine.time)
@@ -256,7 +266,7 @@ class TestMinMax:
         # one undelayed exchange folds each neighbor's pair into the node's own
         hi0 = np.array([[1.0, 5.0], [3.0, 2.0]])
         lo0 = np.array([[1.0, 5.0], [0.0, 4.0]])
-        engine = ConsensusEngine(two_cycle(), DelayModel(0), extrema=(hi0, lo0))
+        engine = extrema_engine(two_cycle(), DelayModel(0), hi0, lo0)
         engine.advance(1)
         assert np.array_equal(engine.hi, [[3.0, 5.0], [3.0, 5.0]])
         assert np.array_equal(engine.lo, [[0.0, 4.0], [0.0, 4.0]])
@@ -264,7 +274,7 @@ class TestMinMax:
     def test_max_consensus_on_three_cycle(self):
         g = three_cycle()
         vals = np.array([[5.0], [1.0], [3.0]])
-        engine = ConsensusEngine(g, DelayModel(0), extrema=(vals, vals))
+        engine = extrema_engine(g, DelayModel(0), vals, vals)
         engine.advance(diameter(g))
         assert np.all(engine.hi == 5.0)
         assert np.all(engine.lo == 1.0)
@@ -273,7 +283,7 @@ class TestMinMax:
         # tau_bar=2, D=2: both extrema settle within (1+2)*2 = 6 steps
         g = three_cycle()
         vals = np.array([[5.0], [1.0], [3.0]])
-        engine = ConsensusEngine(g, DelayModel(2, seed=0), extrema=(vals, vals))
+        engine = extrema_engine(g, DelayModel(2, seed=0), vals, vals)
         engine.advance(6)
         assert np.all(engine.hi == 5.0) and np.all(engine.lo == 1.0)
 
@@ -283,7 +293,7 @@ class TestMinMax:
         tau_bar = (seed % 3) + 1
         dm = DelayModel(tau_bar, seed=seed + 100)
         vals = np.random.default_rng(seed).standard_normal((g.n, 2))
-        engine = ConsensusEngine(g, dm, extrema=(vals, vals))
+        engine = extrema_engine(g, dm, vals, vals)
         engine.advance((1 + tau_bar) * diameter(g))
         assert np.array_equal(engine.hi, np.tile(vals.max(axis=0), (g.n, 1)))
         assert np.array_equal(engine.lo, np.tile(vals.min(axis=0), (g.n, 1)))
@@ -329,7 +339,7 @@ class TestTerminatingConsensus:
         g = random_strongly_connected(10, 0.1, seed=3)
         assert diameter(g) == 7
         vals = np.arange(10.0)[:, None]
-        engine = ConsensusEngine(g, DelayModel(1, seed=1), extrema=(vals, vals))
+        engine = extrema_engine(g, DelayModel(1, seed=1), vals, vals)
         with pytest.raises(ProtocolError, match="^extrema disagree across nodes at check boundary 1$"):
             engine.terminate(0.1, 100, 1)
         assert engine.time == 1
@@ -399,8 +409,7 @@ class TestTerminatingConsensus:
         g, w, y0 = seeded_setup(n=8, seed=24)
         dm = DelayModel(2, seed=25)
         round_len = (1 + 2) * diameter(g)
-        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
-        engine = ConsensusEngine(g, dm, y0=y0, weights=w, extrema=extrema)
+        engine = ratio_engine(g, dm, y0, w)
         engine.advance(round_len)
         engine.reseed_extrema()
         assert np.array_equal(engine.hi, engine.z)
@@ -427,7 +436,12 @@ class TestTerminatingConsensus:
 
 
 class TestGoldenPins:
-    """Bit-level outputs of every consensus entry point, delays included."""
+    """Bit-level outputs of every consensus entry point, delays included.
+
+    The min/max and ratio pins hold the per-tick reference's single-kind
+    modes, which draw one kind's delays per tick; block engines, which draw
+    both kinds', are checked against the reference bit for bit below.
+    """
 
     @pytest.mark.parametrize("n,tau_bar", sorted(GOLDEN_TERMINATING))
     def test_terminating(self, n, tau_bar):
@@ -444,22 +458,21 @@ class TestGoldenPins:
     def test_minmax(self, n, tau_bar, steps):
         g = pinned_graph(n)
         vals = np.random.default_rng(n + 1).standard_normal((n, 2))
-        engine = ConsensusEngine(g, pinned_delays(tau_bar), extrema=(vals, vals + 0.5))
-        engine.advance(steps)
-        assert digest(engine.hi, engine.lo) == GOLDEN_MINMAX[n, tau_bar, steps]
+        ref = PerTickEngine(g, pinned_delays(tau_bar), extrema=(vals, vals + 0.5))
+        ref.advance(steps)
+        assert digest(ref.hi, ref.lo) == GOLDEN_MINMAX[n, tau_bar, steps]
 
     @pytest.mark.parametrize("n,tau_bar", sorted(GOLDEN_RATIO))
     def test_ratio(self, n, tau_bar):
         g = pinned_graph(n)
         w = build_weights(g)
         y0 = np.random.default_rng(n + 2).standard_normal((n, 2))
-        spans, ticks = (ConsensusEngine(g, pinned_delays(tau_bar), y0=y0, weights=w) for _ in range(2))
-        spans.advance(30)
-        traj = [ticks.z]
+        ref = PerTickEngine(g, pinned_delays(tau_bar), y0=y0, weights=w)
+        traj = [ref.z]
         for _ in range(30):
-            ticks.advance(1)
-            traj.append(ticks.z)
-        assert (digest(spans.z), digest(*traj)) == GOLDEN_RATIO[n, tau_bar]
+            ref.advance(1)
+            traj.append(ref.z)
+        assert (digest(ref.z), digest(*traj)) == GOLDEN_RATIO[n, tau_bar]
 
 
 class TestPaperScale:
@@ -473,8 +486,7 @@ class TestPaperScale:
     @pytest.mark.parametrize("tau_bar", sorted(GOLDEN_PAPER600))
     def test_terminating(self, inputs, tau_bar):
         g, w, y0 = inputs
-        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
-        assert ConsensusEngine(g, DelayModel(tau_bar), y0=y0, weights=w, extrema=extrema)._maps.ticks == 1
+        assert ratio_engine(g, DelayModel(tau_bar), y0, w)._maps.ticks == 1
         res = run_terminating_consensus(g, w, DelayModel(tau_bar, seed=(7, 1)), y0, 0.1, 1000)
         assert res.converged
         got = (res.steps, res.check_steps, res.delivered, res.stale_discarded, res.extrema_folds)
@@ -655,17 +667,17 @@ def delays_of(network):
     return DelayModel(tau_bar, seed=seed + 1)
 
 
-def both_engines(
-    network, p=2, ratio=True, extrema=None, traced=False, weights=None, classes=(ConsensusEngine, PerTickEngine)
-):
+def both_engines(network, p=2, extrema=None, traced=False, weights=None, classes=(ConsensusEngine, PerTickEngine)):
     """The block engine and the per-tick reference on the same inputs and delay seed.
 
-    ``traced`` keeps the reference's trace: the block engine keeps none.
+    Both run both kinds: the extrema start at ``extrema``, by default at
+    +-inf.  ``traced`` keeps the reference's trace: the block engine keeps none.
     """
     n, edge_prob, _, seed = network
     g = graph_for(n, edge_prob, seed)
-    y0 = np.random.default_rng(seed).standard_normal((n, p)) if ratio else None
-    w = (weights or build_weights)(g) if ratio else None
+    y0 = np.random.default_rng(seed).standard_normal((n, p))
+    w = (weights or build_weights)(g)
+    extrema = unbounded((n, p)) if extrema is None else extrema
     engines = [cls(g, delays_of(network), y0=y0, weights=w, extrema=extrema) for cls in classes]
     if traced:
         engines[classes.index(PerTickEngine)].trace = []
@@ -691,9 +703,8 @@ class TestBlockMatchesPerTick:
     # a block that starts more than tau_bar ticks after a re-seed: nothing in it is stale
     @example(network=(26, 0.5, 10, 1), eps=1.0, step_cap=21)
     def test_terminate(self, network, eps, step_cap):
-        n, _, tau_bar, _ = network
-        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
-        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        _, _, tau_bar, _ = network
+        g, (block, ref) = both_engines(network, traced=True)
         round_len = (1 + tau_bar) * max(diameter(g), 1)
         got = block.terminate(eps, step_cap, round_len)
         want = ref.terminate(eps, step_cap, round_len)
@@ -704,8 +715,7 @@ class TestBlockMatchesPerTick:
     @pytest.mark.parametrize("tau_bar", [1, 3, 10])
     def test_step_cap_mid_round(self, tau_bar):
         network = (20, 0.2, tau_bar, 7)
-        extrema = (np.full((20, 2), np.inf), np.full((20, 2), -np.inf))
-        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        g, (block, ref) = both_engines(network, traced=True)
         round_len = (1 + tau_bar) * diameter(g)
         cap = 2 * round_len + round_len // 2
         got = block.terminate(1e-12, cap, round_len)
@@ -751,7 +761,7 @@ class TestBlockMatchesPerTick:
         self.raise_tick(network, np.array(data.draw(st.lists(st.floats(-0.2, 1.0), min_size=n, max_size=n))))
 
     def test_nonpositive_mass_inside_a_block(self):
-        sender_weight = np.random.default_rng(1).uniform(-0.05, 1.0, 20)
+        sender_weight = np.random.default_rng(49).uniform(-0.05, 1.0, 20)
         assert self.raise_tick((20, 0.2, 3, 1), sender_weight) == 6
 
 
@@ -771,8 +781,7 @@ class TestBlockBoundaries:
         # two kinds: a block of cap ticks holds cap * depth * 2 * cols table entries
         entries = cap * (1 + tau_bar) * 2 * len(g.links[0]) if mid_round else 0
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
-        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
-        _, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        _, (block, ref) = both_engines(network, traced=True)
         assert block._maps.ticks == cap and (cap == 1 or round_len % cap != 0)
         got = block.terminate(1e-3, 10 * round_len, round_len)
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
@@ -843,7 +852,7 @@ class TestDrawAhead:
     @staticmethod
     def losing_mass(g):
         """Weights, some negative: network (20, 0.2, 3, 1) loses its mass at tick 6."""
-        return np.random.default_rng(1).uniform(-0.05, 1.0, g.n)
+        return np.random.default_rng(49).uniform(-0.05, 1.0, g.n)
 
     @staticmethod
     def assert_same(g, network, block, ref):
@@ -860,9 +869,8 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("network", [(20, 0.2, 3, 7), (12, 0.3, 10, 5), (6, 0.5, 0, 2)])
     def test_terminate(self, network):
-        n, _, tau_bar, _ = network
-        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
-        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        _, _, tau_bar, _ = network
+        g, (block, ref) = both_engines(network, traced=True)
         assert block._maps.ticks == 1
         round_len = (1 + tau_bar) * diameter(g)
         got = block.terminate(1e-3, 10 * round_len, round_len)
@@ -975,10 +983,8 @@ class TestFixedExtrema:
 
     @pytest.mark.parametrize("tau_bar", [0, 1, 3, 10])
     def test_infinite_start(self, tau_bar):
-        n = 20
-        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
-        network = (n, 0.2, tau_bar, 7)
-        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        network = (20, 0.2, tau_bar, 7)
+        g, (block, ref) = both_engines(network, traced=True)
         round_len = (1 + tau_bar) * diameter(g)
         block.advance(round_len)
         ref.advance(round_len)
@@ -1010,8 +1016,7 @@ class TestFixedExtrema:
         # the first skipped tick, extrema_folds, is inside a block when blocks are longer than one tick
         assert 0 < block.extrema_folds <= round_len
         assert cap == 1 or block.extrema_folds % cap != 0
-        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
-        _, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        _, (block, ref) = both_engines(network, traced=True)
         got = block.terminate(1e-3, 10 * round_len, round_len)
         assert_same_result(got, ref.terminate(1e-3, 10 * round_len, round_len))
         assert_same_state(block, ref)
@@ -1049,7 +1054,7 @@ class TestFixedExtrema:
         # every node holds -0.0 after tick 5 while a 0.0 sent before it is
         # still in flight; where a tie takes the arrival (x86), it lands at tick 6
         hi0 = np.array([[-0.0], [0.0], [-0.0], [-0.0]])
-        _, (block, ref) = both_engines((4, 0.3, 3, 12), ratio=False, extrema=(hi0, np.full((4, 1), -5.0)))
+        _, (block, ref) = both_engines((4, 0.3, 3, 12), p=1, extrema=(hi0, np.full((4, 1), -5.0)))
         for _ in range(12):
             block.advance(1)
             ref.advance(1)
@@ -1061,7 +1066,7 @@ class TestFixedExtrema:
         # fixed from its start while extrema sent before it are still arriving
         g, w, _ = seeded_setup(n=6, seed=8)
         y0 = np.tile([1.0, 2.0], (g.n, 1))
-        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+        extrema = unbounded(y0.shape)
         block = ConsensusEngine(g, DelayModel(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema)
         ref = PerTickEngine(g, DelayModel(tau_bar, seed=9), y0=y0, weights=w, extrema=extrema, trace=[])
         round_len = (1 + tau_bar) * diameter(g)
@@ -1084,7 +1089,7 @@ class TestFixedExtrema:
         folds = []
         for hi0, lo0 in ((constant, constant), (zeros, zeros), (vals, vals + 0.5)):
             block, ref, every = (
-                cls(g, DelayModel(tau_bar, seed=10), extrema=(hi0, lo0))
+                extrema_engine(g, DelayModel(tau_bar, seed=10), hi0, lo0, cls)
                 for cls in (ConsensusEngine, PerTickEngine, FoldEveryTick)
             )
             for engine in (block, ref, every):
@@ -1109,7 +1114,7 @@ def assert_extrema_fold_matches(network, data, values, steps):
     rows = st.lists(values, min_size=n * 2, max_size=n * 2)
     hi0 = np.reshape(data.draw(rows), (n, 2))
     lo0 = np.reshape(data.draw(rows), (n, 2))
-    _, (block, ref) = both_engines(network, ratio=False, extrema=(hi0, lo0))
+    _, (block, ref) = both_engines(network, extrema=(hi0, lo0))
     block.advance(steps)
     ref.advance(steps)
     assert block.hi.tobytes() == ref.hi.tobytes()
@@ -1132,7 +1137,8 @@ class TestExtremaFold:
         vals = np.random.default_rng(9).standard_normal((n, 2))
         for steps in (1, 3, (1 + tau_bar) * diameter(g)):
             block, ref = (
-                cls(g, DelayModel(tau_bar, seed=10), extrema=(vals, vals + 0.5)) for cls in (ConsensusEngine, PerTickEngine)
+                extrema_engine(g, DelayModel(tau_bar, seed=10), vals, vals + 0.5, cls)
+                for cls in (ConsensusEngine, PerTickEngine)
             )
             block.advance(steps)
             ref.advance(steps)
@@ -1141,8 +1147,7 @@ class TestExtremaFold:
     def test_reseeds_while_old_extrema_are_in_flight(self):
         # tau_bar=10: extrema sent before each re-seed are still in flight after it
         network = (20, 0.2, 10, 3)
-        extrema = (np.full((20, 2), np.inf), np.full((20, 2), -np.inf))
-        g, (block, ref) = both_engines(network, extrema=extrema, traced=True)
+        g, (block, ref) = both_engines(network, traced=True)
         round_len = 11 * diameter(g)
         got = block.terminate(0.01, 100_000, round_len)
         assert_same_result(got, ref.terminate(0.01, 100_000, round_len))
@@ -1196,7 +1201,7 @@ class TestCounters:
     def test_counts_deliveries_and_stale_extrema(self):
         g, w, y0 = seeded_setup(n=12, seed=30)
         res = run_terminating_consensus(g, w, DelayModel(3, seed=31), y0, 1e-3, 10_000)
-        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
+        extrema = unbounded(y0.shape)
         ref = PerTickEngine(g, DelayModel(3, seed=31), y0=y0, weights=w, extrema=extrema, trace=[])
         assert_same_result(res, ref.terminate(1e-3, 10_000, 4 * diameter(g)))
         assert_replayed(g, DelayModel(3, seed=31), ref)
@@ -1211,15 +1216,11 @@ class TestCounters:
         assert res.stale_discarded == 0
 
     @pytest.mark.parametrize("tau_bar", [0, 3])
-    @pytest.mark.parametrize("kinds", ["ratio", "extrema", "both"])
-    def test_delays_before_the_first_tick_are_minus_one(self, tau_bar, kinds):
-        # self-term columns included: every column of every pre-start row
+    def test_delays_before_the_first_tick_are_minus_one(self, tau_bar):
+        # self-term columns included: every column of either kind, of every pre-start row
         g, w, y0 = seeded_setup(n=12, seed=30)
-        extrema = None if kinds == "ratio" else (y0, y0)
-        y0, w = (None, None) if kinds == "extrema" else (y0, w)
-        engine = ConsensusEngine(g, DelayModel(tau_bar, seed=31), y0=y0, weights=w, extrema=extrema)
-        width = len(engine.kinds) * (len(edges(g)) + g.n)
-        assert engine.delays.shape == (tau_bar + 1, width)
+        engine = ConsensusEngine(g, DelayModel(tau_bar, seed=31), y0=y0, weights=w, extrema=(y0, y0))
+        assert engine.delays.shape == (tau_bar + 1, 2 * (len(edges(g)) + g.n))
         assert (engine.delays == -1).all()
 
 
@@ -1241,7 +1242,7 @@ class TestDeliveryTrace:
         g = graph_for(n, edge_prob, seed)
         w = build_weights(g)
         round_len = (1 + tau_bar) * max(diameter(g), 1)
-        extrema = (np.full((n, 2), np.inf), np.full((n, 2), -np.inf))
+        extrema = unbounded((n, 2))
         block_dm, ref_dm = delays_of(network), delays_of(network)
         traces, steps = [], []
         for y0, cap in zip(np.random.default_rng(seed).standard_normal((2, n, 2)), caps):
@@ -1273,7 +1274,7 @@ class TestDeliveryTrace:
         g = graph_for(20, 0.2, 7)
         dm = DelayModel(3, seed=8)
         assert next(delivery_trace(g, dm, [10**9])) == "0,0,0,RATIO_PAIR"
-        maps = consensus._column_maps(g, 3, 2)
+        maps = consensus._column_maps(g, 3)
         drawn = maps.ticks * len(maps.draw_col)
         assert np.array_equal(dm.sample_many(10), DelayModel(3, seed=8).sample_many(drawn + 10)[drawn:])
 
@@ -1281,8 +1282,8 @@ class TestDeliveryTrace:
 class TestSharedLinkTable:
     """Engines built on one digraph share its link table and its column maps.
 
-    The maps are built once per delay bound and kind count; consecutive
-    instances on one digraph must step as instances on fresh digraphs do.
+    The maps are built once per delay bound; consecutive instances on one
+    digraph must step as instances on fresh digraphs do.
     """
 
     @pytest.mark.parametrize("tau_bar", [0, 3])
@@ -1304,7 +1305,7 @@ class TestSharedLinkTable:
         # the reference's instances on one stream, traced into one list, and
         # the replay of them over the kept maps and over a fresh digraph's
         dm, trace = DelayModel(tau_bar, seed=11), []
-        extrema = (np.full((g.n, 3), np.inf), np.full((g.n, 3), -np.inf))
+        extrema = unbounded((g.n, 3))
         for y0, got in zip(y0s, runs[0]):
             ref = PerTickEngine(g, dm, y0=y0, weights=w, extrema=extrema, trace=trace)
             assert_same_result(got, ref.terminate(0.01, 100_000, (1 + tau_bar) * diameter(g)))
@@ -1313,35 +1314,31 @@ class TestSharedLinkTable:
             assert list(delivery_trace(h, DelayModel(tau_bar, seed=11), steps)) == trace
 
     def test_interleaved_bounds_and_kinds_equal_fresh_digraphs(self):
+        # an instance's delivery trace, then an engine of both kinds, per
+        # entry, each bound's drawing from one stream
         g, _, _ = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
         vals = np.random.default_rng(9).standard_normal((2, g.n, 2))
-        plan = [(tau_bar, kinds) for _ in range(2) for tau_bar in (0, 3, 10) for kinds in ("ratio", "extrema", "both")]
-        runs, maps = [], {}
+        plan = [tau_bar for _ in range(2) for tau_bar in (0, 3, 10)]
+        runs, kept = [], {}
         for fresh in (False, True):
             streams = {tau_bar: DelayModel(tau_bar, seed=12) for tau_bar in (0, 3, 10)}  # one per bound
             states = []
-            for steps, (tau_bar, kinds) in enumerate(plan, start=5):
+            for steps, tau_bar in enumerate(plan, start=5):
                 h = Digraph(g.n, edges(g)) if fresh else g
-                y0 = None if kinds == "extrema" else vals[0]
-                extrema = None if kinds == "ratio" else (vals[1], vals[1] + 0.5)
-                weights = None if y0 is None else build_weights(h)
-                engine = ConsensusEngine(h, streams[tau_bar], y0=y0, weights=weights, extrema=extrema)
-                if not fresh:
-                    maps[tau_bar, kinds] = engine._maps
+                trace = list(delivery_trace(h, streams[tau_bar], [steps]))
+                maps = consensus._maps_by_digraph[h][tau_bar]  # built or kept by the trace
+                extrema = (vals[1], vals[1] + 0.5)
+                engine = ConsensusEngine(h, streams[tau_bar], y0=vals[0], weights=build_weights(h), extrema=extrema)
+                # one maps object per (digraph, tau_bar), shared by the traces and the engines
+                assert engine._maps is maps is (maps if fresh else kept.setdefault(tau_bar, maps))
                 engine.advance(steps)
-                state = [engine.time, engine.delays.tobytes()]
+                state = [trace, engine.time, engine.delays.tobytes(), engine.z.tobytes()]
                 state += [engine.delivered, engine.stale_discarded, engine.extrema_folds]
-                state += [] if y0 is None else [engine.z.tobytes()]
-                state += [] if extrema is None else [engine.hi.tobytes(), engine.lo.tobytes()]
+                state += [engine.hi.tobytes(), engine.lo.tobytes()]
                 states.append(state)
             runs.append(states)
         assert runs[0] == runs[1]
-        kept = consensus._maps_by_digraph[g]
-        assert sorted(kept) == [(tau_bar, kinds) for tau_bar in (0, 3, 10) for kinds in (1, 2)]
-        # a ratio-only and an extrema-only engine on one digraph share one maps object
-        for tau_bar in (0, 3, 10):
-            assert maps[tau_bar, "ratio"] is maps[tau_bar, "extrema"] is kept[tau_bar, 1]
-            assert maps[tau_bar, "both"] is kept[tau_bar, 2]
+        assert consensus._maps_by_digraph[g] == kept and sorted(kept) == [0, 3, 10]
 
     def test_every_kind_columns_in_draw_order(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
@@ -1357,34 +1354,28 @@ class TestSharedLinkTable:
         assert engine.delays.shape == (4, 2 * len(message_columns(g)))
 
     @pytest.mark.parametrize("network", [(20, 0.2, 3, 7), (12, 0.3, 10, 5), (1, 0.0, 3, 2)])
-    @pytest.mark.parametrize("ratio,extrema", [(True, True), (True, False), (False, True)])
-    def test_each_edge_column_draws_once_in_stream_order(self, network, ratio, extrema):
+    def test_each_edge_column_draws_once_in_stream_order(self, network):
         n, _, tau_bar, seed = network
-        vals = np.random.default_rng(seed).standard_normal((n, 2))
-        g, (engine,) = both_engines(
-            network, ratio=ratio, extrema=(vals, vals) if extrema else None, classes=(ConsensusEngine,)
-        )
+        g, (engine,) = both_engines(network, classes=(ConsensusEngine,))
         columns = message_columns(g)
-        kinds, cols = ratio + extrema, len(columns)
-        self_cols = [q * cols + c for q in range(kinds) for c, (r, s) in enumerate(columns) if r == s]
-        # every edge column of each kind once, no self term, in the stream's
-        # order: sender, then kind, then receiver
-        stream = [
-            q * cols + c for i in range(n) for q in range(kinds) for c, (r, s) in enumerate(columns) if s == i != r
-        ]
+        cols = len(columns)
+        self_cols = [q * cols + c for q in range(2) for c, (r, s) in enumerate(columns) if r == s]
+        # every edge column of either kind once, no self term, in the
+        # stream's order: sender, then kind (ratio first), then receiver
+        stream = [q * cols + c for i in range(n) for q in range(2) for c, (r, s) in enumerate(columns) if s == i != r]
         draw_col = engine._maps.draw_col
         assert draw_col.tolist() == stream
         assert draw_col.dtype == np.intp and not draw_col.flags.writeable
         rows = engine._delay_rows(3)
         drawn = DelayModel(tau_bar, seed=seed + 1).sample_many(3 * len(stream)).reshape(3, -1)
-        assert rows.shape == (3, kinds * cols) and rows.dtype == engine._hist.dtype
+        assert rows.shape == (3, 2 * cols) and rows.dtype == engine._hist.dtype
         assert np.array_equal(rows[:, stream], drawn)
         assert not rows[:, self_cols].any()
 
     def test_dropping_a_digraph_drops_its_maps(self):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
-        engine = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w)
-        assert consensus._maps_by_digraph[g][3, 1] is engine._maps
+        engine = ratio_engine(g, DelayModel(3, seed=5), y0, w)
+        assert consensus._maps_by_digraph[g][3] is engine._maps
         graph, maps = weakref.ref(g), weakref.ref(engine._maps)
         del g, engine
         gc.collect()
@@ -1392,12 +1383,12 @@ class TestSharedLinkTable:
 
     def test_block_entries_patched_after_the_maps_exist(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
-        multi = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w)
+        multi = ratio_engine(g, DelayModel(3, seed=5), y0, w)
         monkeypatch.setattr(consensus, "BLOCK_ENTRIES", 0)
         # the kept maps keep their block length; a fresh digraph's maps read the patched cap
-        kept = ConsensusEngine(g, DelayModel(3, seed=5), y0=y0, weights=w)
+        kept = ratio_engine(g, DelayModel(3, seed=5), y0, w)
         h = Digraph(g.n, edges(g))
-        single = ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=build_weights(h))
+        single = ratio_engine(h, DelayModel(3, seed=5), y0, build_weights(h))
         assert kept._maps is multi._maps and single._maps is not multi._maps
         assert multi._maps.ticks > 1 and single._maps.ticks == 1
         for engine in (multi, kept, single):
@@ -1407,12 +1398,11 @@ class TestSharedLinkTable:
 
     def test_short_long_and_one_tick_blocks_step_alike(self, monkeypatch):
         g, w, y0 = seeded_setup(n=20, edge_prob=0.2, seed=7, p=3)
-        extrema = (np.full(y0.shape, np.inf), np.full(y0.shape, -np.inf))
         engines = []
         for entries in (consensus.BLOCK_ENTRIES, 5 * consensus.BLOCK_ENTRIES, 0):
             monkeypatch.setattr(consensus, "BLOCK_ENTRIES", entries)
             h = Digraph(g.n, edges(g))  # fresh, so its maps read the patched cap
-            engines.append(ConsensusEngine(h, DelayModel(3, seed=5), y0=y0, weights=w, extrema=extrema))
+            engines.append(ratio_engine(h, DelayModel(3, seed=5), y0, w))
         short, long, single = engines
         round_len = 4 * diameter(g)
         assert single._maps.ticks == 1 < short._maps.ticks < long._maps.ticks
@@ -1438,7 +1428,7 @@ class TestRejectsBadInput:
         with pytest.raises(ValueError, match="y0 must be finite"):
             run_terminating_consensus(g, w, dm, y0, 0.1, 100_000)
         with pytest.raises(ValueError, match="y0 must be finite"):
-            ConsensusEngine(g, dm, y0=y0, weights=w)
+            ratio_engine(g, dm, y0, w)
         # no tick ran: the delay stream is untouched
         assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=11).sample_many(50))
 
@@ -1454,20 +1444,9 @@ class TestRejectsBadInput:
         with pytest.raises(ValueError, match="^weights must be finite$"):
             run_terminating_consensus(g, w, dm, y0, 0.1, 200)
         with pytest.raises(ValueError, match="^weights must be finite$"):
-            ConsensusEngine(g, dm, y0=y0, weights=w)
+            ratio_engine(g, dm, y0, w)
         # no tick ran: the delay stream is untouched
         assert np.array_equal(dm.sample_many(50), DelayModel(2, seed=1).sample_many(50))
-
-    def test_engine_without_kinds(self):
-        # it would only keep time: no caller builds one
-        dm = DelayModel(3, seed=31)
-        with pytest.raises(ValueError, match="^an engine needs y0, extrema or both$"):
-            ConsensusEngine(three_cycle(), dm)
-        assert np.array_equal(dm.sample_many(20), DelayModel(3, seed=31).sample_many(20))
-
-    def test_y0_without_weights(self):
-        with pytest.raises(ValueError, match="y0 needs weights"):
-            ConsensusEngine(three_cycle(), DelayModel(2, seed=0), y0=np.ones((3, 1)))
 
     @pytest.mark.parametrize("n,d", [(8, 2.5), (8, "2"), (8, -1), (8, 0), (1, -1)])
     def test_bad_graph_diameter(self, n, d):
@@ -1487,7 +1466,7 @@ class TestRejectsBadInput:
         # unchecked, -3 steps nothing silently and 2.5 fails with a bare TypeError
         g, w, y0 = seeded_setup(n=8, seed=5)
         dm = DelayModel(3, seed=11)
-        engine = ConsensusEngine(g, dm, y0=y0, weights=w)
+        engine = ratio_engine(g, dm, y0, w)
         with pytest.raises(ValueError, match=rf"^steps {re.escape(message)}$"):
             engine.advance(steps)
         assert engine.time == 0
@@ -1514,23 +1493,37 @@ class TestRejectsBadInput:
         hi0, lo0 = (bad, vals) if which == "hi" else (vals, bad)
         dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match="extrema must not contain NaN"):
-            ConsensusEngine(g, dm, extrema=(hi0, lo0))
+            extrema_engine(g, dm, hi0, lo0)
         assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))
 
     def test_extrema_of_different_shapes(self):
         vals = np.array([[5.0, 1.0], [1.0, 2.0], [3.0, 0.0]])
         dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match=r"extrema hi and lo differ in shape: \(3, 2\) and \(3, 1\)"):
-            ConsensusEngine(three_cycle(), dm, extrema=(vals, vals[:, :1]))
+            extrema_engine(three_cycle(), dm, vals, vals[:, :1])
         assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))
+
+    @pytest.mark.parametrize("y0_cols,extrema_cols", [(3, 1), (1, 3)])
+    def test_extrema_of_another_shape_than_y0(self, y0_cols, extrema_cols):
+        # unchecked, (6, 1) extrema with a (6, 3) y0 fail mid-run with a numpy
+        # broadcast error after delays were drawn, and (6, 3) extrema with a
+        # (6, 1) y0 run to converged=True on 3-row extrema
+        g = graph_for(6, 0.3, 5)
+        y0 = np.random.default_rng(5).standard_normal((6, y0_cols))
+        dm = DelayModel(3, seed=11)
+        shapes = rf"^extrema have shape \(6, {extrema_cols}\) for y0 of shape \(6, {y0_cols}\)$"
+        with pytest.raises(ValueError, match=shapes):
+            ConsensusEngine(g, dm, y0=y0, weights=build_weights(g), extrema=unbounded((6, extrema_cols)))
+        # no tick ran: the delay stream is untouched
+        assert np.array_equal(dm.sample_many(50), DelayModel(3, seed=11).sample_many(50))
 
     @pytest.mark.parametrize("kind", ["y0", "extrema"])
     def test_rows_of_another_count(self, kind):
-        rows = np.ones((4, 1))
-        given = {"y0": rows, "weights": np.full(3, 0.5)} if kind == "y0" else {"extrema": (rows, rows)}
+        rows, fit = np.ones((4, 1)), np.ones((3, 1))
+        y0, extrema = (rows, unbounded((3, 1))) if kind == "y0" else (fit, (rows, rows))
         dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match=f"^{kind} has 4 rows for a 3-node digraph$"):
-            ConsensusEngine(three_cycle(), dm, **given)
+            ConsensusEngine(three_cycle(), dm, y0=y0, weights=np.full(3, 0.5), extrema=extrema)
         assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))
 
     @pytest.mark.parametrize("shape", [(2,), (4,), (3, 3)], ids=["2", "4", "3x3"])
@@ -1539,5 +1532,5 @@ class TestRejectsBadInput:
         weights = np.full(shape, 0.5)
         dm = DelayModel(2, seed=0)
         with pytest.raises(ValueError, match=rf"weights has shape {re.escape(str(shape))} for a 3-node digraph"):
-            ConsensusEngine(three_cycle(), dm, y0=np.ones((3, 1)), weights=weights)
+            ratio_engine(three_cycle(), dm, np.ones((3, 1)), weights)
         assert np.array_equal(dm.sample_many(20), DelayModel(2, seed=0).sample_many(20))

@@ -41,12 +41,12 @@ def run_logged(g, dm, steps):
     for k in range(steps):
         engine.advance(1)
         row = engine.delays[-1].tolist()
-        for q, kind in enumerate(engine.kinds):
-            # one kind's columns after another's, each in message_columns order
+        for q, kind in enumerate(KIND_NAMES):
+            # the ratio columns, then the min/max ones, each in message_columns order
             kind_row = row[q * len(columns) : (q + 1) * len(columns)]
             for (r, s), d in zip(columns, kind_row):
                 if r != s:
-                    sends.append((k, s, r, KIND_NAMES[kind], d))
+                    sends.append((k, s, r, kind, d))
     assert engine.delivered == len(trace)
     return engine, trace, sends
 
