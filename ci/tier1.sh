@@ -10,10 +10,11 @@
 #   full          as latest, plus the full-size benchmark and the paper-scale
 #                 record (the 3.11 leg: the interpreter the recorded numbers come from)
 # Every leg first prints its machine record: the Python and numpy versions,
-# whether Python writes bytecode (with PYTHONDONTWRITEBYTECODE set, every fresh
-# process compiles the package again, inside the benchmark's setup_s), the OS
-# threads a process has after `import numpy`, nproc and the CPU model (the deps
-# step prints the numpy it installed).
+# the BLAS and LAPACK numpy was built against, whether Python writes bytecode
+# (with PYTHONDONTWRITEBYTECODE set, every fresh process compiles the package
+# again, inside the benchmark's setup_s), the OS threads a process has after
+# `import numpy`, nproc and the CPU model (the deps step prints the numpy it
+# installed).
 # With no step, every step of the leg runs, in this order:
 #   deps        install numpy, pytest and hypothesis (needs the network)
 #   lines       each package module's code lines (ci/code_lines.py: no blank,
@@ -45,6 +46,7 @@ fi
 machine() {
   python -c 'import platform; print("python", platform.python_version())'
   numpy_version
+  numpy_blas
   python -c 'import sys; print("dont_write_bytecode", sys.flags.dont_write_bytecode)'
   numpy_threads
   echo "nproc $(nproc)"
@@ -53,6 +55,21 @@ machine() {
 
 numpy_version() {
   python -c 'import numpy; print("numpy", numpy.__version__)' 2>/dev/null || echo "numpy not installed"
+}
+
+# the BLAS and LAPACK numpy was built against: the prox goldens rest on the
+# bits of LAPACK dgesv.  show_config(mode="dicts") needs numpy 1.25
+numpy_blas() {
+  python -c '
+import numpy
+try:
+    deps = numpy.show_config(mode="dicts")["Build Dependencies"]
+except (TypeError, KeyError):
+    deps = {}
+for lib in ("blas", "lapack"):
+    got = deps.get(lib, {})
+    print(lib, " ".join(str(got[key]) for key in ("name", "version") if key in got) or "unknown")
+' 2>/dev/null || echo "blas unknown (numpy not installed)"
 }
 
 # the OS threads of a process that has imported numpy (field 20 of

@@ -2,12 +2,13 @@
 
 The references read the digraph's link table through their own loops:
 :func:`edges` walks ``g.links`` pair by pair, and every other view is
-built from it.  The references in the tests (breadth-first diameter,
-per-sender weights, the per-tick engine, the expected sends) read these
-views instead of the arrays the package computes with, so that no
-reference shares code with the code it checks.  ``tests/test_digraph.py``
-checks :func:`edges` against the pairs a digraph was built from and
-against the generator's per-pair reference loop.
+built from it.  The references (:func:`bfs_diameter` here; the
+per-sender weights, the per-tick engine and the expected sends in the
+tests) read these views instead of the arrays the package computes
+with, so that no reference shares code with the code it checks.
+``tests/test_digraph.py`` checks :func:`edges` against the pairs a
+digraph was built from and against the generator's per-pair reference
+loop.
 
 A run record keeps its z trajectory but not its x and lam iterates;
 :func:`replay` rebuilds those and checks them against the record.
@@ -19,6 +20,8 @@ weights, since a bit-for-bit match needs the same terms.  An engine checked
 against it starts its extrema at :func:`unbounded`'s ``+inf`` / ``-inf``,
 where no extrema fold runs.
 """
+
+from collections import deque
 
 import numpy as np
 
@@ -39,6 +42,25 @@ def out_lists(g):
     for j, i in edges(g):
         outs[i].append(j)
     return [sorted(o) for o in outs]
+
+
+def bfs_diameter(g):
+    """The diameter by one breadth-first search per source; ``ValueError`` if not strongly connected."""
+    best = 0
+    outs = out_lists(g)
+    for src in range(g.n):
+        dist = {src: 0}
+        frontier = deque([src])
+        while frontier:
+            u = frontier.popleft()
+            for v in outs[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    frontier.append(v)
+        if len(dist) != g.n:
+            raise ValueError("not strongly connected")
+        best = max(best, max(dist.values()))
+    return best
 
 
 def message_columns(g):
@@ -83,8 +105,8 @@ def synchronous_ratio_trajectory(g, y0, k):
     accumulated per receiver in ascending sender order with scale-then-sum:
     the exact operation order of the simulator's zero-delay path, which it
     must match bit for bit.  That is the link table's order, so the loop
-    walks its links and never forms ``P``: the reachability matrices of
-    :func:`~asyncadmm.digraph.diameter` are the package's only n x n arrays.
+    walks its links and never forms ``P``, as the package forms no n x n
+    array anywhere.
     """
     _integer(k, "k", low=0)
     n = g.n

@@ -1055,10 +1055,15 @@ class TestFixedExtrema:
         # still in flight; where a tie takes the arrival (x86), it lands at tick 6
         hi0 = np.array([[-0.0], [0.0], [-0.0], [-0.0]])
         _, (block, ref) = both_engines((4, 0.3, 3, 12), p=1, extrema=(hi0, np.full((4, 1), -5.0)))
+        negative = {}
         for _ in range(12):
             block.advance(1)
             ref.advance(1)
             assert block.hi.tobytes() == ref.hi.tobytes() and block.lo.tobytes() == ref.lo.tobytes()
+            negative[block.time] = np.signbit(block.hi).ravel().tolist()
+        if not np.signbit(np.maximum(-0.0, 0.0)):  # the fold's tie takes the arrival
+            assert negative[5] == [True] * 4
+            assert negative[6] == [False, True, True, True]
 
     @pytest.mark.parametrize("tau_bar", [1, 3, 10])
     def test_constant_reseed(self, tau_bar):

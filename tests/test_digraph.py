@@ -1,12 +1,12 @@
-from collections import deque
 from pathlib import Path
 
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asyncadmm import digraph
@@ -18,7 +18,7 @@ from asyncadmm.digraph import (
     random_strongly_connected,
     save_edge_list,
 )
-from reference import edges, out_lists
+from reference import bfs_diameter, edges, out_lists
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,6 +29,18 @@ def cycle(n):
 
 def complete(n):
     return Digraph(n, frozenset((j, i) for i in range(n) for j in range(n) if i != j))
+
+
+@st.composite
+def digraphs(draw):
+    """Digraphs on 1-140 nodes, with or without a Hamiltonian cycle: some are not strongly connected."""
+    n = draw(st.integers(1, 140))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    j, i = np.nonzero(rng.random((n, n)) < draw(st.floats(0.0, 0.5)))
+    pairs = {*zip(j.tolist(), i.tolist())}
+    if draw(st.booleans()):
+        pairs |= {((v + 1) % n, v) for v in range(n)}
+    return Digraph(n, [(j, i) for j, i in pairs if j != i])
 
 
 class TestDigraph:
@@ -169,20 +181,62 @@ class TestConnectivityAndDiameter:
         ids=["paper600", "n600_seed8", "sweep", "cycle9", "complete5", "one_node"],
     )
     def test_diameter_takes_d_minus_one_products(self, monkeypatch, make, d, products):
+        # a product composes one more hop onto the reach sets: one
+        # bitwise_or.reduceat over the links per 64-node word
         g, taken = make(), []
 
-        class Counted(np.ndarray):
-            """A reachability matrix that counts the products it is the left factor of."""
+        class CountedOr:
+            """``np.bitwise_or`` whose ``reduceat`` counts its calls."""
 
-            def __matmul__(self, other):
-                taken.append(other)
-                return super().__matmul__(other)
+            at = np.bitwise_or.at
 
-        zeros = np.zeros
+            def reduceat(self, *args, **kwargs):
+                taken.append(len(args[0]))
+                return np.bitwise_or.reduceat(*args, **kwargs)
+
+        class Numpy:
+            bitwise_or = CountedOr()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
         with monkeypatch.context() as m:
-            m.setattr(digraph.np, "zeros", lambda *args, **kwargs: zeros(*args, **kwargs).view(Counted))
+            m.setattr(digraph, "np", Numpy())
             assert digraph._hops_to_reach_all(g) == d
-        assert len(taken) == products
+        words = -(-g.n // 64)
+        assert taken == [len(g.links[0])] * (products * words)
+
+    def test_composes_in_under_one_and_a_half_megabytes(self):
+        # paper600's digraph: one links-long word array at a time (72835
+        # links, 0.58 MB), where a dense n x n float32 product peaked at 4.12 MB
+        g = random_strongly_connected(600, 0.2, seed=(7, 2))
+        tracemalloc.start()
+        try:
+            assert digraph._hops_to_reach_all(g) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_500_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=digraphs())
+    @example(g=Digraph(1, []))
+    @example(g=cycle(2))
+    @example(g=random_strongly_connected(63, 0.05, seed=63))
+    @example(g=cycle(64))
+    @example(g=random_strongly_connected(65, 0.05, seed=65))
+    @example(g=Digraph(65, [*cycle(64).edges, (64, 0)]))  # node 64, alone in its word, reaches no one
+    @example(g=cycle(129))
+    @example(g=Digraph(3, [(1, 0), (2, 1)]))  # a path
+    @example(g=cycle(600))
+    def test_matches_breadth_first_search(self, g):
+        try:
+            want = bfs_diameter(g)
+        except ValueError:
+            with pytest.raises(ValueError, match="not strongly connected"):
+                diameter(g)
+        else:
+            assert diameter(g) == want
 
     @pytest.mark.parametrize("seed", range(8))
     def test_diameter_at_most_n_minus_one(self, seed):
@@ -247,25 +301,6 @@ def loop_generator(n, extra_edge_prob, seed):
             if rng.random() < extra_edge_prob:
                 pairs.add((j, i))
     return frozenset(pairs)
-
-
-def bfs_diameter(g):
-    """Reference: one breadth-first search per source."""
-    best = 0
-    outs = out_lists(g)
-    for src in range(g.n):
-        dist = {src: 0}
-        frontier = deque([src])
-        while frontier:
-            u = frontier.popleft()
-            for v in outs[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    frontier.append(v)
-        if len(dist) != g.n:
-            raise ValueError("not strongly connected")
-        best = max(best, max(dist.values()))
-    return best
 
 
 def loop_weights(g):
